@@ -27,7 +27,7 @@ from .errors import (
     ZeroInverse,
 )
 from .fields import FieldDescriptor, FieldElement, bernoulli, bernoulli_mod_p, genocchi
-from .poly import PrimeDomain, ExtensionDomain, RationalDomain, RatFunc, SparsePoly
+from .poly import PrimeDomain, RationalDomain, RatFunc, SparsePoly
 from .formal import FormalSum, normalize_mod_inversion
 from .finlog import (
     finite_polylog,
@@ -95,7 +95,6 @@ from .cocycle import (
     group_check,
     group_inverse,
     group_mul,
-    h_table,
     main_identity_check,
     phi,
     phi_table,

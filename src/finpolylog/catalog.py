@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadParams, InadmissiblePoint, SizeExceeded, UnknownId
-from .fields import FieldDescriptor, FieldElement
-from .formal import FormalSum, normalize_mod_inversion
+from .fields import FieldDescriptor, FieldElement, _prime_divisors
+from .formal import FormalSum
 from .finlog import lhat_apply, lhat_eval
 from .poly import PrimeDomain, RationalDomain, RatFunc
 
@@ -38,17 +38,7 @@ def _gens(variables, p):
 
 def _primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group of GF(p)."""
-    factors = []
-    n = p - 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
+    factors = _prime_divisors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
             return g
@@ -636,14 +626,6 @@ def build(eq_id: str, p: int, **params) -> FormalSum:
         raise BadParams(f"unexpected parameters {sorted(extra)} for {eq_id}")
     defaults.update(params)
     return info["builder"](p, **defaults)
-
-
-def entry_weight(eq_id: str, **params) -> int:
-    info = CATALOG[eq_id]
-    if info["weight"] is not None:
-        return info["weight"]
-    n = params.get("n", _PARAM_DEFAULTS.get(eq_id, {}).get("n", 1))
-    return n
 
 
 def drop_trivial_arguments(s: FormalSum):

@@ -23,20 +23,10 @@ from . import cocycle as _cocycle
 from . import padic as _padic
 from . import solver as _solver
 from .derivation import parse_derivation, derive, standard_derivation, verify_derived
+from .fields import is_prime
 from .finlog import kummer_congruence, special_values, special_values_csv
 
 BUDGET_ENV = "FINPOLYLOG_BUDGET"
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def parse_primes(text: str) -> list:
@@ -53,10 +43,10 @@ def parse_primes(text: str) -> list:
         if ".." in piece:
             lo, hi = piece.split("..", 1)
             lo, hi = int(lo), int(hi)
-            out.extend(n for n in range(max(lo, 3), hi + 1) if _is_prime(n))
+            out.extend(n for n in range(max(lo, 3), hi + 1) if is_prime(n))
         else:
             n = int(piece)
-            if not _is_prime(n) or n == 2:
+            if not is_prime(n) or n == 2:
                 raise BadParams(f"{n} is not an odd prime")
             out.append(n)
     if not out:

@@ -10,7 +10,6 @@ the entropy of rational probability distributions reduced mod p.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,43 +21,32 @@ from .errors import (
     NoAdmissibleOrdering,
     ZeroInverse,
 )
+from .finlog import _ltilde_prime_table
 
 EXHAUSTIVE_COCYCLE_LIMIT = 101
 DEFAULT_PERMUTATION_BUDGET = 5040
 
 
-def h_table(p: int) -> np.ndarray:
-    """Values of H(x) = sum_{k=1}^{p-1} x^k / k for x = 0..p-1."""
-    inv = [0] + [pow(k, p - 2, p) for k in range(1, p)]
-    xs = np.arange(p, dtype=np.int64)
-    table = np.zeros(p, dtype=np.int64)
-    xk = np.ones(p, dtype=np.int64)
-    for k in range(1, p):
-        xk = (xk * xs) % p
-        table = (table + inv[k] * xk) % p
-    return table
-
-
 def H(x: int, p: int) -> int:
-    return int(h_table(p)[x % p])
-
-
-def phi_table(p: int, h=None) -> np.ndarray:
-    """phi(x, y) = (x+y) H(x/(x+y)) when x+y != 0, else 0."""
-    if h is None:
-        h = h_table(p)
-    table = np.zeros((p, p), dtype=np.int64)
-    for x in range(p):
-        for y in range(p):
-            s = (x + y) % p
-            if s == 0:
-                continue
-            table[x, y] = (s * int(h[(x * pow(s, p - 2, p)) % p])) % p
-    return table
+    """H(x) = sum_{k=1}^{p-1} x^k / k, the weight-1 finite polylog."""
+    return _ltilde_prime_table(1, p)[x % p]
 
 
 def phi(x: int, y: int, p: int) -> int:
-    return int(phi_table(p)[x % p, y % p])
+    """phi(x, y) = (x+y) H(x/(x+y)) when x+y != 0, else 0."""
+    s = (x + y) % p
+    if s == 0:
+        return 0
+    return (s * H(x * pow(s, p - 2, p), p)) % p
+
+
+def phi_table(p: int) -> np.ndarray:
+    """The p x p table of phi over GF(p)."""
+    table = np.zeros((p, p), dtype=np.int64)
+    for x in range(p):
+        for y in range(p):
+            table[x, y] = phi(x, y, p)
+    return table
 
 
 @dataclass
@@ -119,7 +107,7 @@ def check_homogeneity(p: int) -> CheckResult:
 
 def check_equation_B(p: int) -> CheckResult:
     """H(x+y) = H(y) + (1-y)H(x/(1-y)) + yH(-x/y) for y not in {0,1}."""
-    h = h_table(p)
+    h = _ltilde_prime_table(1, p)
     checked = 0
     for y in range(2, p):
         inv_1y = pow((1 - y) % p, p - 2, p)
@@ -139,7 +127,7 @@ def check_equation_B(p: int) -> CheckResult:
 
 def check_equation_C(p: int) -> CheckResult:
     """x H(1/x) = -H(x) for x != 0."""
-    h = h_table(p)
+    h = _ltilde_prime_table(1, p)
     for x in range(1, p):
         if (x * h[pow(x, p - 2, p)] + h[x]) % p:
             return CheckResult(False, x, (x,))
@@ -378,7 +366,7 @@ def _entropy_of_residues(values, p: int, h) -> int | None:
         q = vals[0]
         rem = (1 - total) % p
         # entropy of the two-valued split (q/rem, 1 - q/rem), scaled back
-        acc = (acc + weight * int(h[(q * pow(rem, p - 2, p)) % p])) % p
+        acc = (acc + weight * h[(q * pow(rem, p - 2, p)) % p]) % p
         total = (total + q) % p
         new_rem = (1 - total) % p
         if len(vals) > 2 and new_rem == 0:
@@ -401,7 +389,7 @@ def entropy_mod_p(
     mod p.  Raises NoAdmissibleOrdering when the budget is exhausted.
     """
     values = reduce_distribution(probs, p)
-    h = h_table(p)
+    h = _ltilde_prime_table(1, p)
     if len(values) <= 1:
         return 0
     first = _entropy_of_residues(values, p, h)
@@ -423,7 +411,7 @@ def entropy_mod_p(
 def all_ordering_values(probs, p: int):
     """Entropy values over every admissible ordering (for small k)."""
     values = reduce_distribution(probs, p)
-    h = h_table(p)
+    h = _ltilde_prime_table(1, p)
     out = set()
     for perm in itertools.permutations(values):
         res = _entropy_of_residues(list(perm), p, h)

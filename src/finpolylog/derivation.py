@@ -13,7 +13,7 @@ import ast
 import operator
 from dataclasses import dataclass
 
-from .catalog import Verdict, verify_strong, verify_weak
+from .catalog import verify_strong, verify_weak
 from .errors import BadParams, DegenerateArgument
 from .formal import FormalSum, normalize_mod_inversion
 from .poly import RatFunc

@@ -8,15 +8,13 @@ vanishing is the polynomial (strong) form of a functional equation, applied
 at a point it gives the pointwise (weak) form.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 from math import comb
 
-from .errors import (
-    BadParams,
-    DepthExceeded,
-    IndexOutOfRange,
-    InadmissiblePoint,
-)
+import numpy as np
+
+from .errors import BadParams, DepthExceeded, IndexOutOfRange
 from .fields import FieldDescriptor, FieldElement, genocchi
 from .formal import FormalSum
 from .poly import PrimeDomain, RatFunc, SparsePoly
@@ -57,15 +55,17 @@ def _inv_power_table(m: int, p: int):
 
 @lru_cache(maxsize=None)
 def _ltilde_prime_table(m: int, p: int):
-    """Values of the weight-m polylog at every point of GF(p)."""
+    """Tuple of the weight-m polylog values at x = 0..p-1 (index x).
+
+    Horner's rule runs over all points at once as int64 arrays; every
+    intermediate stays below 2p^2, so the table is exact for p < 2^31.
+    """
     coeffs = _inv_power_table(m, p)
-    table = [0] * p
-    for x in range(p):
-        acc = 0
-        for k in range(p - 1, 0, -1):
-            acc = ((acc + coeffs[k - 1]) * x) % p
-        table[x] = acc
-    return tuple(table)
+    xs = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    for k in range(p - 1, 0, -1):
+        acc = ((acc + coeffs[k - 1]) * xs) % p
+    return tuple(acc.tolist())
 
 
 def ltilde(m: int, x: FieldElement) -> FieldElement:
@@ -102,13 +102,53 @@ def lhat_eval(m: int, s: FormalSum, point: dict) -> FieldElement:
     return acc
 
 
+def clear_denominators(s: FormalSum, deg: int):
+    """Put the terms of ``s``, read through a polynomial of degree ``deg``,
+    over one common denominator.
+
+    Term c[x] with x = n/d (d a product of tracked monic factors) is read
+    as c^p * Q(x) for some Q of degree <= deg; its denominator is that of
+    c^p times d^deg.  Returns ``(factors, terms)``: ``factors`` is the least
+    common multiple of the term denominators as (monic factor, multiplicity)
+    pairs, and ``terms`` holds one ``(cfn, x, cofactors)`` per term of ``s``,
+    where ``cfn`` is the numerator of c^p and ``cofactors`` lists the factor
+    powers that raise that term's denominator to the common one.  Callers
+    multiply the cofactors one at a time onto their cleared term.
+    """
+    need = {}  # factor key -> [factor poly, max multiplicity]
+    prepared = []
+    for c, x in s.terms:
+        cf = c.frobenius()
+        used = {}  # factor key -> multiplicity in this term's denominator
+        for fac, mult in cf.factors + tuple((f, k * deg) for f, k in x.factors):
+            key = fac.serialize()
+            used[key] = used.get(key, 0) + mult
+            cur = need.setdefault(key, [fac, 0])
+            cur[1] = max(cur[1], used[key])
+        prepared.append((cf.num, x, used))
+
+    powers = {key: [None, fac] for key, (fac, _mult) in need.items()}
+    terms = []
+    for cfn, x, used in prepared:
+        cofactors = []
+        for key, (fac, mult) in need.items():
+            extra = mult - used.get(key, 0)
+            if extra:
+                cache = powers[key]
+                while len(cache) <= extra:
+                    cache.append(cache[-1] * fac)
+                cofactors.append(cache[extra])
+        terms.append((cfn, x, cofactors))
+    return tuple((fac, mult) for fac, mult in need.values()), terms
+
+
 def lhat_apply(m: int, s: FormalSum) -> RatFunc:
     """Twisted symbolic evaluation of a formal sum as one rational function.
 
-    Clears denominators once globally: each term c[x] with x = n/d (d a
-    product of tracked monic factors) contributes
-    c^p * (sum_k k^(-m) n^k d^(p-1-k)) / d^(p-1), and all contributions are
-    put over the least common multiple of the tracked factor multisets.
+    Terms with argument 0 vanish (the polylog has no constant term) and are
+    dropped.  The rest are put over one denominator by
+    :func:`clear_denominators` with deg = p-1: term c[x] with x = n/d
+    contributes c^p * (sum_k k^(-m) n^k d^(p-1-k)) times its cofactors.
     """
     dom = s.domain
     if dom.kind != "prime":
@@ -116,62 +156,14 @@ def lhat_apply(m: int, s: FormalSum) -> RatFunc:
     p = dom.p
     variables = s.variables
     coeffs = _inv_power_table(m, p)
-
-    prepared = []  # (numerator-part builder data)
-    need = {}  # factor key -> [factor poly, max multiplicity]
-
-    def add_need(key, fac, mult):
-        cur = need.get(key)
-        if cur is None:
-            need[key] = [fac, mult]
-        elif mult > cur[1]:
-            cur[1] = mult
-
-    for c, x in s.terms:
-        if x.is_zero():
-            continue
-        cf = c.frobenius()
-        used = {}
-        for fac, mult in cf.factors:
-            key = fac.serialize()
-            used[key] = used.get(key, 0) + mult
-            add_need(key, fac, used[key])
-        if x.is_constant():
-            prepared.append(("const", cf.num, x.constant_value(), used))
-            continue
-        for fac, mult in x.factors:
-            key = fac.serialize()
-            used[key] = used.get(key, 0) + mult * (p - 1)
-            add_need(key, fac, used[key])
-        prepared.append(("arg", cf.num, x, used))
-
-    power_cache = {}
-
-    def factor_power(key, e):
-        if e == 0:
-            return None
-        fac = need[key][0]
-        cache = power_cache.setdefault(key, {1: fac})
-        if e not in cache:
-            best = max(k for k in cache if k <= e)
-            cur = cache[best]
-            while best < e:
-                cur = cur * fac
-                best += 1
-                cache[best] = cur
-        return cache[e]
+    nonzero = replace(s, terms=tuple(t for t in s.terms if not t[1].is_zero()))
+    factors, terms = clear_denominators(nonzero, p - 1)
 
     total = SparsePoly.zero(variables, dom)
-    for entry in prepared:
-        kind, cfn, payload, used = entry[0], entry[1], entry[2], entry[3]
-        if kind == "const":
-            v = payload % p
-            lval = 0
-            for k in range(p - 1, 0, -1):
-                lval = ((lval + coeffs[k - 1]) * v) % p
-            part = cfn.scale(lval)
+    for cfn, x, cofactors in terms:
+        if x.is_constant():
+            part = cfn.scale(_ltilde_prime_table(m, p)[x.constant_value()])
         else:
-            x = payload
             n = x.num
             d = x.den
             n_pows = [SparsePoly.const(variables, dom, 1)]
@@ -185,17 +177,10 @@ def lhat_apply(m: int, s: FormalSum) -> RatFunc:
                     coeffs[k - 1]
                 )
             part = cfn * acc
-        for key, (fac, mult) in need.items():
-            extra = mult - used.get(key, 0)
-            fp = factor_power(key, extra)
-            if fp is not None:
-                part = part * fp
+        for fp in cofactors:
+            part = part * fp
         total = total + part
-    return RatFunc(
-        total,
-        tuple((fac, mult) for fac, mult in need.values()),
-        reduce=False,
-    )
+    return RatFunc(total, factors, reduce=False)
 
 
 def tau(i: int, p: int, var: str = "T") -> SparsePoly:

@@ -7,10 +7,10 @@ them to the p-th power before pairing them with a polylog value, so the same
 sum can be read both as a pointwise identity and as a polynomial identity.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadParams, DomainMismatch
-from .poly import RatFunc, SparsePoly
+from .poly import RatFunc
 
 
 @dataclass(frozen=True)

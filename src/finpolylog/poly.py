@@ -1,10 +1,10 @@
 """Sparse multivariate polynomials and rational functions over exact domains.
 
 Polynomials are stored as a map from exponent tuples to nonzero coefficients
-over a fixed ordered variable universe.  Supported coefficient domains are
-exact rationals, prime fields GF(p) (coefficients stored as ints in [0, p))
-and extension fields GF(p^e) (coefficients stored as FieldElement).  Mixing
-domains or variable universes raises DomainMismatch.
+over a fixed ordered variable universe.  Coefficients are exact rationals
+(Fraction) or elements of a prime field GF(p) (ints in [0, p)); mixing
+domains or variable universes raises DomainMismatch.  Polynomials can still
+be evaluated at points of an extension GF(p^e), given as FieldElement.
 
 Rational functions keep their denominator as a multiset of monic factor
 polynomials.  There is no full multivariate gcd; reduction removes factors
@@ -113,51 +113,6 @@ class PrimeDomain:
         return f"GF({self.p})"
 
 
-class ExtensionDomain:
-    """GF(p^e), e > 1, coefficients stored as FieldElement."""
-
-    kind = "extension"
-
-    def __init__(self, field: FieldDescriptor):
-        if field.e == 1:
-            raise BadParams("use PrimeDomain for e = 1")
-        self.field = field
-        self.characteristic = field.p
-        self.p = field.p
-
-    def coerce(self, value):
-        if isinstance(value, FieldElement):
-            if value.field == self.field:
-                return value
-            if value.field.e == 1 and value.field.p == self.p:
-                return self.field.element(value.coords[0])
-            raise DomainMismatch("element of a different field")
-        if isinstance(value, int):
-            return self.field.element(value)
-        raise DomainMismatch(f"cannot coerce {value!r} into {self.field!r}")
-
-    def one(self):
-        return self.field.one()
-
-    def inv(self, value):
-        return value.inverse()
-
-    def __eq__(self, other):
-        return isinstance(other, ExtensionDomain) and other.field == self.field
-
-    def __hash__(self):
-        return hash(("ext", self.field))
-
-    def __repr__(self):
-        return repr(self.field)
-
-
-def _is_zero_coeff(c):
-    if isinstance(c, FieldElement):
-        return c.is_zero()
-    return c == 0
-
-
 def _gradlex_key(exps):
     return (sum(exps), exps)
 
@@ -174,7 +129,7 @@ class SparsePoly:
             coerced = {}
             for e, c in terms.items():
                 c = domain.coerce(c)
-                if not _is_zero_coeff(c):
+                if c != 0:
                     coerced[e] = c
             terms = coerced
         if len(terms) > DEFAULT_TERM_CAP:
@@ -192,7 +147,7 @@ class SparsePoly:
     @classmethod
     def const(cls, variables, domain, value):
         value = domain.coerce(value)
-        if _is_zero_coeff(value):
+        if value == 0:
             return cls.zero(variables, domain)
         zero_exp = (0,) * len(variables)
         return cls(variables, domain, {zero_exp: value}, copy=False)
@@ -268,7 +223,7 @@ class SparsePoly:
                 s = out[e] + c
                 if self.domain.kind == "prime":
                     s %= self.domain.p
-                if _is_zero_coeff(s):
+                if s == 0:
                     del out[e]
                 else:
                     out[e] = s
@@ -317,14 +272,14 @@ class SparsePoly:
                     e = tuple(x + y for x, y in zip(e1, e2))
                     s = out.get(e)
                     out[e] = c1 * c2 if s is None else s + c1 * c2
-            out = {e: c for e, c in out.items() if not _is_zero_coeff(c)}
+            out = {e: c for e, c in out.items() if c != 0}
         return SparsePoly(self.vars, self.domain, out, copy=False)
 
     __rmul__ = __mul__
 
     def scale(self, value):
         value = self.domain.coerce(value)
-        if _is_zero_coeff(value):
+        if value == 0:
             return SparsePoly.zero(self.vars, self.domain)
         if self.domain.kind == "prime":
             p = self.domain.p
@@ -373,7 +328,7 @@ class SparsePoly:
                 nc = (c * k) % self.domain.p
             else:
                 nc = c * k
-            if _is_zero_coeff(nc):
+            if nc == 0:
                 continue
             ne = e[:i] + (k - 1,) + e[i + 1 :]
             out[ne] = nc
@@ -397,13 +352,8 @@ class SparsePoly:
         if self.domain.kind == "rational":
             raise DomainMismatch("Frobenius requires positive characteristic")
         p = self.domain.characteristic
-        out = {}
-        for e, c in self.terms.items():
-            ne = tuple(x * p for x in e)
-            if self.domain.kind == "prime":
-                out[ne] = c  # Fermat: c^p = c in GF(p)
-            else:
-                out[ne] = c.frobenius()
+        # Fermat: c^p = c in GF(p), so only the exponents change
+        out = {tuple(x * p for x in e): c for e, c in self.terms.items()}
         return SparsePoly(self.vars, self.domain, out, copy=False)
 
     def evaluate(self, point: dict):
@@ -468,12 +418,7 @@ class SparsePoly:
                     if k not in pc:
                         pc[k] = values[i] ** k
                     t = t * pc[k]
-            if self.domain.kind == "extension" or isinstance(c, FieldElement):
-                acc = acc + t * c
-            elif self.domain.kind == "prime":
-                acc = acc + t * c
-            else:
-                acc = acc + t * c
+            acc = acc + t * c
         return acc
 
     def substitute(self, assignments: dict) -> "RatFunc":
@@ -547,14 +492,7 @@ class SparsePoly:
                 for v, k in zip(self.vars, e)
                 if k
             )
-            if isinstance(c, FieldElement):
-                cs = (
-                    str(c.coords[0])
-                    if c.field.e == 1
-                    else "(" + ",".join(map(str, c.coords)) + ")"
-                )
-            else:
-                cs = str(c)
+            cs = str(c)
             parts.append(f"{cs}*{mono}" if mono else cs)
         return " + ".join(parts)
 
@@ -666,7 +604,7 @@ def exact_divide(f: SparsePoly, g: SparsePoly):
                 nc = (rem.get(e, 0) - qc * gcoef) % p
             else:
                 nc = rem.get(e, 0) - qc * gcoef
-            if _is_zero_coeff(nc):
+            if nc == 0:
                 rem.pop(e, None)
             else:
                 rem[e] = nc
@@ -697,7 +635,7 @@ class RatFunc:
                                 _pow_coeff(num.domain, num.domain.inv(c), mult))
                 continue
             lead, monic_fac = fac.monic()
-            if not _is_coeff_one(lead):
+            if lead != 1:
                 inv_l = num.domain.inv(lead)
                 num = num.scale(_pow_coeff(num.domain, inv_l, mult))
             norm.append((monic_fac, mult))
@@ -903,9 +841,9 @@ class RatFunc:
         den_val = None
         for fac, mult in self.factors:
             v = fac.evaluate(point)
-            if _is_zero_coeff(v):
+            if v == 0:
                 raise InadmissiblePoint("denominator vanishes at the point")
-            term = v**mult if not isinstance(v, Fraction) else v**mult
+            term = v**mult
             den_val = term if den_val is None else den_val * term
         num_val = self.num.evaluate(point)
         if den_val is None:
@@ -936,12 +874,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.serialize()})"
-
-
-def _is_coeff_one(c):
-    if isinstance(c, FieldElement):
-        return c == 1
-    return c == 1
 
 
 def _pow_coeff(domain, c, n):

@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .errors import BadParams, UnknownId
-from .finlog import finite_polylog, tau
+from .finlog import clear_denominators, finite_polylog, tau
 from .formal import FormalSum
 from .poly import PrimeDomain, RatFunc, SparsePoly
 from . import catalog as _catalog
@@ -28,8 +28,11 @@ def equation_columns(s: FormalSum, p: int, deg: int | None = None) -> list:
     Column j (0 <= j <= deg, default deg = p-1) is the polynomial
     multiplying the unknown coefficient a_j after substituting
     P(T) = sum a_j T^j into every term of ``s`` and clearing all
-    denominators globally (coefficients are raised to the p-th power,
-    matching the twisted evaluation convention).
+    denominators globally with
+    :func:`~finpolylog.finlog.clear_denominators`, the routine behind
+    ``lhat_apply`` (coefficients are raised to the p-th power, matching
+    the twisted evaluation convention).  Terms with argument 0 are kept:
+    there P(0) = a_0.
     """
     if deg is None:
         deg = p - 1
@@ -37,68 +40,21 @@ def equation_columns(s: FormalSum, p: int, deg: int | None = None) -> list:
     if dom.kind != "prime" or dom.p != p:
         raise BadParams("template must live over GF(p)")
     variables = s.variables
-
-    prepared = []
-    need = {}
-
-    def add_need(key, fac, mult):
-        cur = need.get(key)
-        if cur is None:
-            need[key] = [fac, mult]
-        elif mult > cur[1]:
-            cur[1] = mult
-
-    for c, x in s.terms:
-        cf = c.frobenius()
-        used = {}
-        for fac, mult in cf.factors:
-            key = fac.serialize()
-            used[key] = used.get(key, 0) + mult
-            add_need(key, fac, used[key])
-        if x.is_constant():
-            v = 0 if x.is_zero() else int(x.constant_value()) % p
-            prepared.append(("const", cf.num, v, used))
-            continue
-        for fac, mult in x.factors:
-            key = fac.serialize()
-            used[key] = used.get(key, 0) + mult * deg
-            add_need(key, fac, used[key])
-        prepared.append(("arg", cf.num, x, used))
-
-    power_cache = {}
-
-    def factor_power(key, e):
-        if e == 0:
-            return None
-        fac = need[key][0]
-        cache = power_cache.setdefault(key, {1: fac})
-        if e not in cache:
-            best = max(k for k in cache if k <= e)
-            cur = cache[best]
-            while best < e:
-                cur = cur * fac
-                best += 1
-                cache[best] = cur
-        return cache[e]
+    _factors, terms = clear_denominators(s, deg)
 
     cols = [SparsePoly.zero(variables, dom) for _ in range(deg + 1)]
-    for kind, cfn, payload, used in prepared:
-        cofactor = None
-        for key, (fac, mult) in need.items():
-            extra = mult - used.get(key, 0)
-            fp = factor_power(key, extra)
-            if fp is not None:
-                cofactor = fp if cofactor is None else cofactor * fp
-        base = cfn if cofactor is None else cfn * cofactor
-        if kind == "const":
-            v = payload
+    for cfn, x, cofactors in terms:
+        base = cfn
+        for fp in cofactors:
+            base = base * fp
+        if x.is_constant():
+            v = x.constant_value()
             vj = 1
             for j in range(deg + 1):
                 if vj:
                     cols[j] = cols[j] + base.scale(vj)
                 vj = (vj * v) % p
         else:
-            x = payload
             n = x.num
             d = x.den
             n_pows = [SparsePoly.const(variables, dom, 1)]
@@ -140,7 +96,7 @@ def substitute_into_columns(cols, vec, p: int) -> SparsePoly:
         piece = cols[j].scale(q)
         acc = piece if acc is None else acc + piece
     if acc is None:
-        acc = SparsePoly.zero(cols[0].variables, cols[0].domain)
+        acc = SparsePoly.zero(cols[0].vars, cols[0].domain)
     return acc
 
 

@@ -3,7 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from finpolylog import (
     FieldDescriptor,
+    FormalSum,
     IndexOutOfRange,
+    RatFunc,
     build,
     kummer_congruence,
     l1_via_witt,
@@ -34,7 +36,7 @@ class TestPolylogPolynomial:
         for k in range(1, 7):
             assert q.terms[(k,)] == pow(k, 7 - 2, 7) ** 2 % 7
 
-    @pytest.mark.parametrize("p", (5, 7, 11))
+    @pytest.mark.parametrize("p", (5, 7, 11, 97))
     def test_pointwise_matches_polynomial(self, p):
         f = FieldDescriptor(p)
         q = finite_polylog(2, p)
@@ -58,6 +60,16 @@ class TestTwistedEvaluator:
         for x in range(2, p):
             pt = {"x": f.element(x)}
             assert img.evaluate(pt) == lhat_eval(1, s, pt)
+
+    def test_zero_argument_terms_leave_no_trace(self):
+        # L(0) = 0, so c[0] must not add c's denominator to the image
+        s = build("feit", 7)
+        a = RatFunc.variable("a", s.variables, s.domain)
+        zero = RatFunc.const(s.variables, s.domain, 0)
+        extra = FormalSum(s.weight, ((1 / (a + 1), zero),), s.variables)
+        image = lhat_apply(2, s)
+        assert not image.num.is_zero()
+        assert lhat_apply(2, s + extra).serialize() == image.serialize()
 
     def test_frobenius_twist_on_coefficients(self):
         # over GF(p^2) the coefficient c enters as c^p, detectable because

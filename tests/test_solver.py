@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finpolylog import build, characterize, kernels_equal, lemma417_sequence
+from finpolylog import build, characterize, kernels_equal, lemma417_sequence, lhat_apply
 from finpolylog.solver import (
     PRESETS,
     columns_matrix,
@@ -41,7 +41,8 @@ class TestEquationColumns:
         p = 7
         s = build("feit", p)
         cols = equation_columns(s, p)
-        assert substitute_into_columns(cols, polylog_vector(1, p), p).is_zero()
+        for vec in (polylog_vector(1, p), np.zeros(p, dtype=np.int64)):
+            assert substitute_into_columns(cols, vec, p).is_zero()
 
     def test_nonsolution_leaves_residual(self):
         p = 7
@@ -55,6 +56,32 @@ class TestEquationColumns:
         p = 7
         mat = columns_matrix(equation_columns(build("feit", p), p), p)
         assert mat.shape[1] == p  # unknowns a_0..a_{p-1}
+
+
+class TestSharedDenominatorClearing:
+    """lhat_apply and equation_columns clear denominators with the same
+    routine; reading the columns at the polylog's coefficient vector must
+    give exactly the numerator of the twisted evaluation."""
+
+    @pytest.mark.parametrize(
+        "eq_id, p, weight, residual_terms",
+        (
+            ("feit", 7, 1, 0),
+            ("kummer_spence", 7, 2, 0),
+            ("three_term", 7, 2, 0),
+            ("feit", 7, 2, 36),
+            ("cathelineau_J", 5, 1, 448),
+            ("five_term_v1", 5, 2, 9398),
+        ),
+    )
+    def test_columns_at_polylog_equal_twisted_numerator(
+        self, eq_id, p, weight, residual_terms
+    ):
+        s = build(eq_id, p)
+        num = lhat_apply(weight, s).num
+        cols = equation_columns(s, p, p - 1)
+        assert len(num.terms) == residual_terms
+        assert num == substitute_into_columns(cols, polylog_vector(weight, p), p)
 
 
 class TestPresets:
