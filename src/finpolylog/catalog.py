@@ -624,6 +624,9 @@ def build(eq_id: str, p: int, **params) -> FormalSum:
     extra = set(params) - set(defaults)
     if extra:
         raise BadParams(f"unexpected parameters {sorted(extra)} for {eq_id}")
+    for key, value in params.items():
+        if isinstance(defaults[key], int) and not isinstance(value, int):
+            raise BadParams(f"parameter {key} of {eq_id} must be an integer")
     defaults.update(params)
     return info["builder"](p, **defaults)
 
@@ -728,8 +731,12 @@ def verify_weak(
     ``fld`` is a :class:`FieldDescriptor` or a prime.  Points where some
     coefficient or argument has a vanishing denominator are skipped.  When
     the full point grid exceeds ``budget``, a deterministic sample of
-    ``budget`` points is used instead.
+    ``budget`` points is used instead.  A run that checks no point at all
+    verifies nothing, so its verdict is ``holds=False`` without a
+    counterexample.
     """
+    if budget <= 0:
+        raise BadParams(f"weak check budget must be positive, got {budget}")
     if isinstance(fld, int):
         fld = FieldDescriptor(fld)
     m = s.weight if weight is None else weight
@@ -752,7 +759,7 @@ def verify_weak(
                 points_skipped=skipped,
             )
     return Verdict(
-        holds=True,
+        holds=checked > 0,
         mode="weak",
         weight=m,
         points_checked=checked,

@@ -29,6 +29,14 @@ from .finlog import kummer_congruence, special_values, special_values_csv
 BUDGET_ENV = "FINPOLYLOG_BUDGET"
 
 
+def _int(text: str, what: str) -> int:
+    """``int(text)``, raising BadParams on malformed input."""
+    try:
+        return int(text)
+    except ValueError:
+        raise BadParams(f"{what}: expected an integer, got {text!r}") from None
+
+
 def parse_primes(text: str) -> list:
     """Parse a prime list: comma-separated values and ``a..b`` ranges.
 
@@ -42,10 +50,10 @@ def parse_primes(text: str) -> list:
             continue
         if ".." in piece:
             lo, hi = piece.split("..", 1)
-            lo, hi = int(lo), int(hi)
+            lo, hi = _int(lo, "prime range"), _int(hi, "prime range")
             out.extend(n for n in range(max(lo, 3), hi + 1) if is_prime(n))
         else:
-            n = int(piece)
+            n = _int(piece, "prime")
             if not is_prime(n) or n == 2:
                 raise BadParams(f"{n} is not an odd prime")
             out.append(n)
@@ -56,23 +64,27 @@ def parse_primes(text: str) -> list:
 
 def load_config(path: str) -> dict:
     """Read a key=value config file; blank lines and # comments ignored."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise BadParams(f"cannot read config {path}: {exc.strerror}") from None
     conf = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise BadParams(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            conf[key.strip()] = value.strip()
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise BadParams(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        conf[key.strip()] = value.strip()
     return conf
 
 
 def _default_budget() -> int:
     env = os.environ.get(BUDGET_ENV)
     if env is not None:
-        budget = int(env)
+        budget = _int(env, BUDGET_ENV)
         if budget <= 0:
             raise BadParams(f"{BUDGET_ENV} must be positive")
         return budget
@@ -137,6 +149,8 @@ def _parse_params(text: str) -> dict:
     if not text:
         return params
     for piece in text.split(","):
+        if "=" not in piece:
+            raise BadParams(f"--params: expected key=value, got {piece!r}")
         key, value = piece.split("=", 1)
         key = key.strip()
         value = value.strip()
@@ -250,8 +264,8 @@ def cmd_derive(args, report: Report) -> None:
 def _parse_int_range(text: str) -> list:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
+        return list(range(_int(lo, "level range"), _int(hi, "level range") + 1))
+    return [_int(x, "level") for x in text.split(",")]
 
 
 def cmd_padic(args, report: Report) -> None:
@@ -276,11 +290,16 @@ def cmd_padic(args, report: Report) -> None:
         did_something = True
         choices = {}
         for piece in args.family.split(","):
-            key, value = piece.split("=", 1)
+            key, _, value = piece.partition("=")
             key = key.strip()
             if not key.startswith("lambda"):
                 raise BadParams(f"family keys look like lambda3=...; got {key!r}")
-            choices[int(key[len("lambda"):])] = Fraction(value.strip())
+            try:
+                choices[_int(key[len("lambda"):], "family key")] = Fraction(
+                    value.strip()
+                )
+            except (ValueError, ZeroDivisionError):
+                raise BadParams(f"family value: not a rational, got {value!r}") from None
         n_max = max(choices) if choices else 2
         fam = _padic.construct_family(n_max, choices)
         rec = {"check": "family", "n_max": n_max}
@@ -501,8 +520,9 @@ def _apply_config(parser, argv):
                 current = getattr(args, attr)
                 if isinstance(current, bool):
                     setattr(args, attr, value.lower() in ("1", "true", "yes"))
-                elif isinstance(current, int):
-                    setattr(args, attr, int(value))
+                elif isinstance(current, int) or attr == "budget":
+                    # --budget defaults to None and is resolved after parsing
+                    setattr(args, attr, _int(value, f"config {key}"))
                 else:
                     setattr(args, attr, value)
     return args
@@ -510,10 +530,19 @@ def _apply_config(parser, argv):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = _apply_config(parser, sys.argv[1:] if argv is None else list(argv))
-    if getattr(args, "budget", None) is None:
-        args.budget = _default_budget()
+    try:
+        args = _apply_config(parser, sys.argv[1:] if argv is None else list(argv))
+        if getattr(args, "budget", None) is None:
+            args.budget = _default_budget()
+        elif args.budget <= 0:
+            raise BadParams("--budget must be positive")
+        return _run(args)
+    except FinpolylogError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     echo = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -524,7 +553,10 @@ def main(argv=None) -> int:
     out = sys.stdout
     close = False
     if getattr(args, "output", None):
-        out = open(args.output, "w", encoding="utf-8")
+        try:
+            out = open(args.output, "w", encoding="utf-8")
+        except OSError as exc:
+            raise BadParams(f"cannot write {args.output}: {exc.strerror}") from None
         close = True
     try:
         if args.command == "verify":
@@ -547,9 +579,6 @@ def main(argv=None) -> int:
             cmd_list(args, report)
         report.emit(out)
         return 0 if report.ok else 1
-    except FinpolylogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if close:
             out.close()

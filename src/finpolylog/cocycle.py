@@ -341,7 +341,10 @@ def reduce_distribution(probs, p: int):
     Probabilities must be exact rationals with p-unit denominators and
     sum exactly 1.  Exact zeros are dropped.  Returns residues mod p.
     """
-    fracs = [Fraction(q) for q in probs]
+    try:
+        fracs = [Fraction(q) for q in probs]
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise BadParams(f"probabilities must be rationals, got {list(probs)}") from None
     if sum(fracs) != 1:
         raise BadParams("probabilities must sum to exactly 1")
     out = []

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BadParams, DepthExceeded, IndexOutOfRange
 from .fields import FieldDescriptor, FieldElement, genocchi
 from .formal import FormalSum
-from .poly import PrimeDomain, RatFunc, SparsePoly
+from .poly import PrimeDomain, RatFunc, SparsePoly, sum_of_products
 
 
 @lru_cache(maxsize=None)
@@ -149,6 +149,9 @@ def lhat_apply(m: int, s: FormalSum) -> RatFunc:
     dropped.  The rest are put over one denominator by
     :func:`clear_denominators` with deg = p-1: term c[x] with x = n/d
     contributes c^p * (sum_k k^(-m) n^k d^(p-1-k)) times its cofactors.
+    These parts are built as SparsePoly; the cofactor chains and the sum
+    over terms then run packed in :func:`~finpolylog.poly.sum_of_products`,
+    with one radix vector per call, and are unpacked once.
     """
     dom = s.domain
     if dom.kind != "prime":
@@ -159,7 +162,7 @@ def lhat_apply(m: int, s: FormalSum) -> RatFunc:
     nonzero = replace(s, terms=tuple(t for t in s.terms if not t[1].is_zero()))
     factors, terms = clear_denominators(nonzero, p - 1)
 
-    total = SparsePoly.zero(variables, dom)
+    products = []
     for cfn, x, cofactors in terms:
         if x.is_constant():
             part = cfn.scale(_ltilde_prime_table(m, p)[x.constant_value()])
@@ -177,9 +180,8 @@ def lhat_apply(m: int, s: FormalSum) -> RatFunc:
                     coeffs[k - 1]
                 )
             part = cfn * acc
-        for fp in cofactors:
-            part = part * fp
-        total = total + part
+        products.append((part, *cofactors))
+    total = sum_of_products(products, variables, dom)
     return RatFunc(total, factors, reduce=False)
 
 

@@ -13,9 +13,17 @@ coefficient, which is enough because every construction in this package
 builds denominators in factored form.  Equality is decided by
 cross-multiplication.
 
-Large products over GF(p) are routed through a vectorized kernel that packs
-exponent tuples into integer keys and aggregates with numpy; this keeps the
-big identity checks tractable in pure Python.
+Large products over GF(p) with p < 2^31 run on a private packed kernel: a
+polynomial becomes a sorted int64 array of Kronecker-packed exponent keys
+(one radix per variable) and an int64 array of residues.  Products are
+outer sums of keys and products of residues; equal keys merge through a
+stable argsort and an int64 ``np.add.reduceat``.  Below 2^31 a product of
+two residues is below 2^62 and is reduced before summing, so the kernel is
+exact; larger primes use the schoolbook product.  :func:`sum_of_products`
+keeps whole chains of products and their sum packed, which is how the
+twisted evaluator's big identity checks stay tractable.  Storage stays
+dict-based: most products in the package are small, and pointwise
+evaluation walks the terms.
 """
 
 from fractions import Fraction
@@ -35,6 +43,8 @@ from .fields import FieldDescriptor, FieldElement
 DEFAULT_TERM_CAP = 10**7
 _FAST_MUL_THRESHOLD = 4096
 _FAST_CHUNK_PAIRS = 24_000_000
+# Residue products stay below 2^62, and their sums inside int64.
+_PACKED_P_LIMIT = 1 << 31
 
 
 class RationalDomain:
@@ -192,14 +202,6 @@ class SparsePoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degrees_by_var(self):
-        degs = [0] * len(self.vars)
-        for e in self.terms:
-            for i, ei in enumerate(e):
-                if ei > degs[i]:
-                    degs[i] = ei
-        return tuple(degs)
-
     def leading_exponent(self):
         if not self.terms:
             raise BadParams("zero polynomial has no leading term")
@@ -256,24 +258,13 @@ class SparsePoly:
         if not self.terms or not other.terms:
             return SparsePoly.zero(self.vars, self.domain)
         pairs = len(self.terms) * len(other.terms)
-        if self.domain.kind == "prime" and pairs > _FAST_MUL_THRESHOLD:
+        if (
+            self.domain.kind == "prime"
+            and self.domain.p < _PACKED_P_LIMIT
+            and pairs > _FAST_MUL_THRESHOLD
+        ):
             return _mul_prime_fast(self, other)
-        out = {}
-        if self.domain.kind == "prime":
-            p = self.domain.p
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    out[e] = (out.get(e, 0) + c1 * c2) % p
-            out = {e: c for e, c in out.items() if c}
-        else:
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    s = out.get(e)
-                    out[e] = c1 * c2 if s is None else s + c1 * c2
-            out = {e: c for e, c in out.items() if c != 0}
-        return SparsePoly(self.vars, self.domain, out, copy=False)
+        return _mul_schoolbook(self, other)
 
     __rmul__ = __mul__
 
@@ -500,74 +491,196 @@ class SparsePoly:
         return f"SparsePoly({self.serialize()})"
 
 
-def _mul_prime_fast(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    """Vectorized GF(p) multiplication: pack exponents into int64 keys,
-    form outer products in chunks and aggregate with numpy."""
-    p = f.domain.p
-    nv = len(f.vars)
-    degf = f.degrees_by_var()
-    degg = g.degrees_by_var()
-    radices = [a + b + 1 for a, b in zip(degf, degg)]
-    total = 1
-    for r in radices:
-        total *= r
-    if total >= (1 << 62):
-        raise SizeExceeded("exponent packing overflow in fast multiply")
-    strides = np.empty(nv, dtype=np.int64)
-    acc = 1
-    for i in range(nv):
-        strides[i] = acc
-        acc *= radices[i]
-
-    def pack(poly):
-        n = len(poly.terms)
-        exps = np.empty((n, nv), dtype=np.int64)
-        vals = np.empty(n, dtype=np.int64)
-        for row, (e, c) in enumerate(poly.terms.items()):
-            exps[row] = e
-            vals[row] = c
-        return exps @ strides, vals
-
-    kf, vf = pack(f)
-    kg, vg = pack(g)
-    if len(kf) > len(kg):
-        kf, vf, kg, vg = kg, vg, kf, vf
-    chunk = max(1, _FAST_CHUNK_PAIRS // max(1, len(kg)))
-    acc_keys = []
-    acc_vals = []
-    for start in range(0, len(kf), chunk):
-        ks = kf[start : start + chunk]
-        vs = vf[start : start + chunk]
-        keys = (ks[:, None] + kg[None, :]).ravel()
-        vals = ((vs[:, None] * vg[None, :]) % p).ravel()
-        uk, inverse = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inverse, weights=vals.astype(np.float64))
-        sv = np.asarray(np.rint(sums), dtype=np.int64) % p
-        keep = sv != 0
-        acc_keys.append(uk[keep])
-        acc_vals.append(sv[keep])
-    if not acc_keys:
-        return SparsePoly.zero(f.vars, f.domain)
-    keys = np.concatenate(acc_keys)
-    vals = np.concatenate(acc_vals)
-    uk, inverse = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inverse, weights=vals.astype(np.float64))
-    sv = np.asarray(np.rint(sums), dtype=np.int64) % p
-    keep = sv != 0
-    uk, sv = uk[keep], sv[keep]
-    if len(uk) > DEFAULT_TERM_CAP:
-        raise SizeExceeded("fast multiply result exceeds term cap")
-    # unpack
+def _mul_schoolbook(f: SparsePoly, g: SparsePoly) -> SparsePoly:
+    """Term-by-term product through dicts; the reference for every domain."""
     out = {}
-    rem = uk.copy()
-    cols = []
-    for i in range(nv):
-        cols.append(rem % radices[i])
-        rem //= radices[i]
-    exps = np.stack(cols, axis=1) if nv else np.empty((len(uk), 0))
-    for row in range(len(uk)):
-        out[tuple(int(x) for x in exps[row])] = int(sv[row])
+    if f.domain.kind == "prime":
+        p = f.domain.p
+        for e1, c1 in f.terms.items():
+            for e2, c2 in g.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = (out.get(e, 0) + c1 * c2) % p
+        out = {e: c for e, c in out.items() if c}
+    else:
+        for e1, c1 in f.terms.items():
+            for e2, c2 in g.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                s = out.get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        out = {e: c for e, c in out.items() if c != 0}
     return SparsePoly(f.vars, f.domain, out, copy=False)
+
+
+# -- packed GF(p) kernel ------------------------------------------------
+#
+# A packed polynomial is a pair (keys, vals) of int64 arrays: keys are the
+# Kronecker-packed exponent tuples, sorted and distinct, and vals their
+# nonzero residues mod p.  For p < 2^31 a product of two residues is below
+# 2^62 and is reduced before summing, so every sum of equal keys stays far
+# inside int64 and the kernel is exact.
+
+
+def _term_arrays(poly: SparsePoly):
+    """Exponent matrix (terms x variables) and value vector of ``poly``."""
+    n = len(poly.terms)
+    exps = np.array(list(poly.terms), dtype=np.int64).reshape(n, len(poly.vars))
+    vals = np.fromiter(poly.terms.values(), dtype=np.int64, count=n)
+    return exps, vals
+
+
+def _degree_bound(exps: np.ndarray) -> np.ndarray:
+    """Per-variable maximum exponent of a term matrix (zeros when empty)."""
+    if not len(exps):
+        return np.zeros(exps.shape[1], dtype=np.int64)
+    return exps.max(axis=0)
+
+
+class _Kronecker:
+    """Packing of exponent tuples below per-variable radices into int64."""
+
+    def __init__(self, radices):
+        self.radices = [int(r) for r in radices]
+        self.strides = np.empty(len(self.radices), dtype=np.int64)
+        acc = 1
+        for i, r in enumerate(self.radices):
+            self.strides[i] = acc
+            acc *= r
+        if acc >= (1 << 62):
+            raise SizeExceeded("exponent packing overflow in fast multiply")
+
+    def pack(self, exps: np.ndarray, vals: np.ndarray):
+        keys = exps @ self.strides
+        order = np.argsort(keys, kind="stable")
+        return keys[order], vals[order]
+
+    def unpack(self, keys, vals, variables, domain) -> SparsePoly:
+        cols = []
+        rem = keys
+        for r in self.radices:
+            cols.append(rem % r)
+            rem = rem // r
+        if cols:
+            exps = np.stack(cols, axis=1)
+        else:
+            exps = np.empty((len(keys), 0), dtype=np.int64)
+        terms = dict(zip(map(tuple, exps.tolist()), vals.tolist()))
+        return SparsePoly(variables, domain, terms, copy=False)
+
+
+def _packed_merge(keys, vals, p: int):
+    """Sum the values of equal keys mod p and drop the zero sums.
+
+    Inputs made of sorted runs (the rows of an outer sum, or packed
+    operands laid end to end) sort in near-linear time under the stable
+    sort.  Returns sorted distinct keys.
+    """
+    if not len(keys):
+        return keys, vals
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    vals = vals[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(vals, starts) % p
+    keep = sums != 0
+    return keys[starts][keep], sums[keep]
+
+
+def _packed_add(parts, p: int):
+    """Sum of packed polynomials, merged in one pass."""
+    if len(parts) == 1:
+        return parts[0]
+    return _packed_merge(
+        np.concatenate([k for k, _ in parts]),
+        np.concatenate([v for _, v in parts]),
+        p,
+    )
+
+
+def _packed_mul(a, b, p: int):
+    """Product of packed polynomials: outer sums of keys and products of
+    values, formed in chunks of about ``_FAST_CHUNK_PAIRS`` pairs."""
+    (ka, va), (kb, vb) = a, b
+    if len(ka) > len(kb):
+        ka, va, kb, vb = kb, vb, ka, va
+    if not len(ka):
+        return ka, va
+    chunk = max(1, _FAST_CHUNK_PAIRS // max(1, len(kb)))
+    parts = []
+    for start in range(0, len(ka), chunk):
+        ks = ka[start : start + chunk]
+        vs = va[start : start + chunk]
+        parts.append(
+            _packed_merge(
+                (ks[:, None] + kb[None, :]).ravel(),
+                ((vs[:, None] * vb[None, :]) % p).ravel(),
+                p,
+            )
+        )
+    keys, vals = _packed_add(parts, p)
+    if len(keys) > DEFAULT_TERM_CAP:
+        raise SizeExceeded("fast multiply result exceeds term cap")
+    return keys, vals
+
+
+def _mul_prime_fast(f: SparsePoly, g: SparsePoly) -> SparsePoly:
+    """Vectorized GF(p) multiplication on the packed kernel, for p < 2^31.
+
+    Both operands are packed into sorted int64 keys with one radix per
+    variable (the sum of the operands' degrees plus one), multiplied in
+    chunks, merged with an int64 ``np.add.reduceat`` and unpacked.
+    """
+    p = f.domain.p
+    if p >= _PACKED_P_LIMIT:
+        raise BadParams(f"the packed kernel needs p < 2^31, got {p}")
+    ef, vf = _term_arrays(f)
+    eg, vg = _term_arrays(g)
+    kron = _Kronecker(_degree_bound(ef) + _degree_bound(eg) + 1)
+    keys, vals = _packed_mul(kron.pack(ef, vf), kron.pack(eg, vg), p)
+    return kron.unpack(keys, vals, f.vars, f.domain)
+
+
+def sum_of_products(products, variables, domain) -> SparsePoly:
+    """Sum over ``products`` (each a sequence of SparsePoly factors) of the
+    product of its factors.
+
+    Over GF(p) with p < 2^31, every factor is packed once with one radix
+    vector (per variable, the largest degree sum over the products, plus
+    one), and the products and their sum stay packed until one final
+    unpack.  Otherwise, or when the radices overflow the packing, the
+    factors are multiplied and added as SparsePoly.
+    """
+    if domain.kind == "prime" and domain.p < _PACKED_P_LIMIT and products:
+        arrays = {}
+        bound = np.zeros(len(variables), dtype=np.int64)
+        for fs in products:
+            deg = np.zeros(len(variables), dtype=np.int64)
+            for f in fs:
+                if id(f) not in arrays:
+                    arrays[id(f)] = _term_arrays(f)
+                deg += _degree_bound(arrays[id(f)][0])
+            np.maximum(bound, deg, out=bound)
+        try:
+            kron = _Kronecker(bound + 1)
+        except SizeExceeded:
+            kron = None
+        if kron is not None:
+            packed = {key: kron.pack(*ev) for key, ev in arrays.items()}
+            p = domain.p
+            parts = []
+            for fs in products:
+                acc = packed[id(fs[0])]
+                for f in fs[1:]:
+                    acc = _packed_mul(acc, packed[id(f)], p)
+                parts.append(acc)
+            keys, vals = _packed_add(parts, p)
+            return kron.unpack(keys, vals, variables, domain)
+    total = SparsePoly.zero(variables, domain)
+    for fs in products:
+        acc = fs[0]
+        for f in fs[1:]:
+            acc = acc * f
+        total = total + acc
+    return total
 
 
 def exact_divide(f: SparsePoly, g: SparsePoly):

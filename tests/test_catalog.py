@@ -74,6 +74,26 @@ class TestWeakVerification:
         f = build_extension(5, 2)
         assert verify_weak(build("two_term", 5), f).holds
 
+    @pytest.mark.parametrize("budget", (0, -5))
+    def test_nonpositive_budget_rejected(self, budget):
+        with pytest.raises(BadParams):
+            verify_weak(build("feit", 7), 7, budget=budget)
+
+    def test_no_admissible_point_is_not_a_pass(self):
+        # 1/(a^p - a) is a nonzero rational function that is undefined at
+        # every point of GF(p), so no point can be checked
+        from finpolylog import RatFunc
+        from finpolylog.poly import PrimeDomain
+
+        p = 5
+        s = build("feit", p)
+        a = RatFunc.variable(s.variables[0], s.variables, PrimeDomain(p))
+        pole = FormalSum(s.weight, ((1 / (a**p - a), a),), s.variables)
+        v = verify_weak(pole, p)
+        assert v.points_checked == 0
+        assert v.points_skipped == p ** len(s.variables)
+        assert not v.holds and v.counterexample is None
+
     def test_admissible_points_excludes_poles(self):
         count, points = admissible_points(build("feit", 5), 5)
         assert count == 15

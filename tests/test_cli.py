@@ -116,6 +116,29 @@ class TestReports:
         code = main(["verify", "--eq", "feit", "--p", "4"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["verify", "--eq", "feit", "--p", "abc"],
+            ["verify", "--eq", "feit", "--p", "5..x"],
+            ["verify", "--eq", "feit", "--p", "7", "--params", "n"],
+            ["verify", "--eq", "distribution", "--p", "7", "--params", "n=1,m=x"],
+            ["verify", "--eq", "feit", "--p", "7", "--mode", "weak", "--budget", "0"],
+            ["verify", "--eq", "feit", "--p", "7", "--mode", "weak", "--budget", "-5"],
+            ["padic", "--clean", "2..x"],
+            ["padic", "--recursion", "3,y"],
+            ["padic", "--family", "lambda3=1/0"],
+            ["padic", "--family", "lambdax=1/2"],
+            ["entropy", "--p", "7", "--probs", "1/2,x"],
+            ["--config", "/nonexistent/finpolylog.cfg", "list"],
+        ),
+    )
+    def test_malformed_input_exits_2_without_traceback(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestConfigFile:
     def test_key_value_parsing(self, tmp_path):
@@ -140,6 +163,30 @@ class TestConfigFile:
         with pytest.raises(BadParams) as err:
             load_config(str(cfg))
         assert "1" in str(err.value)
+
+    @pytest.mark.parametrize("value", ("0", "-3", "abc"))
+    def test_bad_budget_env_exits_2(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("FINPOLYLOG_BUDGET", value)
+        code = main(["verify", "--eq", "feit", "--p", "5", "--mode", "weak"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_malformed_config_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("budget = many\n")
+        code = main(["--config", str(cfg), "verify", "--eq", "feit", "--p", "5"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_config_budget_is_an_integer(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("budget = 123\n")
+        code, report = run_json(
+            ["--config", str(cfg), "verify", "--eq", "feit", "--p", "5",
+             "--mode", "weak"], capsys
+        )
+        assert code == 0
+        assert report["config"]["budget"] == 123
 
     def test_budget_env_override(self, monkeypatch, capsys):
         monkeypatch.setenv("FINPOLYLOG_BUDGET", "123")

@@ -1,8 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finpolylog import FieldDescriptor, InadmissiblePoint, RatFunc, SparsePoly
-from finpolylog.poly import PrimeDomain, RationalDomain, exact_divide
+from finpolylog import BadParams, FieldDescriptor, InadmissiblePoint, RatFunc, SparsePoly
+from finpolylog import poly
+from finpolylog.poly import (
+    PrimeDomain,
+    RationalDomain,
+    _mul_prime_fast,
+    _mul_schoolbook,
+    exact_divide,
+    sum_of_products,
+)
 
 
 DOM7 = PrimeDomain(7)
@@ -103,3 +113,107 @@ class TestRatFunc:
         dom = RationalDomain()
         x = RatFunc.variable("x", ("x",), dom)
         assert (x / 2 + x / 2) == x
+
+
+DOM11 = PrimeDomain(11)
+VARS3 = ("x", "y", "z")
+
+
+def prime_polys(max_terms=12, max_exp=4):
+    term = st.tuples(
+        st.tuples(*(st.integers(0, max_exp) for _ in VARS3)),
+        st.integers(0, 10),
+    )
+    return st.lists(term, max_size=max_terms).map(
+        lambda ts: SparsePoly(VARS3, DOM11, {e: c for e, c in ts})
+    )
+
+
+# Row-chunk sizes: one row per chunk, a few rows, everything at once.
+chunk_sizes = st.sampled_from((1, 7, poly._FAST_CHUNK_PAIRS))
+
+
+class TestPackedKernel:
+    """The packed GF(p) kernel against the schoolbook reference."""
+
+    @given(prime_polys(), prime_polys(), chunk_sizes)
+    @settings(max_examples=80, deadline=None)
+    def test_multiply_matches_schoolbook(self, a, b, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "_FAST_CHUNK_PAIRS", chunk)
+            assert _mul_prime_fast(a, b) == _mul_schoolbook(a, b)
+
+    @given(prime_polys(), prime_polys(), prime_polys(), prime_polys(), chunk_sizes)
+    @settings(max_examples=60, deadline=None)
+    def test_sum_of_products_matches_schoolbook(self, a, b, c, d, chunk):
+        expected = a + _mul_schoolbook(_mul_schoolbook(b, c), d) - a
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "_FAST_CHUNK_PAIRS", chunk)
+            got = sum_of_products([(a,), (b, c, d), (-a,)], VARS3, DOM11)
+        assert got == expected
+
+    def test_cancellation_leaves_the_zero_polynomial(self):
+        x, y = (SparsePoly.variable(v, VARS3, DOM11) for v in ("x", "y"))
+        f = (x + y) ** 3
+        assert sum_of_products([(f, x - y), (-f, x), (f, y)], VARS3, DOM11).is_zero()
+
+    def test_cancellation_across_chunks(self, monkeypatch):
+        # with one row per chunk, the x*y terms of (x + y)(x - y) come from
+        # different chunks and cancel only in the final merge
+        monkeypatch.setattr(poly, "_FAST_CHUNK_PAIRS", 1)
+        x, y = (SparsePoly.variable(v, VARS3, DOM11) for v in ("x", "y"))
+        assert _mul_prime_fast(x + y, x - y) == x * x - y * y
+
+    def test_constants(self):
+        three = SparsePoly.const(VARS3, DOM11, 3)
+        f = SparsePoly(VARS3, DOM11, {(1, 2, 0): 4, (0, 0, 5): 10})
+        assert _mul_prime_fast(three, three) == SparsePoly.const(VARS3, DOM11, 9)
+        assert _mul_prime_fast(three, f) == f.scale(3)
+        twelve = SparsePoly.const(VARS3, DOM11, 12)
+        assert sum_of_products([(three,), (three, three)], VARS3, DOM11) == twelve
+
+    def test_exponents_at_the_radix_bound(self):
+        # every variable reaches degf + degg, the largest exponent its
+        # radix can hold; a wrong radix would carry into the next variable
+        f = SparsePoly(VARS3, DOM11, {(4, 0, 4): 1, (0, 4, 0): 2, (0, 0, 0): 3})
+        g = SparsePoly(VARS3, DOM11, {(3, 3, 3): 5, (3, 0, 0): 6, (0, 0, 1): 7})
+        product = _mul_prime_fast(f, g)
+        assert product == _mul_schoolbook(f, g)
+        assert (7, 3, 7) in product.terms and (3, 7, 3) in product.terms
+        assert sum_of_products([(f, g, g)], VARS3, DOM11) == _mul_schoolbook(
+            _mul_schoolbook(f, g), g
+        )
+
+
+class TestPrimeBound:
+    """Above 2^31 residue products and their sums leave int64, so the
+    packed kernel must not be used there."""
+
+    @staticmethod
+    def operands(p):
+        rng = random.Random(p)
+        dom = PrimeDomain(p)
+        exps = [(i, j) for i in range(20) for j in range(20)]
+
+        def make():
+            return SparsePoly(
+                VARS, dom, {e: rng.randrange(p - 10**6, p) for e in rng.sample(exps, 100)}
+            )
+
+        return make(), make()
+
+    @pytest.mark.parametrize("p", (2147483647, 3037000493, 4294967311))
+    def test_product_matches_schoolbook(self, p):
+        f, g = self.operands(p)
+        expected = _mul_schoolbook(f, g)
+        assert f * g == expected
+        assert sum_of_products([(f, g)], VARS, PrimeDomain(p)) == expected
+
+    def test_packed_kernel_at_the_largest_allowed_prime(self):
+        f, g = self.operands(2147483647)
+        assert _mul_prime_fast(f, g) == _mul_schoolbook(f, g)
+
+    def test_packed_kernel_refuses_larger_primes(self):
+        f, g = self.operands(4294967311)
+        with pytest.raises(BadParams):
+            _mul_prime_fast(f, g)

@@ -72,6 +72,7 @@ class TestSharedDenominatorClearing:
             ("feit", 7, 2, 36),
             ("cathelineau_J", 5, 1, 448),
             ("five_term_v1", 5, 2, 9398),
+            ("five_term_v2", 7, 3, 45506),
         ),
     )
     def test_columns_at_polylog_equal_twisted_numerator(
