@@ -35,6 +35,7 @@ from .finlog import (
     l1_via_witt,
     lhat_apply,
     lhat_eval,
+    lhat_eval_grid,
     ltilde,
     recipe_decompose,
     recipe_prove_zero,

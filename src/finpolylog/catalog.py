@@ -14,13 +14,18 @@ import itertools
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadParams, InadmissiblePoint, SizeExceeded, UnknownId
-from .fields import FieldDescriptor, FieldElement, _prime_divisors
+from .fields import MAX_ENUMERATED, FieldDescriptor, FieldElement, _prime_divisors
 from .formal import FormalSum
-from .finlog import lhat_apply, lhat_eval
-from .poly import PrimeDomain, RationalDomain, RatFunc
+from .finlog import lhat_apply, lhat_eval, lhat_eval_grid
+from .poly import _PACKED_P_LIMIT, PrimeDomain, RationalDomain, RatFunc
 
 DEFAULT_WEAK_BUDGET = 10**6
+# Points per batch of a GF(p) weak check: a few int64 arrays of this length
+# per polynomial stay in the tens of kilobytes.
+_WEAK_CHUNK = 4096
 
 
 def _domain(p):
@@ -712,11 +717,55 @@ def _iter_field_points(variables, fld: FieldDescriptor, budget: int, seed: int):
         yield point
 
 
+def _iter_grid_chunks(nvars: int, p: int, budget: int, seed: int):
+    """The points of :func:`_iter_field_points` over GF(p), in the same
+    order, as int64 arrays of shape (nvars, k) with k <= _WEAK_CHUNK."""
+    total = p**nvars
+    if total <= budget:
+        if p > MAX_ENUMERATED:
+            raise SizeExceeded("field too large to enumerate")
+        for start in range(0, total, _WEAK_CHUNK):
+            index = np.arange(start, min(start + _WEAK_CHUNK, total), dtype=np.int64)
+            cols = np.empty((nvars, index.size), dtype=np.int64)
+            for i in range(nvars - 1, -1, -1):  # the last variable runs fastest
+                index, cols[i] = np.divmod(index, p)
+            yield cols
+        return
+    rng = random.Random(seed)
+    for start in range(0, budget, _WEAK_CHUNK):
+        k = min(_WEAK_CHUNK, budget - start)
+        draws = [rng.randrange(p) for _ in range(k * nvars)]
+        yield np.array(draws, dtype=np.int64).reshape(k, nvars).T
+
+
 def _point_repr(point: dict) -> dict:
     out = {}
     for k, v in point.items():
         out[k] = int(v) if v.field.e == 1 else list(v.coords)
     return out
+
+
+def _is_gridded(s: FormalSum, fld: FieldDescriptor) -> bool:
+    """Whether ``verify_weak`` can evaluate ``s`` over ``fld`` in batches:
+    a prime field below 2^31 that is also the domain of every term."""
+    dom = PrimeDomain(fld.p)
+    return (
+        fld.e == 1
+        and fld.p < _PACKED_P_LIMIT
+        and bool(s.terms)
+        and all(c.num.domain == dom for c, _x in s.terms)
+    )
+
+
+def _weak_verdict(m, checked, skipped, counterexample=None) -> Verdict:
+    return Verdict(
+        holds=counterexample is None and checked > 0,
+        mode="weak",
+        weight=m,
+        counterexample=counterexample,
+        points_checked=checked,
+        points_skipped=skipped,
+    )
 
 
 def verify_weak(
@@ -734,6 +783,21 @@ def verify_weak(
     ``budget`` points is used instead.  A run that checks no point at all
     verifies nothing, so its verdict is ``holds=False`` without a
     counterexample.
+
+    Points come in a fixed order: the grid in ``itertools.product`` order
+    (the last variable runs fastest), or the sample drawn by
+    ``random.Random(seed).randrange(p)``, one coordinate per draw.  The run
+    stops at the first admissible point with a nonzero value, which is the
+    counterexample; ``points_checked`` and ``points_skipped`` count the
+    points up to and including it.
+
+    Over a prime field GF(p) with p < 2^31 that is the domain of the sum,
+    the points go to :func:`~finpolylog.finlog.lhat_eval_grid` in chunks
+    of ``_WEAK_CHUNK`` as int64 coordinate arrays, and the run stops after
+    the first chunk holding a nonzero value.  Any other call (a GF(p^e)
+    field, a sum over another domain, an empty sum) evaluates one point at
+    a time with :func:`~finpolylog.finlog.lhat_eval`, which also raises
+    the domain errors.  Both give the same verdict.
     """
     if budget <= 0:
         raise BadParams(f"weak check budget must be positive, got {budget}")
@@ -742,6 +806,22 @@ def verify_weak(
     m = s.weight if weight is None else weight
     checked = 0
     skipped = 0
+    if _is_gridded(s, fld):
+        chunks = _iter_grid_chunks(len(s.variables), fld.p, budget, seed)
+        for cols in chunks:
+            mask, values = lhat_eval_grid(m, s, cols, fld.p)
+            failing = np.flatnonzero(values)
+            if failing.size:
+                j = int(failing[0])
+                before = int(np.count_nonzero(mask[:j]))
+                counterexample = {v: int(cols[i, j]) for i, v in enumerate(s.variables)}
+                return _weak_verdict(
+                    m, checked + before + 1, skipped + j - before, counterexample
+                )
+            admissible = int(np.count_nonzero(mask))
+            checked += admissible
+            skipped += mask.size - admissible
+        return _weak_verdict(m, checked, skipped)
     for point in _iter_field_points(s.variables, fld, budget, seed):
         try:
             value = lhat_eval(m, s, point)
@@ -750,21 +830,8 @@ def verify_weak(
             continue
         checked += 1
         if not value.is_zero():
-            return Verdict(
-                holds=False,
-                mode="weak",
-                weight=m,
-                counterexample=_point_repr(point),
-                points_checked=checked,
-                points_skipped=skipped,
-            )
-    return Verdict(
-        holds=checked > 0,
-        mode="weak",
-        weight=m,
-        points_checked=checked,
-        points_skipped=skipped,
-    )
+            return _weak_verdict(m, checked, skipped, _point_repr(point))
+    return _weak_verdict(m, checked, skipped)
 
 
 def admissible_points(s: FormalSum, fld, budget: int = DEFAULT_WEAK_BUDGET):

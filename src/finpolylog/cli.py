@@ -262,9 +262,13 @@ def cmd_derive(args, report: Report) -> None:
 
 
 def _parse_int_range(text: str) -> list:
+    """Parse levels: an ``a..b`` range or a comma list; never empty."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(_int(lo, "level range"), _int(hi, "level range") + 1))
+        levels = list(range(_int(lo, "level range"), _int(hi, "level range") + 1))
+        if not levels:
+            raise BadParams(f"no levels in {text!r}")
+        return levels
     return [_int(x, "level") for x in text.split(",")]
 
 
@@ -546,7 +550,7 @@ def _run(args) -> int:
     echo = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("config", "output") and v not in (None, "", False)
+        if k not in ("config", "output") and not (v is None or v == "" or v is False)
     }
     report = Report(args.command, echo, timings=getattr(args, "timings", False))
 

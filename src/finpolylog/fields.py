@@ -19,6 +19,9 @@ from .errors import (
     ZeroInverse,
 )
 
+# Largest field whose elements FieldDescriptor.elements() enumerates.
+MAX_ENUMERATED = 10**6
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test by trial division (small inputs only)."""
@@ -117,7 +120,7 @@ class FieldDescriptor:
 
     def elements(self):
         """Iterate over all q field elements in a deterministic order."""
-        if self.q > 10**6:
+        if self.q > MAX_ENUMERATED:
             raise SizeExceeded("field too large to enumerate")
         p, e = self.p, self.e
         for idx in range(self.q):

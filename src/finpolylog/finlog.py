@@ -102,6 +102,94 @@ def lhat_eval(m: int, s: FormalSum, point: dict) -> FieldElement:
     return acc
 
 
+def _pow_grid(base, k: int, p: int):
+    """Elementwise base^k mod p for an int64 residue array, k >= 1."""
+    result = None
+    while True:
+        if k & 1:
+            result = base if result is None else result * base % p
+        k >>= 1
+        if not k:
+            return result
+        base = base * base % p
+
+
+def lhat_eval_grid(m: int, s: FormalSum, cols, p: int):
+    """Twisted evaluation of ``s`` at a batch of GF(p) points.
+
+    ``cols`` holds one coordinate array per variable of ``s`` (residues in
+    [0, p), as a 2-D array or a sequence of equal-length arrays); point j
+    gives variable i the value ``cols[i][j]``.  Returns ``(mask, values)``:
+    ``mask[j]`` is False exactly where :func:`lhat_eval` raises
+    InadmissiblePoint, i.e. where some denominator factor of a coefficient
+    or argument vanishes, and ``values[j]`` is the residue of
+    sum_i c_i(pt)^p * polylog_m(x_i(pt)) there (0 where ``mask`` is False).
+
+    Every distinct polynomial (numerator or denominator factor) is
+    evaluated once per batch from a cache of one power array per
+    (variable, exponent); denominator factors are inverted by Fermat's
+    little theorem at the admissible points only.  Over GF(p), c^p = c, and
+    the polylog is a lookup in :func:`_ltilde_prime_table`.  Residues stay
+    below p < 2^31, so every product fits in int64.
+    """
+    cols = np.asarray(cols, dtype=np.int64)
+    n = cols.shape[1]
+    powers = {}
+
+    def power(i, k):
+        arr = powers.get((i, k))
+        if arr is None:
+            arr = _pow_grid(cols[i], k, p)
+            powers[(i, k)] = arr
+        return arr
+
+    evaluated = {}
+
+    def evaluate(poly):
+        key = poly.serialize()
+        acc = evaluated.get(key)
+        if acc is None:
+            acc = np.zeros(n, dtype=np.int64)
+            for e, c in poly.terms.items():
+                t = None
+                for i, k in enumerate(e):
+                    if k:
+                        t = power(i, k) if t is None else t * power(i, k) % p
+                acc = (acc + (c if t is None else c * t)) % p
+            evaluated[key] = acc
+        return acc
+
+    factors = {}
+    for c, x in s.terms:
+        for fac, _mult in c.factors + x.factors:
+            factors.setdefault(fac.serialize(), fac)
+    mask = np.ones(n, dtype=bool)
+    for fac in factors.values():
+        mask &= evaluate(fac) != 0
+    values = np.zeros(n, dtype=np.int64)
+    admissible = np.flatnonzero(mask)
+    if not admissible.size:
+        return mask, values
+
+    inverses = {
+        key: _pow_grid(evaluate(fac)[admissible], p - 2, p)
+        for key, fac in factors.items()
+    }
+
+    def at_admissible(rf):
+        val = evaluate(rf.num)[admissible]
+        for fac, mult in rf.factors:
+            val = val * _pow_grid(inverses[fac.serialize()], mult, p) % p
+        return val
+
+    table = np.asarray(_ltilde_prime_table(m, p), dtype=np.int64)
+    acc = np.zeros(admissible.size, dtype=np.int64)
+    for c, x in s.terms:
+        acc = (acc + at_admissible(c) * table[at_admissible(x)]) % p
+    values[admissible] = acc
+    return mask, values
+
+
 def clear_denominators(s: FormalSum, deg: int):
     """Put the terms of ``s``, read through a polynomial of degree ``deg``,
     over one common denominator.

@@ -2,7 +2,10 @@ import pytest
 
 from finpolylog import (
     BadParams,
+    DomainMismatch,
+    FieldDescriptor,
     FormalSum,
+    RatFunc,
     UnknownId,
     build,
     catalog_ids,
@@ -11,8 +14,18 @@ from finpolylog import (
     verify_strong,
     verify_weak,
 )
-from finpolylog.catalog import STRONG_SUITE, admissible_points, drop_trivial_arguments
+from finpolylog import catalog
+from finpolylog.catalog import (
+    STRONG_SUITE,
+    Verdict,
+    _iter_field_points,
+    admissible_points,
+    drop_trivial_arguments,
+)
+from finpolylog.errors import InadmissiblePoint
 from finpolylog.fields import build_extension
+from finpolylog.finlog import lhat_eval
+from finpolylog.poly import PrimeDomain
 
 
 SMALL_PRIMES = (5, 7)
@@ -80,24 +93,137 @@ class TestWeakVerification:
             verify_weak(build("feit", 7), 7, budget=budget)
 
     def test_no_admissible_point_is_not_a_pass(self):
-        # 1/(a^p - a) is a nonzero rational function that is undefined at
-        # every point of GF(p), so no point can be checked
-        from finpolylog import RatFunc
-        from finpolylog.poly import PrimeDomain
-
         p = 5
-        s = build("feit", p)
-        a = RatFunc.variable(s.variables[0], s.variables, PrimeDomain(p))
-        pole = FormalSum(s.weight, ((1 / (a**p - a), a),), s.variables)
+        pole = pole_everywhere(p)
         v = verify_weak(pole, p)
         assert v.points_checked == 0
-        assert v.points_skipped == p ** len(s.variables)
+        assert v.points_skipped == p ** len(pole.variables)
         assert not v.holds and v.counterexample is None
 
     def test_admissible_points_excludes_poles(self):
         count, points = admissible_points(build("feit", 5), 5)
         assert count == 15
         assert all(int(pt["a"]) not in (0, 1) for pt in points)
+
+
+def per_point_verdict(s, p, budget=10**6, seed=0):
+    """The weak verdict by a plain lhat_eval loop, one point at a time."""
+    checked = skipped = 0
+    for point in _iter_field_points(s.variables, FieldDescriptor(p), budget, seed):
+        try:
+            value = lhat_eval(s.weight, s, point)
+        except InadmissiblePoint:
+            skipped += 1
+            continue
+        checked += 1
+        if not value.is_zero():
+            return Verdict(
+                holds=False,
+                mode="weak",
+                weight=s.weight,
+                counterexample={v: int(x) for v, x in point.items()},
+                points_checked=checked,
+                points_skipped=skipped,
+            )
+    return Verdict(
+        holds=checked > 0,
+        mode="weak",
+        weight=s.weight,
+        points_checked=checked,
+        points_skipped=skipped,
+    )
+
+
+def pole_everywhere(p):
+    """1/(a^p - a) [a]: a nonzero sum undefined at every point of GF(p)."""
+    s = build("feit", p)
+    a = RatFunc.variable(s.variables[0], s.variables, PrimeDomain(p))
+    return FormalSum(s.weight, ((1 / (a**p - a), a),), s.variables)
+
+
+class TestBatchedWeakCheck:
+    """The batched GF(p) path of verify_weak against the per-point loop."""
+
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    @pytest.mark.parametrize("eq_id", catalog_ids())
+    def test_every_entry_matches_per_point(self, eq_id, p):
+        s = build(eq_id, p)
+        assert verify_weak(s, p).as_dict() == per_point_verdict(s, p).as_dict()
+
+    @pytest.mark.parametrize(
+        "eq_id", ("cathelineau_J", "derived_goncharov", "five_term_family")
+    )
+    def test_larger_prime_matches_per_point(self, eq_id):
+        s = build(eq_id, 11)
+        assert verify_weak(s, 11).as_dict() == per_point_verdict(s, 11).as_dict()
+
+    @pytest.mark.parametrize("chunk", (7, catalog._WEAK_CHUNK))
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize(
+        "eq_id,p,budget",
+        (("feit_generalized", 7, 100), ("five_term_cocycle", 7, 300), ("feit", 11, 50)),
+    )
+    def test_sampled_run_matches_per_point(self, eq_id, p, budget, seed, chunk, monkeypatch):
+        monkeypatch.setattr(catalog, "_WEAK_CHUNK", chunk)
+        s = build(eq_id, p)
+        assert p ** len(s.variables) > budget
+        got = verify_weak(s, p, budget=budget, seed=seed)
+        assert got.as_dict() == per_point_verdict(s, p, budget, seed).as_dict()
+        assert got.points_checked + got.points_skipped <= budget
+
+    def test_failure_past_the_first_chunk(self, monkeypatch):
+        # the added coefficient prod_k (x - k), k < p-1, vanishes unless
+        # x = p-1, so the first failing point comes late in the grid
+        monkeypatch.setattr(catalog, "_WEAK_CHUNK", 8)
+        p = 5
+        s = build("feit_generalized", p)
+        dom = PrimeDomain(p)
+        x = RatFunc.variable(s.variables[0], s.variables, dom)
+        late = RatFunc.const(s.variables, dom, 1)
+        for k in range(p - 1):
+            late = late * (x - k)
+        two = RatFunc.const(s.variables, dom, 2)
+        mutated = FormalSum(s.weight, s.terms + ((late, two),), s.variables)
+        got = verify_weak(mutated, p)
+        assert got.as_dict() == per_point_verdict(mutated, p).as_dict()
+        assert not got.holds and got.counterexample[s.variables[0]] == p - 1
+        assert got.points_checked + got.points_skipped > 8
+
+    def test_undefined_everywhere_matches_per_point(self):
+        s = pole_everywhere(5)
+        assert verify_weak(s, 5).as_dict() == per_point_verdict(s, 5).as_dict()
+
+    def test_extension_field_takes_the_per_point_loop(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("GF(p^e) points must not be batched")
+
+        monkeypatch.setattr(catalog, "lhat_eval_grid", refuse)
+        assert verify_weak(build("two_term", 5), build_extension(5, 2)).holds
+
+    def test_characteristic_mismatch_raises(self):
+        with pytest.raises(DomainMismatch):
+            verify_weak(build("feit", 5), 7)
+
+
+class TestStrongImpliesExhaustiveWeak:
+    # derived_goncharov's strong check takes about 10 s at p=7; its weak
+    # verdict there is still compared with the per-point loop above
+    @pytest.mark.parametrize(
+        "eq_id,p",
+        [
+            (eq_id, p)
+            for p in SMALL_PRIMES
+            for eq_id in catalog_ids()
+            if not entry_info(eq_id)["classical"]
+            and (eq_id, p) != ("derived_goncharov", 7)
+        ],
+    )
+    def test_strong_verdict_implies_weak(self, eq_id, p):
+        s = build(eq_id, p)
+        if verify_strong(s).holds:
+            weak = verify_weak(s, p)
+            assert weak.holds
+            assert weak.points_checked + weak.points_skipped == p ** len(s.variables)
 
 
 class TestNegativeControls:
@@ -133,9 +259,6 @@ class TestNormalization:
     def test_three_term_symmetrization_vanishes(self):
         # f(x) + f(1-x) for the cyclic relation collapses to zero after
         # rewriting arguments modulo x -> 1/x
-        from finpolylog import RatFunc
-        from finpolylog.poly import PrimeDomain
-
         p = 7
         s = build("three_term", p)
         x = RatFunc.variable(s.variables[0], s.variables, PrimeDomain(p))

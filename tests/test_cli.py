@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finpolylog.cli import main, parse_primes, load_config
 from finpolylog.errors import BadParams
@@ -131,6 +134,8 @@ class TestReports:
             ["padic", "--family", "lambdax=1/2"],
             ["entropy", "--p", "7", "--probs", "1/2,x"],
             ["--config", "/nonexistent/finpolylog.cfg", "list"],
+            ["padic", "--clean", "5..2"],
+            ["padic", "--recursion", "5..2"],
         ),
     )
     def test_malformed_input_exits_2_without_traceback(self, argv, capsys):
@@ -138,6 +143,66 @@ class TestReports:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("argv", ([], ["--seed", "0"]))
+    def test_config_echo_keeps_zero_values(self, argv, capsys):
+        code, report = run_json(
+            ["verify", "--eq", "feit", "--p", "5", "--mode", "weak"] + argv, capsys
+        )
+        assert code == 0
+        assert report["config"]["seed"] == 0
+
+
+SUBCOMMANDS = ("verify", "solve", "derive", "padic", "entropy", "cocycle",
+               "tables", "list", "nosuch")
+FLAGS = ("--eq", "--p", "--mode", "--params", "--expect-fail", "--preset",
+         "--derivation", "--verify", "--clean", "--recursion", "--family",
+         "--probs", "--check", "--format", "--kummer", "--budget", "--seed",
+         "--timings", "--config", "-h")
+# Malformed values and small valid ones; every prime is at most 7 and no
+# listed equation or preset makes a check that takes more than a moment.
+VALUES = ("", "0", "1", "2", "3", "4", "5", "7", "-1", "abc", "1e3", "3..5",
+          "5..3", "2..4", "3..x", "..", "5,7", "5,,7", ",", "feit",
+          "feit,two_term", "all-finite", "five_term_classical", "inversion",
+          "distribution", "j_specialization", "nosuch", "strong", "weak",
+          "both", "FEIT", "L2_PAIR", "THREE_TERM", "NOSUCH", "all", "cocycle",
+          "group", "eqB", "csv", "json", "n=2,m=2", "n=1,m=4", "n", "m=x",
+          "c=a", "c=zzz", "lambda3=1/2", "lambda3=1/0", "lambdax=1", "1/2,1/2",
+          "1/3,x", "1/0", "-1/2,3/2", "a:a*(1-a)", "a:", "b:b^2;a:1", "q:1",
+          "/nonexistent.cfg", "=", "--")
+TOKENS = SUBCOMMANDS + FLAGS + VALUES
+
+
+def exit_code(argv):
+    """What ``finpolylog argv`` exits with, and everything it wrote to
+    stderr; argparse leaves through SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+# Mostly flag-value pairs, so that most argvs get past argparse.
+ARG_GROUPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)).map(list),
+        st.sampled_from(TOKENS).map(lambda token: [token]),
+    ),
+    max_size=5,
+).map(lambda groups: [token for group in groups for token in group])
+
+
+class TestExitCodeContract:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ARG_GROUPS, st.sampled_from(SUBCOMMANDS), ARG_GROUPS)
+    def test_any_argv_exits_0_1_or_2_without_traceback(self, head, command, tail):
+        code, err = exit_code(head + [command] + tail)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
 
 
 class TestConfigFile:

@@ -1,16 +1,20 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finpolylog import (
     FieldDescriptor,
     FormalSum,
+    InadmissiblePoint,
     IndexOutOfRange,
+    PrimeDomain,
     RatFunc,
     build,
     kummer_congruence,
     l1_via_witt,
     lhat_apply,
     lhat_eval,
+    lhat_eval_grid,
     ltilde,
     special_values,
     tau,
@@ -70,6 +74,38 @@ class TestTwistedEvaluator:
         image = lhat_apply(2, s)
         assert not image.num.is_zero()
         assert lhat_apply(2, s + extra).serialize() == image.serialize()
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    @pytest.mark.parametrize("p", (5, 7, 13))
+    def test_grid_matches_pointwise_at_every_point(self, p, m):
+        dom = PrimeDomain(p)
+        V = ("a", "b")
+        a = RatFunc.variable("a", V, dom)
+        b = RatFunc.variable("b", V, dom)
+        one = RatFunc.const(V, dom, 1)
+        inv_b1 = one / (b + 1)
+        s = FormalSum(
+            m,
+            (
+                ((one / (a - 1)) * (one / (a - 1)), a * inv_b1 * inv_b1 * inv_b1),
+                (a * b + 3, (a - b) * (a - b) / (a + 2)),
+                (RatFunc.const(V, dom, 2), b),
+                (one / (a * b - 1), RatFunc.const(V, dom, 3)),
+                (a / (b * b + 1), RatFunc.const(V, dom, 0)),
+            ),
+            V,
+        )
+        assert any(mult > 1 for c, x in s.terms for _f, mult in c.factors + x.factors)
+        cols = np.array([(x, y) for x in range(p) for y in range(p)]).T
+        mask, values = lhat_eval_grid(m, s, cols, p)
+        f = FieldDescriptor(p)
+        for j, (x, y) in enumerate(cols.T.tolist()):
+            try:
+                expected = int(lhat_eval(m, s, {"a": f.element(x), "b": f.element(y)}))
+            except InadmissiblePoint:
+                assert not mask[j] and values[j] == 0
+            else:
+                assert mask[j] and values[j] == expected
 
     def test_frobenius_twist_on_coefficients(self):
         # over GF(p^2) the coefficient c enters as c^p, detectable because
