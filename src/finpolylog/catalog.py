@@ -618,12 +618,35 @@ def entry_info(eq_id: str) -> dict:
     }
 
 
+def weight_fits(eq_id: str, p: int) -> bool:
+    """Whether the entry's polylogarithms keep their weight over GF(p).
+
+    Over GF(p), k^(p-1) = 1, so L_m with m >= p-1 is not a polylogarithm
+    of weight m, and an equation tied to one weight need not hold there.
+    Entries whose weight is a parameter (inversion, distribution) hold
+    at every weight.  A classical entry is checked through its
+    derivative, one weight lower.
+    """
+    info = CATALOG[eq_id]
+    weight = info["weight"]
+    if p == 0 or weight is None:
+        return True
+    if info.get("classical", False):
+        weight -= 1
+    return weight < p - 1
+
+
 def build(eq_id: str, p: int, **params) -> FormalSum:
     """Build the catalog entry over GF(p) (or over Q when p == 0)."""
     if eq_id not in CATALOG:
         raise UnknownId(f"unknown catalog id {eq_id!r}")
     if p != 0 and p < 3:
         raise BadParams(f"p={p} must be an odd prime or 0")
+    if not weight_fits(eq_id, p):
+        raise BadParams(
+            f"{eq_id} is not defined over GF({p}): its polylogarithms would "
+            "have weight >= p-1"
+        )
     info = CATALOG[eq_id]
     defaults = dict(_PARAM_DEFAULTS.get(eq_id, {}))
     extra = set(params) - set(defaults)

@@ -162,9 +162,10 @@ def _parse_params(text: str) -> dict:
 
 
 def _finite_suite(p: int):
-    """The full finite-equation suite at p: the fixed list plus the
-    distribution relations for m = 2 and every divisor m of p-1."""
-    suite = list(_catalog.STRONG_SUITE)
+    """The full finite-equation suite at p: the fixed list, less the
+    entries whose weight p does not allow, plus the distribution
+    relations for m = 2 and every divisor m of p-1."""
+    suite = [job for job in _catalog.STRONG_SUITE if _catalog.weight_fits(job[0], p)]
     ms = sorted({2} | {m for m in range(2, p) if (p - 1) % m == 0})
     for m in ms:
         for n in (1, 2):

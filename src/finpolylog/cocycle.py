@@ -158,12 +158,12 @@ def coboundary_solve(p: int, table: np.ndarray | None = None) -> dict:
         a[r, (x + y) % p] -= 1
         a[r] %= p
         rhs[r] = t[x, y]
-    # augmented with the identity to track row combinations
-    comb = np.eye(nrows, dtype=np.int64)
+    # combination vectors: built when a row is taken, kept for pivots only
     pivots = {}
     for r in range(nrows):
         row = a[r].copy()
-        crow = comb[r].copy()
+        crow = np.zeros(nrows, dtype=np.int64)
+        crow[r] = 1
         rr = int(rhs[r])
         while True:
             nz = np.nonzero(row)[0]
@@ -246,6 +246,9 @@ def _group_elements(p: int):
     ]
 
 
+_GROUP_SAMPLE_CHUNK = 2**16
+
+
 def group_check(
     p: int,
     exhaustive: bool | None = None,
@@ -255,12 +258,22 @@ def group_check(
 ) -> CheckResult:
     """Associativity, identity, and inverse axioms for the extension group.
 
-    Exhaustive by default for p <= 7 (all |G|^3 triples, vectorized);
-    otherwise a fixed-seed sample of ``samples`` triples.
+    Exhaustive by default for p <= 7: the Cayley table M of the n
+    elements is computed once, as element indices in the order of
+    ``_group_elements`` (index (u*p + b)*(p-1) + a - 1), and for each g1
+    = element i the n x n table M[M[i]] of (g1 g_j) g_k is compared with
+    M[i][M], the table of g1 (g_j g_k); ``checked`` grows by n^2 per g1,
+    and the first bad (j, k) in row-major order is reported.  Otherwise
+    ``samples`` triples are drawn with a fixed seed, all at once, and
+    their products are compared in chunks of ``_GROUP_SAMPLE_CHUNK``,
+    stopping at the first chunk that holds a bad triple; a failure
+    reports the first bad sample and counts the samples up to it.
     """
     t = phi_table(p) if table is None else table
     if exhaustive is None:
         exhaustive = p <= 7
+    if not exhaustive and samples < 1:
+        raise BadParams(f"sampled group check needs samples >= 1, got {samples}")
     elements = _group_elements(p)
     n = len(elements)
     ident = (0, 0, 1)
@@ -273,61 +286,49 @@ def group_check(
 
     arr = np.array(elements, dtype=np.int64)  # (n, 3)
 
-    def mul_vec(u1, b1, a1, u2, b2, a2):
+    def mul_vec(g1, g2):
+        """Products of two (k, 3) arrays of elements, row by row."""
+        u1, b1, a1 = g1.T
+        u2, b2, a2 = g2.T
         ab = (a1 * b2) % p
-        return (
-            (u1 + a1 * u2 + t[b1, ab]) % p,
-            (b1 + ab) % p,
-            (a1 * a2) % p,
+        return np.stack(
+            ((u1 + a1 * u2 + t[b1, ab]) % p, (b1 + ab) % p, (a1 * a2) % p), axis=1
         )
 
-    checked = 0
     if exhaustive:
-        u2 = np.repeat(arr[:, 0], n)
-        b2 = np.repeat(arr[:, 1], n)
-        a2 = np.repeat(arr[:, 2], n)
-        u3 = np.tile(arr[:, 0], n)
-        b3 = np.tile(arr[:, 1], n)
-        a3 = np.tile(arr[:, 2], n)
-        ru, rb, ra = mul_vec(u2, b2, a2, u3, b3, a3)  # g2*g3 for all pairs
-        for g1 in elements:
-            u1 = np.int64(g1[0])
-            b1 = np.int64(g1[1])
-            a1 = np.int64(g1[2])
-            lu, lb, la = mul_vec(u1, b1, a1, u2, b2, a2)
-            xu, xb, xa = mul_vec(lu, lb, la, u3, b3, a3)  # (g1 g2) g3
-            yu, yb, ya = mul_vec(u1, b1, a1, ru, rb, ra)  # g1 (g2 g3)
-            bad = (xu != yu) | (xb != yb) | (xa != ya)
-            checked += bad.size
-            if np.any(bad):
-                i = int(np.argwhere(bad)[0][0])
+        prod = mul_vec(np.repeat(arr, n, axis=0), np.tile(arr, (n, 1)))
+        cayley = ((prod[:, 0] * p + prod[:, 1]) * (p - 1) + prod[:, 2] - 1).reshape(n, n)
+        checked = 0
+        for i, g1 in enumerate(elements):
+            row = cayley[i]
+            bad = cayley[row] != row[cayley]
+            checked += n * n
+            if bad.any():
+                j, k = np.argwhere(bad)[0]
                 return CheckResult(
                     False,
                     checked,
-                    (g1, (int(u2[i]), int(b2[i]), int(a2[i])), (int(u3[i]), int(b3[i]), int(a3[i]))),
+                    (g1, elements[j], elements[k]),
                     "associativity",
                 )
-    else:
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, n, size=(samples, 3))
-        g1 = arr[idx[:, 0]]
-        g2 = arr[idx[:, 1]]
-        g3 = arr[idx[:, 2]]
-        lu, lb, la = mul_vec(g1[:, 0], g1[:, 1], g1[:, 2], g2[:, 0], g2[:, 1], g2[:, 2])
-        xu, xb, xa = mul_vec(lu, lb, la, g3[:, 0], g3[:, 1], g3[:, 2])
-        ru, rb, ra = mul_vec(g2[:, 0], g2[:, 1], g2[:, 2], g3[:, 0], g3[:, 1], g3[:, 2])
-        yu, yb, ya = mul_vec(g1[:, 0], g1[:, 1], g1[:, 2], ru, rb, ra)
-        bad = (xu != yu) | (xb != yb) | (xa != ya)
-        checked = samples
-        if np.any(bad):
-            i = int(np.argwhere(bad)[0][0])
+        return CheckResult(True, checked)
+
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, n, size=(samples, 3))
+    for start in range(0, samples, _GROUP_SAMPLE_CHUNK):
+        g1, g2, g3 = (arr[c] for c in idx[start : start + _GROUP_SAMPLE_CHUNK].T)
+        left = mul_vec(mul_vec(g1, g2), g3)
+        right = mul_vec(g1, mul_vec(g2, g3))
+        bad = (left != right).any(axis=1)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
             return CheckResult(
                 False,
-                checked,
-                (tuple(int(v) for v in g1[i]), tuple(int(v) for v in g2[i]), tuple(int(v) for v in g3[i])),
+                start + i + 1,
+                tuple(tuple(int(v) for v in g[i]) for g in (g1, g2, g3)),
                 "associativity (sampled)",
             )
-    return CheckResult(True, checked)
+    return CheckResult(True, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -105,9 +105,13 @@ def h_two_term_matrix(p: int, deg: int) -> np.ndarray:
     dom = PrimeDomain(p)
     x = SparsePoly.variable("x", ("x",), dom)
     one = SparsePoly.const(("x",), dom, 1)
+    y = one - x
+    x_pow, y_pow = one, one  # x^j and (1-x)^j
     cols = []
     for j in range(deg + 1):
-        cols.append((x**j - (one - x) ** j).scale(j))
+        cols.append((x_pow - y_pow).scale(j))
+        x_pow = x_pow * x
+        y_pow = y_pow * y
     return columns_matrix(cols, p)
 
 
@@ -189,38 +193,72 @@ def preset_degree(preset: str, p: int) -> int:
     return p if PRESETS[preset].get("degree") == "p" else p - 1
 
 
-def _rref(mat: np.ndarray, p: int):
-    """Reduced row echelon form over GF(p) with deterministic pivoting.
+_RREF_BLOCK = 512
 
-    Rows are consumed in their given order; the pivot of each new row is
-    its first nonzero column.  Returns (pivot_cols, pivot_rows) where
-    pivot_rows[i] is the normalized row with leading column pivot_cols[i].
+
+def _gauss_jordan(m: np.ndarray, p: int):
+    """Reduce ``m`` (int64, entries in [0, p)) to RREF in place.
+
+    One pivot per column, chosen as the first nonzero entry among the rows
+    not yet used; the pivot row is normalized and its column cleared from
+    every other row that is nonzero there, in one array step.  Returns
+    (pivot_cols, rank); rows ``m[:rank]`` are the reduced pivot rows.
+    Every int64 product is below p^2.
     """
-    ncols = mat.shape[1]
-    pivots = {}
-    for raw in mat:
-        row = raw % p
-        while True:
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                break
-            c = int(nz[0])
-            if c not in pivots:
-                inv = pow(int(row[c]), p - 2, p)
-                pivots[c] = (row * inv) % p
-                break
-            row = (row - int(row[c]) * pivots[c]) % p
-        if len(pivots) == ncols:
+    nrows, ncols = m.shape
+    pivot_cols = []
+    rank = 0
+    for c in range(ncols):
+        if rank == nrows:
             break
-    cols_sorted = sorted(pivots)
-    # back-substitute to full reduction
-    for i, c in enumerate(cols_sorted):
-        row = pivots[c]
-        for c2 in cols_sorted[i + 1 :]:
-            if row[c2]:
-                row = (row - int(row[c2]) * pivots[c2]) % p
-        pivots[c] = row
-    return cols_sorted, [pivots[c] for c in cols_sorted]
+        nz = np.flatnonzero(m[rank:, c])
+        if nz.size == 0:
+            continue
+        r = rank + int(nz[0])
+        if r != rank:
+            m[[rank, r]] = m[[r, rank]]
+        # columns left of c are zero in every row not yet used as a pivot
+        m[rank, c:] = m[rank, c:] * pow(int(m[rank, c]), p - 2, p) % p
+        rows = np.flatnonzero(m[:, c])
+        rows = rows[rows != rank]
+        m[rows, c:] = (m[rows, c:] - np.outer(m[rows, c], m[rank, c:])) % p
+        pivot_cols.append(c)
+        rank += 1
+    return pivot_cols, rank
+
+
+def _rref(mat: np.ndarray, p: int):
+    """Reduced row echelon form over GF(p).
+
+    The RREF of the row space is unique, so the result does not depend
+    on the elimination order.  Rows are taken in blocks of
+    ``_RREF_BLOCK``: each block is reduced against the current RREF R
+    with one product ``B - B[:, piv] @ R``, its zero rows are dropped,
+    and ``[R; B]`` goes through a column-by-column Gauss-Jordan
+    elimination.  The product runs in float64, where it is exact while
+    ncols * (p-1)^2 < 2^53; past that bound the whole matrix is one
+    block, so no product is taken.  Stops once every column is a pivot.
+    Returns (pivot_cols, pivot_rows) where pivot_rows[i] is the
+    normalized row with leading column pivot_cols[i].
+    """
+    mat = np.asarray(mat, dtype=np.int64) % p
+    nrows, ncols = mat.shape
+    step = _RREF_BLOCK if ncols * (p - 1) ** 2 < 2**53 else max(nrows, 1)
+    reduced = mat[:0]
+    pivot_cols = []
+    for start in range(0, nrows, step):
+        block = mat[start : start + step]
+        if pivot_cols:
+            prod = block[:, pivot_cols].astype(np.float64) @ reduced.astype(np.float64)
+            block = (block - prod.astype(np.int64)) % p
+        block = block[block.any(axis=1)]
+        if block.shape[0]:
+            stacked = np.vstack([reduced, block])
+            pivot_cols, rank = _gauss_jordan(stacked, p)
+            reduced = stacked[:rank]
+        if len(pivot_cols) == ncols:
+            break
+    return pivot_cols, list(reduced)
 
 
 def kernel_basis(mat: np.ndarray, p: int):

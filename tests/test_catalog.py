@@ -52,6 +52,19 @@ class TestRegistry:
             build("feit", 7, n=2)
 
 
+    def test_weight_must_stay_below_p_minus_one(self):
+        # at p=3, L_2 is the weight-0 polylogarithm: k^2 = 1 for k = 1, 2
+        for eq_id in ("three_term", "kummer_spence", "cathelineau_J", "three_term_classical"):
+            with pytest.raises(BadParams):
+                build(eq_id, 3)
+            build(eq_id, 5)
+        # weight-parameterized entries hold at every weight; a classical
+        # entry is checked one weight lower
+        for eq_id, params in (("feit", {}), ("inversion", {"n": 2}), ("five_term_classical", {})):
+            build(eq_id, 3, **params)
+        assert verify_strong(build("inversion", 5, n=4)).holds
+
+
 class TestStrongVerification:
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     @pytest.mark.parametrize("eq_id,params", STRONG_SUITE)

@@ -136,6 +136,8 @@ class TestReports:
             ["--config", "/nonexistent/finpolylog.cfg", "list"],
             ["padic", "--clean", "5..2"],
             ["padic", "--recursion", "5..2"],
+            ["verify", "--eq", "three_term", "--p", "3"],
+            ["derive", "--eq", "three_term_classical", "--verify", "3"],
         ),
     )
     def test_malformed_input_exits_2_without_traceback(self, argv, capsys):
@@ -144,6 +146,17 @@ class TestReports:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+
+    def test_all_finite_at_three_leaves_out_weight_two(self, capsys):
+        # at p=3 weight 2 = p-1, where L_2 is not a polylogarithm
+        code, report = run_json(
+            ["verify", "--eq", "all-finite", "--p", "3", "--mode", "both"], capsys
+        )
+        assert code == 0
+        ids = {rec["id"] for rec in report["records"]}
+        assert "three_term" not in ids and "cathelineau_J" not in ids
+        assert {"feit", "two_term", "inversion"} <= ids
+        assert all(rec["holds"] for rec in report["records"])
 
     @pytest.mark.parametrize("argv", ([], ["--seed", "0"]))
     def test_config_echo_keeps_zero_values(self, argv, capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,8 @@ from finpolylog import (
     reduce_distribution,
     verify_certificate,
 )
-from finpolylog.cocycle import H
+from finpolylog import cocycle
+from finpolylog.cocycle import H, _group_elements
 from finpolylog.fields import FieldDescriptor
 
 
@@ -75,6 +77,20 @@ class TestCoboundary:
         assert not res["consistent"]
         assert verify_certificate(p, res["certificate"])
 
+    def test_no_square_identity_matrix(self):
+        # a p^2 x p^2 int64 matrix of row combinations takes (p^2)^2 * 8 bytes
+        p = 31
+        table = phi_table(p)
+        tracemalloc.start()
+        try:
+            res = coboundary_solve(p, table=table)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (p * p) ** 2 * 8 // 4
+        assert not res["consistent"]
+        assert verify_certificate(p, res["certificate"], table)
+
     def test_zero_cocycle_is_a_coboundary(self):
         res = coboundary_solve(5, table=np.zeros((5, 5), dtype=np.int64))
         assert res["consistent"]
@@ -114,6 +130,76 @@ class TestExtensionGroup:
         t[2, 3] = (t[2, 3] + 1) % p
         t[3, 2] = t[2, 3]
         assert not group_check(p, table=t).holds
+
+
+def mutated_table(p, x, y):
+    """phi's table with one entry off by one: the identity and inverse
+    axioms still hold for x, y != 0, associativity does not."""
+    t = phi_table(p).copy()
+    t[x, y] = (t[x, y] + 1) % p
+    return t
+
+
+def associativity_oracle(p, t, triples):
+    """First triple (in the given order) on which plain group_mul calls
+    disagree about associativity, with its 1-based position."""
+    for pos, (g1, g2, g3) in enumerate(triples, 1):
+        left = group_mul(group_mul(g1, g2, p, t), g3, p, t)
+        right = group_mul(g1, group_mul(g2, g3, p, t), p, t)
+        if left != right:
+            return pos, (g1, g2, g3)
+    return None
+
+
+class TestGroupCheckAgainstLoops:
+    """The Cayley-table and chunked-sample paths of group_check against
+    plain loops over group_mul."""
+
+    @pytest.mark.parametrize("p, checked", ((5, 20_000), (7, 172_872)))
+    def test_exhaustive_counterexample(self, p, checked):
+        t = mutated_table(p, 1, 2)
+        elements = _group_elements(p)
+        n = len(elements)
+        triples = ((g1, g2, g3) for g1 in elements for g2 in elements for g3 in elements)
+        pos, triple = associativity_oracle(p, t, triples)
+        r = group_check(p, table=t)
+        # checked counts every triple of each g1 up to the failing one
+        assert -(-pos // (n * n)) * n * n == checked
+        assert r.as_dict() == {
+            "holds": False,
+            "checked": checked,
+            "counterexample": list(triple),
+            "detail": "associativity",
+        }
+        assert triple == ((0, 0, 2), (0, 1, 1), (0, 2, 1))
+
+    @pytest.mark.parametrize("chunk", (7, cocycle._GROUP_SAMPLE_CHUNK))
+    def test_sampled_counterexample(self, chunk, monkeypatch):
+        p, samples, seed = 11, 10**4, 0
+        t = mutated_table(p, 3, 4)
+        elements = _group_elements(p)
+        idx = np.random.default_rng(seed).integers(0, len(elements), size=(samples, 3))
+        triples = (tuple(elements[i] for i in row) for row in idx)
+        pos, triple = associativity_oracle(p, t, triples)
+        monkeypatch.setattr(cocycle, "_GROUP_SAMPLE_CHUNK", chunk)
+        r = group_check(p, exhaustive=False, samples=samples, seed=seed, table=t)
+        assert r.as_dict() == {
+            "holds": False,
+            "checked": pos,
+            "counterexample": list(triple),
+            "detail": "associativity (sampled)",
+        }
+
+    @pytest.mark.parametrize("samples", (0, -3))
+    def test_no_samples_is_not_a_pass(self, samples):
+        with pytest.raises(BadParams):
+            group_check(11, exhaustive=False, samples=samples)
+
+    @pytest.mark.parametrize("chunk", (7, cocycle._GROUP_SAMPLE_CHUNK))
+    def test_sampled_pass_counts_every_sample(self, chunk, monkeypatch):
+        monkeypatch.setattr(cocycle, "_GROUP_SAMPLE_CHUNK", chunk)
+        r = group_check(11, exhaustive=False, samples=1000, seed=2)
+        assert r.as_dict() == {"holds": True, "checked": 1000}
 
 
 class TestEntropyModP:

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finpolylog import build, characterize, kernels_equal, lemma417_sequence, lhat_apply
+from finpolylog import solver
+from finpolylog.poly import PrimeDomain, SparsePoly
 from finpolylog.solver import (
     PRESETS,
+    _rref,
     columns_matrix,
     equation_columns,
+    h_two_term_matrix,
     kernel_basis,
     basis_residuals,
     in_span,
@@ -34,6 +39,101 @@ class TestLinearAlgebra:
         basis = [np.array([1, 0, 2]), np.array([0, 1, 3])]
         assert in_span(basis, np.array([1, 1, 5]), 7)
         assert not in_span(basis, np.array([0, 0, 1]), 7)
+
+
+def rref_oracle(rows, ncols, p):
+    """Gauss-Jordan over Python ints, one pivot per column, leftmost first."""
+    rows = [[v % p for v in row] for row in rows]
+    pivot_cols = []
+    for c in range(ncols):
+        rank = len(pivot_cols)
+        r = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if r is None:
+            continue
+        rows[rank], rows[r] = rows[r], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[c]:
+                rows[i] = [(a - row[c] * b) % p for a, b in zip(row, rows[rank])]
+        pivot_cols.append(c)
+    return pivot_cols, rows[: len(pivot_cols)]
+
+
+RREF_PRIMES = (2, 3, 5, 97, 2**31 - 1)
+
+
+@st.composite
+def gf_matrices(draw):
+    """(rows, ncols, p): tall low-rank, wide, zero, full-rank or one-column
+    integer matrices, entries anywhere in (-p, 2p)."""
+    p = draw(st.sampled_from(RREF_PRIMES))
+    entry = st.integers(-(p - 1), 2 * p - 1)
+
+    def matrix(nrows, ncols):
+        row = st.lists(entry, min_size=ncols, max_size=ncols)
+        return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+    def product(left, right):
+        return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] for row in left]
+
+    kind = draw(st.sampled_from(("tall_low_rank", "wide", "zero", "full_rank", "one_column")))
+    if kind == "tall_low_rank":
+        ncols = draw(st.integers(1, 8))
+        rank = draw(st.integers(1, ncols))
+        nrows = draw(st.integers(ncols + 1, 40))
+        return product(matrix(nrows, rank), matrix(rank, ncols)), ncols, p
+    if kind == "full_rank":
+        # unit lower triangular times upper triangular with a unit diagonal
+        n = draw(st.integers(1, 8))
+        lower, upper = matrix(n, n), matrix(n, n)
+        for i in range(n):
+            lower[i][i + 1 :] = [0] * (n - i - 1)
+            lower[i][i] = 1
+            upper[i][:i] = [0] * i
+            upper[i][i] = draw(st.integers(1, p - 1))
+        return product(lower, upper), n, p
+    nrows, ncols = {
+        "wide": (draw(st.integers(1, 6)), draw(st.integers(7, 20))),
+        "zero": (draw(st.integers(0, 10)), draw(st.integers(0, 6))),
+        "one_column": (draw(st.integers(1, 30)), 1),
+    }[kind]
+    if kind == "zero":
+        return [[0] * ncols for _ in range(nrows)], ncols, p
+    return matrix(nrows, ncols), ncols, p
+
+
+class TestBlockedRref:
+    """The blocked RREF against a plain Gauss-Jordan elimination; the RREF
+    of a row space is unique, so both must agree exactly."""
+
+    @pytest.mark.parametrize("block", (1, 3, solver._RREF_BLOCK))
+    @given(gf_matrices())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_matches_plain_gauss_jordan(self, block, case):
+        rows, ncols, p = case
+        mat = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+        before = mat.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_RREF_BLOCK", block)
+            pivot_cols, pivot_rows = _rref(mat, p)
+        want_cols, want_rows = rref_oracle(rows, ncols, p)
+        assert pivot_cols == want_cols
+        assert [[int(v) for v in row] for row in pivot_rows] == want_rows
+        assert np.array_equal(mat, before)
+
+
+class TestHTwoTermMatrix:
+    @pytest.mark.parametrize("p", (5, 7, 11, 13, 17, 19, 23, 29, 31, 97))
+    def test_running_powers_match_direct_powers(self, p):
+        dom = PrimeDomain(p)
+        x = SparsePoly.variable("x", ("x",), dom)
+        one = SparsePoly.const(("x",), dom, 1)
+        for deg in (p - 1, p):
+            direct = columns_matrix(
+                [(x**j - (one - x) ** j).scale(j) for j in range(deg + 1)], p
+            )
+            assert np.array_equal(h_two_term_matrix(p, deg), direct)
 
 
 class TestEquationColumns:
