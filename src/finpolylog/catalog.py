@@ -10,20 +10,19 @@ indeterminates evaluates to zero.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, InadmissiblePoint, SizeExceeded, UnknownId
-from .fields import MAX_ENUMERATED, FieldDescriptor, FieldElement, _prime_divisors
+from .errors import BadParams, SizeExceeded, UnknownId
+from .fields import MAX_ENUMERATED, FieldDescriptor, _prime_divisors
 from .formal import FormalSum
-from .finlog import lhat_apply, lhat_eval, lhat_eval_grid
-from .poly import _PACKED_P_LIMIT, PrimeDomain, RationalDomain, RatFunc
+from .finlog import _grid_field, lhat_apply, lhat_eval, lhat_eval_grid
+from .poly import PrimeDomain, RationalDomain, RatFunc
 
 DEFAULT_WEAK_BUDGET = 10**6
-# Points per batch of a GF(p) weak check: a few int64 arrays of this length
+# Points per batch of a weak check: a few int64 arrays of this length
 # per polynomial stay in the tens of kilobytes.
 _WEAK_CHUNK = 4096
 
@@ -725,59 +724,36 @@ def verify_strong(s: FormalSum, weight: int | None = None) -> Verdict:
     return Verdict(holds=holds, mode="strong", weight=m, residual_terms=nterms, residual=residual)
 
 
-def _iter_field_points(variables, fld: FieldDescriptor, budget: int, seed: int):
-    total = fld.q ** len(variables)
-    if total <= budget:
-        for combo in itertools.product(fld.elements(), repeat=len(variables)):
-            yield dict(zip(variables, combo))
-        return
-    rng = random.Random(seed)
-    for _ in range(budget):
-        point = {}
-        for v in variables:
-            coords = tuple(rng.randrange(fld.p) for _ in range(fld.e))
-            point[v] = FieldElement(coords, fld)
-        yield point
+def _iter_grid_chunks(nvars: int, fld: FieldDescriptor, budget: int, seed: int):
+    """The points of a weak check, in order, as int64 coordinate arrays of
+    shape (nvars, e, k) with k <= _WEAK_CHUNK.
 
-
-def _iter_grid_chunks(nvars: int, p: int, budget: int, seed: int):
-    """The points of :func:`_iter_field_points` over GF(p), in the same
-    order, as int64 arrays of shape (nvars, k) with k <= _WEAK_CHUNK."""
-    total = p**nvars
+    When the q^nvars grid fits ``budget`` it is enumerated in
+    ``itertools.product`` order over the field elements by index (the last
+    variable runs fastest; the element of index sum_t c_t p^t has
+    coordinates c).  Otherwise ``budget`` points are drawn by
+    ``random.Random(seed).randrange(p)``, one draw per coordinate, point by
+    point and variable by variable.
+    """
+    p, e, q = fld.p, fld.e, fld.q
+    total = q**nvars
     if total <= budget:
-        if p > MAX_ENUMERATED:
+        if q > MAX_ENUMERATED:
             raise SizeExceeded("field too large to enumerate")
         for start in range(0, total, _WEAK_CHUNK):
             index = np.arange(start, min(start + _WEAK_CHUNK, total), dtype=np.int64)
-            cols = np.empty((nvars, index.size), dtype=np.int64)
+            cols = np.empty((nvars, e, index.size), dtype=np.int64)
             for i in range(nvars - 1, -1, -1):  # the last variable runs fastest
-                index, cols[i] = np.divmod(index, p)
+                index, elem = np.divmod(index, q)
+                for t in range(e):
+                    elem, cols[i, t] = np.divmod(elem, p)
             yield cols
         return
     rng = random.Random(seed)
     for start in range(0, budget, _WEAK_CHUNK):
         k = min(_WEAK_CHUNK, budget - start)
-        draws = [rng.randrange(p) for _ in range(k * nvars)]
-        yield np.array(draws, dtype=np.int64).reshape(k, nvars).T
-
-
-def _point_repr(point: dict) -> dict:
-    out = {}
-    for k, v in point.items():
-        out[k] = int(v) if v.field.e == 1 else list(v.coords)
-    return out
-
-
-def _is_gridded(s: FormalSum, fld: FieldDescriptor) -> bool:
-    """Whether ``verify_weak`` can evaluate ``s`` over ``fld`` in batches:
-    a prime field below 2^31 that is also the domain of every term."""
-    dom = PrimeDomain(fld.p)
-    return (
-        fld.e == 1
-        and fld.p < _PACKED_P_LIMIT
-        and bool(s.terms)
-        and all(c.num.domain == dom for c, _x in s.terms)
-    )
+        draws = [rng.randrange(p) for _ in range(k * nvars * e)]
+        yield np.array(draws, dtype=np.int64).reshape(k, nvars, e).transpose(1, 2, 0)
 
 
 def _weak_verdict(m, checked, skipped, counterexample=None) -> Verdict:
@@ -800,78 +776,67 @@ def verify_weak(
 ) -> Verdict:
     """Evaluate ``s`` under the twisted evaluator at every admissible point.
 
-    ``fld`` is a :class:`FieldDescriptor` or a prime.  Points where some
-    coefficient or argument has a vanishing denominator are skipped.  When
-    the full point grid exceeds ``budget``, a deterministic sample of
-    ``budget`` points is used instead.  A run that checks no point at all
-    verifies nothing, so its verdict is ``holds=False`` without a
-    counterexample.
+    ``fld`` is a :class:`FieldDescriptor` or a prime, with p < 2^31, and
+    every term of ``s`` must be over GF(p) (DomainMismatch otherwise).
+    Points where some coefficient or argument has a vanishing denominator
+    are skipped.  When the full point grid exceeds ``budget``, a
+    deterministic sample of ``budget`` points is used instead.  A run that
+    checks no point at all verifies nothing, so its verdict is
+    ``holds=False`` without a counterexample.
 
-    Points come in a fixed order: the grid in ``itertools.product`` order
-    (the last variable runs fastest), or the sample drawn by
-    ``random.Random(seed).randrange(p)``, one coordinate per draw.  The run
-    stops at the first admissible point with a nonzero value, which is the
-    counterexample; ``points_checked`` and ``points_skipped`` count the
-    points up to and including it.
-
-    Over a prime field GF(p) with p < 2^31 that is the domain of the sum,
-    the points go to :func:`~finpolylog.finlog.lhat_eval_grid` in chunks
-    of ``_WEAK_CHUNK`` as int64 coordinate arrays, and the run stops after
-    the first chunk holding a nonzero value.  Any other call (a GF(p^e)
-    field, a sum over another domain, an empty sum) evaluates one point at
-    a time with :func:`~finpolylog.finlog.lhat_eval`, which also raises
-    the domain errors.  Both give the same verdict.
+    Points come in a fixed order (see :func:`_iter_grid_chunks`): the grid
+    in ``itertools.product`` order over the elements by index, or the
+    sample drawn by ``random.Random(seed).randrange(p)``, one coordinate
+    per draw.  They go to :func:`~finpolylog.finlog.lhat_eval_grid` in
+    chunks of ``_WEAK_CHUNK``, over GF(p) and GF(p^e) alike.  The run stops
+    at the first admissible point with a nonzero value, which is the
+    counterexample (an int per variable over GF(p), a coordinate list over
+    GF(p^e)), re-checked by :func:`~finpolylog.finlog.lhat_eval`;
+    ``points_checked`` and ``points_skipped`` count the points up to and
+    including it.
     """
     if budget <= 0:
         raise BadParams(f"weak check budget must be positive, got {budget}")
-    if isinstance(fld, int):
-        fld = FieldDescriptor(fld)
+    fld = _grid_field(fld)
     m = s.weight if weight is None else weight
     checked = 0
     skipped = 0
-    if _is_gridded(s, fld):
-        chunks = _iter_grid_chunks(len(s.variables), fld.p, budget, seed)
-        for cols in chunks:
-            mask, values = lhat_eval_grid(m, s, cols, fld.p)
-            failing = np.flatnonzero(values)
-            if failing.size:
-                j = int(failing[0])
-                before = int(np.count_nonzero(mask[:j]))
-                counterexample = {v: int(cols[i, j]) for i, v in enumerate(s.variables)}
-                return _weak_verdict(
-                    m, checked + before + 1, skipped + j - before, counterexample
-                )
-            admissible = int(np.count_nonzero(mask))
-            checked += admissible
-            skipped += mask.size - admissible
-        return _weak_verdict(m, checked, skipped)
-    for point in _iter_field_points(s.variables, fld, budget, seed):
-        try:
-            value = lhat_eval(m, s, point)
-        except InadmissiblePoint:
-            skipped += 1
-            continue
-        checked += 1
-        if not value.is_zero():
-            return _weak_verdict(m, checked, skipped, _point_repr(point))
+    for cols in _iter_grid_chunks(len(s.variables), fld, budget, seed):
+        mask, values = lhat_eval_grid(m, s, cols, fld)
+        failing = np.flatnonzero(values.any(axis=0))
+        if failing.size:
+            j = int(failing[0])
+            before = int(np.count_nonzero(mask[:j]))
+            coords = cols[:, :, j].tolist()
+            point = dict(zip(s.variables, map(fld.element, coords)))
+            if lhat_eval(m, s, point).is_zero():
+                raise RuntimeError(f"lhat_eval_grid and lhat_eval disagree at {point}")
+            counterexample = {
+                v: c[0] if fld.e == 1 else c for v, c in zip(s.variables, coords)
+            }
+            return _weak_verdict(
+                m, checked + before + 1, skipped + j - before, counterexample
+            )
+        admissible = int(np.count_nonzero(mask))
+        checked += admissible
+        skipped += mask.size - admissible
     return _weak_verdict(m, checked, skipped)
 
 
 def admissible_points(s: FormalSum, fld, budget: int = DEFAULT_WEAK_BUDGET):
     """Count and list the points where every coefficient and argument of
-    ``s`` is defined.  Raises :class:`SizeExceeded` beyond ``budget``."""
-    if isinstance(fld, int):
-        fld = FieldDescriptor(fld)
+    ``s`` is defined, as dicts of :class:`FieldElement` in grid order.
+
+    The grid goes to :func:`~finpolylog.finlog.lhat_eval_grid` in chunks,
+    as in :func:`verify_weak`, and its mask selects the points.  Raises
+    :class:`SizeExceeded` beyond ``budget``."""
+    fld = _grid_field(fld)
     total = fld.q ** len(s.variables)
     if total > budget:
         raise SizeExceeded(f"{total} points exceed budget {budget}")
     points = []
-    for point in _iter_field_points(s.variables, fld, budget, 0):
-        try:
-            for coeff, arg in s.terms:
-                coeff.evaluate(point)
-                arg.evaluate(point)
-        except InadmissiblePoint:
-            continue
-        points.append(point)
+    for cols in _iter_grid_chunks(len(s.variables), fld, budget, 0):
+        mask, _values = lhat_eval_grid(s.weight, s, cols, fld)
+        for coords in cols[:, :, mask].transpose(2, 0, 1).tolist():
+            points.append(dict(zip(s.variables, map(fld.element, coords))))
     return len(points), iter(points)

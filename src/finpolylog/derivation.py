@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 
 from .catalog import verify_strong, verify_weak
-from .errors import BadParams, DegenerateArgument
+from .errors import BadParams, DegenerateArgument, SizeExceeded
 from .formal import FormalSum, normalize_mod_inversion
 from .poly import RatFunc
 
@@ -127,6 +127,10 @@ def verify_derived(s: FormalSum, fld, weight: int | None = None, **kw):
     return {"weak": weak, "strong": strong}
 
 
+# Largest |exponent| that parse_rational_expression expands: a power is
+# expanded in full, and (a*b+a+2)**256 over GF(1009) already takes seconds.
+MAX_PARSED_EXPONENT = 64
+
 _ALLOWED_BINOPS = {
     ast.Add: operator.add,
     ast.Sub: operator.sub,
@@ -139,7 +143,8 @@ _ALLOWED_BINOPS = {
 def parse_rational_expression(text: str, variables, p: int) -> RatFunc:
     """Parse arithmetic over the given variables into a RatFunc.
 
-    Supports +, -, *, /, ** (integer exponents), parentheses, integer
+    Supports +, -, *, /, ** (integer exponents of absolute value at most
+    ``MAX_PARSED_EXPONENT``, else SizeExceeded), parentheses, integer
     literals, and the variable names.
     """
     from .catalog import _gens
@@ -159,6 +164,10 @@ def parse_rational_expression(text: str, variables, p: int) -> RatFunc:
                     and isinstance(node.right.value, int)
                 ):
                     raise BadParams("exponent must be an integer literal")
+                if abs(node.right.value) > MAX_PARSED_EXPONENT:
+                    raise SizeExceeded(
+                        f"exponent {node.right.value} exceeds {MAX_PARSED_EXPONENT}"
+                    )
                 return ev(node.left) ** node.right.value
             return _ALLOWED_BINOPS[op](ev(node.left), ev(node.right))
         if isinstance(node, ast.UnaryOp):

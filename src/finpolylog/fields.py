@@ -38,20 +38,22 @@ def is_prime(n: int) -> bool:
 
 
 def _poly_mul_mod(a, b, modulus, p):
-    """Multiply coordinate tuples modulo a monic modulus over GF(p)."""
+    """Multiply coordinate sequences modulo a monic modulus over GF(p).
+
+    The coordinates may be ints or int64 arrays of residues (p < 2^31, so
+    every intermediate stays below p^2 + p); nothing branches on a value.
+    """
     e = len(modulus) - 1
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
     # reduce: modulus is monic of degree e
     for k in range(len(prod) - 1, e - 1, -1):
         c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(e):
-                prod[k - e + j] = (prod[k - e + j] - c * modulus[j]) % p
+        prod[k] = 0
+        for j in range(e):
+            prod[k - e + j] = (prod[k - e + j] - c * modulus[j]) % p
     out = prod[:e]
     out += [0] * (e - len(out))
     return tuple(out)

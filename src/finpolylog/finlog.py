@@ -14,10 +14,16 @@ from math import comb
 
 import numpy as np
 
-from .errors import BadParams, DepthExceeded, IndexOutOfRange
-from .fields import FieldDescriptor, FieldElement, genocchi
+from .errors import BadParams, DepthExceeded, DomainMismatch, IndexOutOfRange
+from .fields import FieldDescriptor, FieldElement, _poly_mul_mod, genocchi
 from .formal import FormalSum
-from .poly import PrimeDomain, RatFunc, SparsePoly, sum_of_products
+from .poly import (
+    _PACKED_P_LIMIT,
+    PrimeDomain,
+    RatFunc,
+    SparsePoly,
+    sum_of_products,
+)
 
 
 @lru_cache(maxsize=None)
@@ -102,46 +108,84 @@ def lhat_eval(m: int, s: FormalSum, point: dict) -> FieldElement:
     return acc
 
 
-def _pow_grid(base, k: int, p: int):
-    """Elementwise base^k mod p for an int64 residue array, k >= 1."""
-    result = None
-    while True:
-        if k & 1:
-            result = base if result is None else result * base % p
-        k >>= 1
-        if not k:
-            return result
-        base = base * base % p
+def _grid_field(fld) -> FieldDescriptor:
+    """The field of a batched evaluation (an int p means GF(p)); its
+    residues must fit the int64 products of :func:`lhat_eval_grid`."""
+    if isinstance(fld, int):
+        fld = FieldDescriptor(fld)
+    if fld.p >= _PACKED_P_LIMIT:
+        raise BadParams(f"batched evaluation needs p < 2^31, got p={fld.p}")
+    return fld
 
 
-def lhat_eval_grid(m: int, s: FormalSum, cols, p: int):
-    """Twisted evaluation of ``s`` at a batch of GF(p) points.
+def lhat_eval_grid(m: int, s: FormalSum, cols, fld):
+    """Twisted evaluation of ``s`` at a batch of points of a finite field.
 
-    ``cols`` holds one coordinate array per variable of ``s`` (residues in
-    [0, p), as a 2-D array or a sequence of equal-length arrays); point j
-    gives variable i the value ``cols[i][j]``.  Returns ``(mask, values)``:
-    ``mask[j]`` is False exactly where :func:`lhat_eval` raises
-    InadmissiblePoint, i.e. where some denominator factor of a coefficient
-    or argument vanishes, and ``values[j]`` is the residue of
-    sum_i c_i(pt)^p * polylog_m(x_i(pt)) there (0 where ``mask`` is False).
+    ``fld`` is a :class:`FieldDescriptor` or a prime p (GF(p)), with
+    p < 2^31.  ``cols`` holds the points as an int64 array of shape
+    (nvars, e, n): point j gives variable i the element with coordinates
+    ``cols[i, :, j]`` (residues in [0, p), the coordinates of
+    :class:`FieldElement`).  Over GF(p) the shape (nvars, n) is accepted as
+    well.  Returns ``(mask, values)``: ``mask[j]`` is False exactly where
+    :func:`lhat_eval` raises InadmissiblePoint, i.e. where some denominator
+    factor of a coefficient or argument vanishes, and ``values[..., j]``
+    holds the coordinates of sum_i c_i(pt)^p * polylog_m(x_i(pt)) there
+    (0 where ``mask`` is False); ``values`` has the shape of one
+    variable's coordinates, (e, n) or (n,).
 
+    A batch of elements is an (e, k) array, one row per coordinate, and
+    every product goes through :func:`~finpolylog.fields._poly_mul_mod`.
     Every distinct polynomial (numerator or denominator factor) is
-    evaluated once per batch from a cache of one power array per
-    (variable, exponent); denominator factors are inverted by Fermat's
-    little theorem at the admissible points only.  Over GF(p), c^p = c, and
-    the polylog is a lookup in :func:`_ltilde_prime_table`.  Residues stay
-    below p < 2^31, so every product fits in int64.
+    evaluated once per batch from a cache of monomials, each the product of
+    a cached monomial in the variables before its last one and a power of
+    that variable; denominator factors are inverted as their (q-2)-th power at
+    the admissible points only, and coefficients are raised to the p-th
+    power (over GF(p) that is the identity, c^p = c, and is skipped).  The
+    polylog is a lookup in :func:`_ltilde_prime_table` over GF(p) and
+    Horner's rule over :func:`_inv_power_table` over GF(p^e).  Raises
+    DomainMismatch unless every term is over GF(p).
     """
+    fld = _grid_field(fld)
+    p, e, modulus = fld.p, fld.e, fld.modulus
+    dom = PrimeDomain(p)
+    if any(c.num.domain != dom for c, _x in s.terms):
+        raise DomainMismatch(f"the sum is not over GF({p})")
     cols = np.asarray(cols, dtype=np.int64)
-    n = cols.shape[1]
-    powers = {}
+    flat = cols.ndim == 2
+    if flat:
+        cols = cols[:, None, :]
+    if cols.shape[1] != e:
+        raise BadParams(f"points of GF({p}^{e}) need {e} coordinates")
+    n = cols.shape[2]
+    one = np.zeros((e, 1), dtype=np.int64)
+    one[0] = 1
 
-    def power(i, k):
-        arr = powers.get((i, k))
-        if arr is None:
-            arr = _pow_grid(cols[i], k, p)
-            powers[(i, k)] = arr
-        return arr
+    def mul(a, b):
+        return np.array(_poly_mul_mod(a, b, modulus, p))
+
+    def power(base, k):  # k >= 1
+        result = None
+        while True:
+            if k & 1:
+                result = base if result is None else mul(result, base)
+            k >>= 1
+            if not k:
+                return result
+            base = mul(base, base)
+
+    monomials = {(0,) * len(cols): one}
+
+    def monomial(exps):
+        mono = monomials.get(exps)
+        if mono is None:
+            i = max(j for j, k in enumerate(exps) if k)  # the last variable
+            rest = exps[:i] + (0,) * (len(exps) - i)
+            if any(rest):
+                mono = mul(monomial(rest), monomial((0,) * i + exps[i:]))
+            else:
+                mono = power(cols[i], exps[i])
+            monomials[exps] = mono
+        return mono
 
     evaluated = {}
 
@@ -149,13 +193,9 @@ def lhat_eval_grid(m: int, s: FormalSum, cols, p: int):
         key = poly.serialize()
         acc = evaluated.get(key)
         if acc is None:
-            acc = np.zeros(n, dtype=np.int64)
-            for e, c in poly.terms.items():
-                t = None
-                for i, k in enumerate(e):
-                    if k:
-                        t = power(i, k) if t is None else t * power(i, k) % p
-                acc = (acc + (c if t is None else c * t)) % p
+            acc = np.zeros((e, n), dtype=np.int64)
+            for exps, c in poly.terms.items():
+                acc = (acc + c * monomial(exps)) % p
             evaluated[key] = acc
         return acc
 
@@ -165,29 +205,43 @@ def lhat_eval_grid(m: int, s: FormalSum, cols, p: int):
             factors.setdefault(fac.serialize(), fac)
     mask = np.ones(n, dtype=bool)
     for fac in factors.values():
-        mask &= evaluate(fac) != 0
-    values = np.zeros(n, dtype=np.int64)
+        mask &= evaluate(fac).any(axis=0)
+    values = np.zeros((e, n), dtype=np.int64)
     admissible = np.flatnonzero(mask)
-    if not admissible.size:
-        return mask, values
+    if admissible.size:
+        inverses = {
+            key: power(evaluate(fac)[:, admissible], fld.q - 2)
+            for key, fac in factors.items()
+        }
 
-    inverses = {
-        key: _pow_grid(evaluate(fac)[admissible], p - 2, p)
-        for key, fac in factors.items()
-    }
+        def at_admissible(rf):
+            val = evaluate(rf.num)[:, admissible]
+            for fac, mult in rf.factors:
+                val = mul(val, power(inverses[fac.serialize()], mult))
+            return val
 
-    def at_admissible(rf):
-        val = evaluate(rf.num)[admissible]
-        for fac, mult in rf.factors:
-            val = val * _pow_grid(inverses[fac.serialize()], mult, p) % p
-        return val
+        if e == 1:
+            table = np.asarray(_ltilde_prime_table(m, p), dtype=np.int64)
 
-    table = np.asarray(_ltilde_prime_table(m, p), dtype=np.int64)
-    acc = np.zeros(admissible.size, dtype=np.int64)
-    for c, x in s.terms:
-        acc = (acc + at_admissible(c) * table[at_admissible(x)]) % p
-    values[admissible] = acc
-    return mask, values
+            def polylog(xv):
+                return table[xv]
+
+        else:
+            coeffs = _inv_power_table(m, p)
+
+            def polylog(xv):
+                acc = np.zeros_like(xv)
+                for k in range(p - 1, 0, -1):
+                    acc = mul((acc + coeffs[k - 1] * one) % p, xv)
+                return acc
+
+        acc = 0
+        for c, x in s.terms:
+            cv = at_admissible(c)
+            term = mul(cv if e == 1 else power(cv, p), polylog(at_admissible(x)))
+            acc = (acc + term) % p
+        values[:, admissible] = acc
+    return mask, values[0] if flat else values
 
 
 def clear_denominators(s: FormalSum, deg: int):
@@ -285,6 +339,11 @@ def tau(i: int, p: int, var: str = "T") -> SparsePoly:
     return (t**i) * ((one - t) ** i) * (t ** (p - 3 * i) + sign)
 
 
+def _polylog_at_unit(m: int, p: int, x: int) -> int:
+    """The weight-m polylog at x = 1 or -1: sum_k x^k k^(-m) mod p."""
+    return sum(c * x**k for k, c in enumerate(_inv_power_table(m, p), 1)) % p
+
+
 def special_values(p: int) -> list:
     """Special-value table rows for GF(p): values at 1, at -1, and the
     Genocchi comparison at -1 for shifted weights.
@@ -295,7 +354,7 @@ def special_values(p: int) -> list:
     """
     rows = []
     for n in range(1, p):
-        computed = _ltilde_prime_table(n, p)[1]
+        computed = _polylog_at_unit(n, p, 1)
         expected = (p - 1) if n % (p - 1) == 0 else 0
         rows.append(
             {
@@ -309,7 +368,7 @@ def special_values(p: int) -> list:
             }
         )
     for w in range(2, p, 2):
-        computed = _ltilde_prime_table(w, p)[p - 1]
+        computed = _polylog_at_unit(w, p, -1)
         rows.append(
             {
                 "p": p,
@@ -324,7 +383,7 @@ def special_values(p: int) -> list:
     for mm in range(1, p - 1):
         if mm % 2 == 1 and mm != 1:
             continue
-        computed = _ltilde_prime_table(p - mm, p)[p - 1]
+        computed = _polylog_at_unit(p - mm, p, -1)
         g = genocchi(mm) % p
         expected = (g * pow(mm, p - 2, p)) % p
         if mm == 1:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import BadParams, DepthExceeded, SingularChoice
-from .poly import RationalDomain, RatFunc, SparsePoly
+from .poly import RationalDomain, SparsePoly
 
 DEFAULT_DEPTH = 12
 
@@ -48,19 +48,6 @@ class DiffRing:
             dk = f.derivative(f"P{k}")
             if not dk.is_zero():
                 out = out + (one - z) * self.gen(f"P{k-1}") * dk
-        return out
-
-    def d_dz(self, f: SparsePoly) -> RatFunc:
-        """Full derivative; rational in z."""
-        z = RatFunc(self.gen("z"))
-        one = RatFunc(self.const(1))
-        out = RatFunc(f.derivative("z"))
-        out = out + RatFunc(f.derivative("L")) / z
-        out = out + RatFunc(f.derivative("P1")) / (one - z)
-        for k in range(2, self.depth + 1):
-            dk = f.derivative(f"P{k}")
-            if not dk.is_zero():
-                out = out + RatFunc(self.gen(f"P{k-1}") * dk) / z
         return out
 
 

@@ -325,18 +325,6 @@ class SparsePoly:
             out[ne] = nc
         return SparsePoly(self.vars, self.domain, out, copy=False)
 
-    def coefficient_of(self, var: str, k: int) -> "SparsePoly":
-        """Coefficient of var**k, a polynomial in the remaining variables
-        (returned over the same universe with that variable absent)."""
-        if var not in self.vars:
-            raise BadParams(f"unknown variable {var!r}")
-        i = self.vars.index(var)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                out[e[:i] + (0,) + e[i + 1 :]] = c
-        return SparsePoly(self.vars, self.domain, out, copy=False)
-
     def frobenius(self) -> "SparsePoly":
         """p-th power, computed coefficient-wise: exponents scale by p and
         coefficients map through the Frobenius of the coefficient field."""
@@ -446,22 +434,6 @@ class SparsePoly:
                     term = term * pc[k]
             acc = acc + term
         return acc
-
-    def extend(self, variables) -> "SparsePoly":
-        """Re-express over a larger variable universe."""
-        variables = tuple(variables)
-        idx = []
-        for v in self.vars:
-            if v not in variables:
-                raise BadParams(f"universe does not contain {v!r}")
-            idx.append(variables.index(v))
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(variables)
-            for i, k in zip(idx, e):
-                ne[i] = k
-            out[tuple(ne)] = c
-        return SparsePoly(variables, self.domain, out, copy=False)
 
     def monic(self):
         """Return (unit, monic poly) with poly = self / unit."""
@@ -801,9 +773,6 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return not self.factors
 
     def is_constant(self) -> bool:
         return not self.factors and self.num.is_constant()

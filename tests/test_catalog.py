@@ -1,3 +1,7 @@
+import itertools
+import random
+
+import numpy as np
 import pytest
 
 from finpolylog import (
@@ -18,13 +22,12 @@ from finpolylog import catalog
 from finpolylog.catalog import (
     STRONG_SUITE,
     Verdict,
-    _iter_field_points,
     admissible_points,
     drop_trivial_arguments,
 )
 from finpolylog.errors import InadmissiblePoint
-from finpolylog.fields import build_extension
-from finpolylog.finlog import lhat_eval
+from finpolylog.fields import FieldElement, build_extension
+from finpolylog.finlog import lhat_eval, lhat_eval_grid
 from finpolylog.poly import PrimeDomain
 
 
@@ -119,10 +122,31 @@ class TestWeakVerification:
         assert all(int(pt["a"]) not in (0, 1) for pt in points)
 
 
-def per_point_verdict(s, p, budget=10**6, seed=0):
+def iter_field_points(variables, fld, budget, seed):
+    """The points of a weak check, one dict of FieldElement at a time: the
+    whole grid in itertools.product order when it fits ``budget``, else
+    ``budget`` points of e draws of random.Random(seed).randrange(p) per
+    variable."""
+    total = fld.q ** len(variables)
+    if total <= budget:
+        for combo in itertools.product(fld.elements(), repeat=len(variables)):
+            yield dict(zip(variables, combo))
+        return
+    rng = random.Random(seed)
+    for _ in range(budget):
+        point = {}
+        for v in variables:
+            coords = tuple(rng.randrange(fld.p) for _ in range(fld.e))
+            point[v] = FieldElement(coords, fld)
+        yield point
+
+
+def per_point_verdict(s, fld, budget=10**6, seed=0):
     """The weak verdict by a plain lhat_eval loop, one point at a time."""
+    if isinstance(fld, int):
+        fld = FieldDescriptor(fld)
     checked = skipped = 0
-    for point in _iter_field_points(s.variables, FieldDescriptor(p), budget, seed):
+    for point in iter_field_points(s.variables, fld, budget, seed):
         try:
             value = lhat_eval(s.weight, s, point)
         except InadmissiblePoint:
@@ -134,7 +158,10 @@ def per_point_verdict(s, p, budget=10**6, seed=0):
                 holds=False,
                 mode="weak",
                 weight=s.weight,
-                counterexample={v: int(x) for v, x in point.items()},
+                counterexample={
+                    v: int(x) if fld.e == 1 else list(x.coords)
+                    for v, x in point.items()
+                },
                 points_checked=checked,
                 points_skipped=skipped,
             )
@@ -155,7 +182,7 @@ def pole_everywhere(p):
 
 
 class TestBatchedWeakCheck:
-    """The batched GF(p) path of verify_weak against the per-point loop."""
+    """verify_weak over GF(p) against the per-point loop."""
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     @pytest.mark.parametrize("eq_id", catalog_ids())
@@ -206,16 +233,147 @@ class TestBatchedWeakCheck:
         s = pole_everywhere(5)
         assert verify_weak(s, 5).as_dict() == per_point_verdict(s, 5).as_dict()
 
-    def test_extension_field_takes_the_per_point_loop(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("GF(p^e) points must not be batched")
+    def test_counterexample_is_rechecked_pointwise(self, monkeypatch):
+        calls = []
 
-        monkeypatch.setattr(catalog, "lhat_eval_grid", refuse)
-        assert verify_weak(build("two_term", 5), build_extension(5, 2)).holds
+        def recording(m, s, point):
+            calls.append(point)
+            return lhat_eval(m, s, point)
+
+        monkeypatch.setattr(catalog, "lhat_eval", recording)
+        assert verify_weak(build("feit", 5), 5).holds
+        assert not calls
+        s = build("feit", 7)
+        coeff, arg = s.terms[0]
+        mutated = FormalSum(s.weight, ((coeff + 1, arg),) + s.terms[1:], s.variables)
+        got = verify_weak(mutated, 7)
+        assert len(calls) == 1
+        assert {v: int(x) for v, x in calls[0].items()} == got.counterexample
 
     def test_characteristic_mismatch_raises(self):
         with pytest.raises(DomainMismatch):
             verify_weak(build("feit", 5), 7)
+
+
+EXTENSION_FIELDS = ((5, 2), (7, 2))
+
+
+def twist_mutation(p):
+    """[T] + T^p [1/T]: the inversion relation [T] + T [1/T] with its
+    second coefficient replaced by its p-th power.  Both agree at every
+    point of GF(p), so it holds weakly there; over GF(p^2) the twisted
+    coefficient (T^p)^p = T differs from T^p, and it fails."""
+    s = build("inversion", p, n=1)
+    t = RatFunc.variable(s.variables[0], s.variables, PrimeDomain(p))
+    (c0, x0), (_c1, x1) = s.terms
+    return FormalSum(s.weight, ((c0, x0), (t**p, x1)), s.variables)
+
+
+class TestExtensionFieldWeakCheck:
+    """verify_weak over GF(p^e) against the per-point loop."""
+
+    @pytest.mark.parametrize(
+        "eq_id,p,e",
+        [
+            (eq_id, p, e)
+            for p, e in EXTENSION_FIELDS
+            for eq_id in catalog_ids()
+            if p ** (e * len(entry_info(eq_id)["variables"])) <= 2 * 10**4
+        ],
+    )
+    def test_every_entry_matches_per_point(self, eq_id, p, e):
+        s = build(eq_id, p)
+        fld = build_extension(p, e)
+        assert verify_weak(s, fld).as_dict() == per_point_verdict(s, fld).as_dict()
+
+    @pytest.mark.parametrize("p", (5, 7))
+    def test_twist_is_applied(self, p):
+        s = twist_mutation(p)
+        assert verify_weak(s, p).holds
+        fld = build_extension(p, 2)
+        got = verify_weak(s, fld)
+        assert got.as_dict() == per_point_verdict(s, fld).as_dict()
+        assert not got.holds
+        (coords,) = got.counterexample.values()
+        assert len(coords) == 2 and coords[1] != 0  # not in GF(p)
+
+    def test_mutated_sum_reports_coordinates(self):
+        s = build("feit", 5)
+        coeff, arg = s.terms[0]
+        mutated = FormalSum(s.weight, ((coeff + 1, arg),) + s.terms[1:], s.variables)
+        fld = build_extension(5, 2)
+        got = verify_weak(mutated, fld)
+        assert got.as_dict() == per_point_verdict(mutated, fld).as_dict()
+        assert not got.holds
+        assert all(len(c) == 2 for c in got.counterexample.values())
+
+    @pytest.mark.parametrize("chunk", (7, catalog._WEAK_CHUNK))
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize(
+        "eq_id,p", (("feit", 5), ("five_term_v1", 5), ("kummer_spence", 7))
+    )
+    def test_sampled_run_matches_per_point(self, eq_id, p, seed, chunk, monkeypatch):
+        monkeypatch.setattr(catalog, "_WEAK_CHUNK", chunk)
+        s = build(eq_id, p)
+        fld = build_extension(p, 2)
+        budget = 500
+        assert fld.q ** len(s.variables) > budget
+        got = verify_weak(s, fld, budget=budget, seed=seed)
+        assert got.as_dict() == per_point_verdict(s, fld, budget, seed).as_dict()
+
+    def test_sampled_failure_matches_per_point(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_WEAK_CHUNK", 7)
+        s = twist_mutation(7)
+        fld = build_extension(7, 2)
+        for seed in (0, 1, 2):
+            got = verify_weak(s, fld, budget=30, seed=seed)
+            assert got.as_dict() == per_point_verdict(s, fld, 30, seed).as_dict()
+            assert not got.holds
+
+    def test_admissible_points(self):
+        fld = build_extension(5, 2)
+        count, points = admissible_points(build("feit", 5), fld)
+        points = list(points)
+        assert count == len(points) == 575
+        assert all(pt["a"].field == fld for pt in points)
+        assert all(pt["a"] not in (fld.zero(), fld.one()) for pt in points)
+
+    def test_pole_on_the_prime_field_matches_per_point(self):
+        # a^5 - a vanishes on GF(5) only, the first 5 of 25 values of a
+        s = pole_everywhere(5)
+        fld = build_extension(5, 2)
+        got = verify_weak(s, fld)
+        assert got.as_dict() == per_point_verdict(s, fld).as_dict()
+        assert got.points_skipped == 5 * 25 and got.counterexample["a"] == [0, 1]
+
+    def test_one_path_for_every_field(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a passing run has no counterexample to re-check")
+
+        monkeypatch.setattr(catalog, "lhat_eval", refuse)
+        assert verify_weak(build("two_term", 5), build_extension(5, 2)).holds
+
+    @pytest.mark.parametrize("fld", (5, build_extension(5, 2)))
+    def test_rational_sum_raises_domain_mismatch(self, fld):
+        with pytest.raises(DomainMismatch):
+            verify_weak(build("feit", 0), fld)
+        with pytest.raises(DomainMismatch):
+            admissible_points(build("feit", 0), fld)
+
+
+# the smallest prime above 2^31, past the int64 products of lhat_eval_grid
+BIG_P = 2147483659
+
+
+class TestInt64Limit:
+    def test_verify_weak_refuses(self):
+        with pytest.raises(BadParams):
+            verify_weak(build("two_term", BIG_P), BIG_P, budget=10)
+
+    def test_lhat_eval_grid_refuses(self):
+        s = build("two_term", BIG_P)
+        with pytest.raises(BadParams):
+            lhat_eval_grid(1, s, np.zeros((1, 1), dtype=np.int64), BIG_P)
 
 
 class TestStrongImpliesExhaustiveWeak:

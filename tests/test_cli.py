@@ -138,6 +138,10 @@ class TestReports:
             ["padic", "--recursion", "5..2"],
             ["verify", "--eq", "three_term", "--p", "3"],
             ["derive", "--eq", "three_term_classical", "--verify", "3"],
+            ["derive", "--eq", "five_term_classical",
+             "--derivation", "a:(a*b+a+2)**123456789", "--verify", "7"],
+            ["verify", "--eq", "two_term", "--p", "2147483659", "--mode", "weak",
+             "--budget", "10"],
         ),
     )
     def test_malformed_input_exits_2_without_traceback(self, argv, capsys):

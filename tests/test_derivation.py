@@ -14,7 +14,12 @@ from finpolylog import (
     verify_strong,
     verify_weak,
 )
-from finpolylog.derivation import apply_derivation, parse_rational_expression
+from finpolylog.derivation import (
+    MAX_PARSED_EXPONENT,
+    apply_derivation,
+    parse_rational_expression,
+)
+from finpolylog.errors import SizeExceeded
 from finpolylog.poly import PrimeDomain
 
 
@@ -131,6 +136,14 @@ class TestExpressionParsing:
             parse_rational_expression("__import__('os')", ("a",), 7)
         with pytest.raises(BadParams):
             parse_rational_expression("c + 1", ("a",), 7)
+
+    def test_exponent_bound(self):
+        a = RatFunc.variable("a", ("a", "b"), PrimeDomain(7))
+        bound = MAX_PARSED_EXPONENT
+        assert parse_rational_expression(f"a**{bound}", ("a", "b"), 7) == a**bound
+        for text in (f"a**{bound + 1}", "(a*b+a+2)**123456789"):
+            with pytest.raises(SizeExceeded):
+                parse_rational_expression(text, ("a", "b"), 7)
 
     def test_parsed_derivation_matches_standard(self):
         p = 11

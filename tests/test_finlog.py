@@ -20,7 +20,13 @@ from finpolylog import (
     tau,
 )
 from finpolylog.fields import build_extension
-from finpolylog.finlog import finite_polylog, recipe_decompose, recipe_prove_zero
+from finpolylog.finlog import (
+    _ltilde_prime_table,
+    _polylog_at_unit,
+    finite_polylog,
+    recipe_decompose,
+    recipe_prove_zero,
+)
 
 
 PRIMES = (5, 7, 11, 13)
@@ -76,8 +82,8 @@ class TestTwistedEvaluator:
         assert lhat_apply(2, s + extra).serialize() == image.serialize()
 
     @pytest.mark.parametrize("m", (1, 2, 3))
-    @pytest.mark.parametrize("p", (5, 7, 13))
-    def test_grid_matches_pointwise_at_every_point(self, p, m):
+    @pytest.mark.parametrize("p,e", ((5, 1), (7, 1), (13, 1), (5, 2), (3, 3)))
+    def test_grid_matches_pointwise_at_every_point(self, p, e, m):
         dom = PrimeDomain(p)
         V = ("a", "b")
         a = RatFunc.variable("a", V, dom)
@@ -96,16 +102,22 @@ class TestTwistedEvaluator:
             V,
         )
         assert any(mult > 1 for c, x in s.terms for _f, mult in c.factors + x.factors)
-        cols = np.array([(x, y) for x in range(p) for y in range(p)]).T
-        mask, values = lhat_eval_grid(m, s, cols, p)
-        f = FieldDescriptor(p)
-        for j, (x, y) in enumerate(cols.T.tolist()):
+        f = build_extension(p, e)
+        elements = list(f.elements())
+        points = [(x, y) for x in elements for y in elements]
+        cols = np.array([[x.coords, y.coords] for x, y in points]).transpose(1, 2, 0)
+        if e == 1:
+            cols = cols[:, 0, :]  # GF(p) points may drop the coordinate axis
+        mask, values = lhat_eval_grid(m, s, cols, f if e > 1 else p)
+        assert values.shape == cols.shape[1:]
+        values = values.reshape(e, -1)
+        for j, (x, y) in enumerate(points):
             try:
-                expected = int(lhat_eval(m, s, {"a": f.element(x), "b": f.element(y)}))
+                expected = lhat_eval(m, s, {"a": x, "b": y})
             except InadmissiblePoint:
-                assert not mask[j] and values[j] == 0
+                assert not mask[j] and not values[:, j].any()
             else:
-                assert mask[j] and values[j] == expected
+                assert mask[j] and tuple(values[:, j].tolist()) == expected.coords
 
     def test_frobenius_twist_on_coefficients(self):
         # over GF(p^2) the coefficient c enters as c^p, detectable because
@@ -125,6 +137,13 @@ class TestSpecialValues:
     def test_table_has_no_mismatches(self, p):
         rows = special_values(p)
         assert all(r["status"] in ("ok", "logged") for r in rows)
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101))
+    def test_values_at_one_and_minus_one_match_the_table(self, p):
+        for n in range(1, p):
+            table = _ltilde_prime_table(n, p)
+            assert _polylog_at_unit(n, p, 1) == table[1]
+            assert _polylog_at_unit(n, p, -1) == table[p - 1]
 
     def test_logged_rows_are_only_index_one(self):
         rows = special_values(13)
