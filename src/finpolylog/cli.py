@@ -376,19 +376,12 @@ def cmd_cocycle(args, report: Report) -> None:
 def cmd_tables(args, report: Report, out) -> bool:
     primes = parse_primes(args.p)
     if args.format == "csv":
-        header_done = False
         ok = True
-        for p in primes:
-            csv = special_values_csv(p)
-            lines = csv.splitlines()
-            if not header_done:
-                out.write(lines[0] + "\n")
-                header_done = True
-            for line in lines[1:]:
-                out.write(line + "\n")
-            ok = ok and all(
-                r["status"] in ("ok", "logged") for r in special_values(p)
-            )
+        for i, p in enumerate(primes):
+            rows = special_values(p)
+            lines = special_values_csv(rows).splitlines(keepends=True)
+            out.writelines(lines if i == 0 else lines[1:])
+            ok = ok and all(r["status"] in ("ok", "logged") for r in rows)
         if args.kummer:
             for p in primes:
                 for m in range(2, args.kummer + 1, 2):

@@ -29,10 +29,8 @@ from .poly import (
 @lru_cache(maxsize=None)
 def finite_polylog(n: int, p: int, var: str = "T") -> SparsePoly:
     """The finite polylog polynomial sum_{k=1}^{p-1} T^k k^(-n) over GF(p)."""
-    dom = PrimeDomain(p)
-    exp = (-n) % (p - 1)
-    terms = {(k,): pow(k, exp, p) for k in range(1, p)}
-    return SparsePoly((var,), dom, terms)
+    terms = {(k,): c for k, c in enumerate(_inv_power_table(n, p), 1)}
+    return SparsePoly((var,), PrimeDomain(p), terms)
 
 
 def l1_via_witt(p: int, var: str = "T") -> SparsePoly:
@@ -284,47 +282,64 @@ def clear_denominators(s: FormalSum, deg: int):
     return tuple((fac, mult) for fac, mult in need.values()), terms
 
 
+def twisted_numerators(s: FormalSum, deg: int, vectors):
+    """Cleared numerators of sum_i c_i^p * P_w(x_i), one per coefficient
+    vector w = (w_0, ..., w_deg) in ``vectors``, where P_w(T) = sum_j w_j T^j.
+
+    Returns ``(factors, numerators)``: ``factors`` is the common denominator
+    of :func:`clear_denominators` at degree ``deg``, shared by every vector,
+    so that RatFunc(numerator, factors) is the sum read through P_w.  Term
+    c[x] with x = n/d contributes c^p * (sum_j w_j n^j d^(deg-j)) times its
+    cofactors; a constant argument v has n = v and d = 1, so it contributes
+    c^p * P_w(v).  The powers of n and d are built once per term.  For each
+    vector in turn, the parts c^p * (...) are built as SparsePoly products,
+    and the cofactor chains and the sum over terms run packed in
+    :func:`~finpolylog.poly.sum_of_products`; building one vector's parts
+    at a time keeps only those alive.
+    """
+    dom = s.domain
+    factors, terms = clear_denominators(s, deg)
+    one = SparsePoly.const(s.variables, dom, 1)
+    powers = []
+    for _cfn, x, _cofactors in terms:
+        n_pows, d_pows = [one], [one]
+        for _ in range(deg):
+            n_pows.append(n_pows[-1] * x.num)
+            d_pows.append(d_pows[-1] * x.den)
+        powers.append((n_pows, d_pows[::-1]))
+    numerators = []
+    for w in vectors:
+        if len(w) != deg + 1:
+            raise BadParams(f"need {deg + 1} coefficients, got {len(w)}")
+        products = []
+        for (cfn, _x, cofactors), (n_pows, d_pows) in zip(terms, powers):
+            q = SparsePoly.zero(s.variables, dom)
+            for wj, nj, dj in zip(w, n_pows, d_pows):
+                if wj:
+                    q = q + (nj * dj).scale(wj)
+            products.append((cfn * q, *cofactors))
+        numerators.append(sum_of_products(products, s.variables, dom))
+    return factors, numerators
+
+
 def lhat_apply(m: int, s: FormalSum) -> RatFunc:
     """Twisted symbolic evaluation of a formal sum as one rational function.
 
     Terms with argument 0 vanish (the polylog has no constant term) and are
-    dropped.  The rest are put over one denominator by
-    :func:`clear_denominators` with deg = p-1: term c[x] with x = n/d
-    contributes c^p * (sum_k k^(-m) n^k d^(p-1-k)) times its cofactors.
-    These parts are built as SparsePoly; the cofactor chains and the sum
-    over terms then run packed in :func:`~finpolylog.poly.sum_of_products`,
-    with one radix vector per call, and are unpacked once.
+    dropped; the rest go through :func:`twisted_numerators` with deg = p-1
+    and the polylog's coefficient vector (0, 1^(-m), ..., (p-1)^(-m)).
     """
     dom = s.domain
     if dom.kind != "prime":
         raise BadParams("symbolic evaluation requires a GF(p) domain")
     p = dom.p
-    variables = s.variables
-    coeffs = _inv_power_table(m, p)
     nonzero = replace(s, terms=tuple(t for t in s.terms if not t[1].is_zero()))
-    factors, terms = clear_denominators(nonzero, p - 1)
-
-    products = []
-    for cfn, x, cofactors in terms:
-        if x.is_constant():
-            part = cfn.scale(_ltilde_prime_table(m, p)[x.constant_value()])
-        else:
-            n = x.num
-            d = x.den
-            n_pows = [SparsePoly.const(variables, dom, 1)]
-            d_pows = [SparsePoly.const(variables, dom, 1)]
-            for _ in range(p - 1):
-                n_pows.append(n_pows[-1] * n)
-                d_pows.append(d_pows[-1] * d)
-            acc = SparsePoly.zero(variables, dom)
-            for k in range(1, p):
-                acc = acc + (n_pows[k] * d_pows[p - 1 - k]).scale(
-                    coeffs[k - 1]
-                )
-            part = cfn * acc
-        products.append((part, *cofactors))
-    total = sum_of_products(products, variables, dom)
-    return RatFunc(total, factors, reduce=False)
+    if not nonzero.terms:
+        return RatFunc(SparsePoly.zero(s.variables, dom))
+    factors, (num,) = twisted_numerators(
+        nonzero, p - 1, [(0, *_inv_power_table(m, p))]
+    )
+    return RatFunc(num, factors, reduce=False)
 
 
 def tau(i: int, p: int, var: str = "T") -> SparsePoly:
@@ -404,10 +419,11 @@ def special_values(p: int) -> list:
     return rows
 
 
-def special_values_csv(p: int) -> str:
-    """CSV rendering of the special-value table (deterministic order)."""
+def special_values_csv(rows) -> str:
+    """CSV rendering, header first, of special-value rows as returned by
+    :func:`special_values`."""
     lines = ["p,kind,index,argument,computed,expected,status"]
-    for r in special_values(p):
+    for r in rows:
         lines.append(
             f"{r['p']},{r['kind']},{r['index']},{r['argument']},"
             f"{r['computed']},{r['expected']},{r['status']}"

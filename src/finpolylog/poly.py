@@ -19,8 +19,10 @@ polynomial becomes a sorted int64 array of Kronecker-packed exponent keys
 outer sums of keys and products of residues; equal keys merge through a
 stable argsort and an int64 ``np.add.reduceat``.  Below 2^31 a product of
 two residues is below 2^62 and is reduced before summing, so the kernel is
-exact; larger primes use the schoolbook product.  :func:`sum_of_products`
-keeps whole chains of products and their sum packed, which is how the
+exact; larger primes use the schoolbook product, and so do products whose
+packed keys would not fit in int64.  The kernel has one entry point,
+:func:`sum_of_products`: a single large product is a one-product sum, and
+whole chains of products and their sum stay packed, which is how the
 twisted evaluator's big identity checks stay tractable.  Storage stays
 dict-based: most products in the package are small, and pointwise
 evaluation walks the terms.
@@ -595,20 +597,12 @@ def _packed_mul(a, b, p: int):
 
 
 def _mul_prime_fast(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    """Vectorized GF(p) multiplication on the packed kernel, for p < 2^31.
-
-    Both operands are packed into sorted int64 keys with one radix per
-    variable (the sum of the operands' degrees plus one), multiplied in
-    chunks, merged with an int64 ``np.add.reduceat`` and unpacked.
-    """
+    """GF(p) product on the packed kernel, for p < 2^31: a one-product
+    :func:`sum_of_products`."""
     p = f.domain.p
     if p >= _PACKED_P_LIMIT:
         raise BadParams(f"the packed kernel needs p < 2^31, got {p}")
-    ef, vf = _term_arrays(f)
-    eg, vg = _term_arrays(g)
-    kron = _Kronecker(_degree_bound(ef) + _degree_bound(eg) + 1)
-    keys, vals = _packed_mul(kron.pack(ef, vf), kron.pack(eg, vg), p)
-    return kron.unpack(keys, vals, f.vars, f.domain)
+    return sum_of_products([(f, g)], f.vars, f.domain)
 
 
 def sum_of_products(products, variables, domain) -> SparsePoly:
@@ -619,7 +613,8 @@ def sum_of_products(products, variables, domain) -> SparsePoly:
     vector (per variable, the largest degree sum over the products, plus
     one), and the products and their sum stay packed until one final
     unpack.  Otherwise, or when the radices overflow the packing, the
-    factors are multiplied and added as SparsePoly.
+    factors are multiplied by :func:`_mul_schoolbook` and added as
+    SparsePoly.
     """
     if domain.kind == "prime" and domain.p < _PACKED_P_LIMIT and products:
         arrays = {}
@@ -650,7 +645,7 @@ def sum_of_products(products, variables, domain) -> SparsePoly:
     for fs in products:
         acc = fs[0]
         for f in fs[1:]:
-            acc = acc * f
+            acc = _mul_schoolbook(acc, f)
         total = total + acc
     return total
 

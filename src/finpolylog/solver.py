@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .errors import BadParams, UnknownId
-from .finlog import clear_denominators, finite_polylog, tau
+from .finlog import finite_polylog, tau, twisted_numerators
 from .formal import FormalSum
 from .poly import PrimeDomain, RatFunc, SparsePoly
 from . import catalog as _catalog
@@ -28,43 +28,19 @@ def equation_columns(s: FormalSum, p: int, deg: int | None = None) -> list:
     Column j (0 <= j <= deg, default deg = p-1) is the polynomial
     multiplying the unknown coefficient a_j after substituting
     P(T) = sum a_j T^j into every term of ``s`` and clearing all
-    denominators globally with
-    :func:`~finpolylog.finlog.clear_denominators`, the routine behind
-    ``lhat_apply`` (coefficients are raised to the p-th power, matching
-    the twisted evaluation convention).  Terms with argument 0 are kept:
-    there P(0) = a_0.
+    denominators globally: the numerator that
+    :func:`~finpolylog.finlog.twisted_numerators`, the builder behind
+    ``lhat_apply``, gives for the unit vector P = T^j (coefficients are
+    raised to the p-th power, matching the twisted evaluation convention).
+    Terms with argument 0 are kept: there P(0) = a_0.
     """
     if deg is None:
         deg = p - 1
     dom = s.domain
     if dom.kind != "prime" or dom.p != p:
         raise BadParams("template must live over GF(p)")
-    variables = s.variables
-    _factors, terms = clear_denominators(s, deg)
-
-    cols = [SparsePoly.zero(variables, dom) for _ in range(deg + 1)]
-    for cfn, x, cofactors in terms:
-        base = cfn
-        for fp in cofactors:
-            base = base * fp
-        if x.is_constant():
-            v = x.constant_value()
-            vj = 1
-            for j in range(deg + 1):
-                if vj:
-                    cols[j] = cols[j] + base.scale(vj)
-                vj = (vj * v) % p
-        else:
-            n = x.num
-            d = x.den
-            n_pows = [SparsePoly.const(variables, dom, 1)]
-            d_pows = [SparsePoly.const(variables, dom, 1)]
-            for _ in range(deg):
-                n_pows.append(n_pows[-1] * n)
-                d_pows.append(d_pows[-1] * d)
-            for j in range(deg + 1):
-                cols[j] = cols[j] + base * (n_pows[j] * d_pows[deg - j])
-    return cols
+    units = [[int(i == j) for i in range(deg + 1)] for j in range(deg + 1)]
+    return twisted_numerators(s, deg, units)[1]
 
 
 def columns_matrix(cols, p: int) -> np.ndarray:

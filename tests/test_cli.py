@@ -91,6 +91,19 @@ class TestReports:
         assert lines[0].startswith("p,kind,index")
         assert any("kummer_congruence" in ln for ln in lines)
 
+    def test_tables_csv_builds_each_table_once(self, capsys, monkeypatch):
+        from finpolylog import cli, finlog
+
+        calls = []
+        build_table = finlog.special_values
+        counted = lambda p: calls.append(p) or build_table(p)
+        monkeypatch.setattr(finlog, "special_values", counted)
+        monkeypatch.setattr(cli, "special_values", counted)
+        code, out = run_cli(["tables", "--p", "5,7"], capsys)
+        assert code == 0
+        assert calls == [5, 7]
+        assert out.count("p,kind,index") == 1
+
     def test_list_contains_every_id(self, capsys):
         from finpolylog import catalog_ids
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +29,7 @@ from finpolylog.finlog import (
     finite_polylog,
     recipe_decompose,
     recipe_prove_zero,
+    twisted_numerators,
 )
 
 
@@ -183,3 +187,65 @@ class TestRecipe:
         img = lhat_apply(1, build("feit", p))
         assert img.num.is_zero()
         assert recipe_prove_zero(img.num, "a")
+
+
+def zero_argument_sum(p):
+    """A hand-built weight-1 sum with argument 0, a constant argument and a
+    coefficient with a denominator."""
+    dom = PrimeDomain(p)
+    names = ("a", "b")
+    a, b = (RatFunc.variable(v, names, dom) for v in names)
+    one = RatFunc.const(names, dom, 1)
+    zero = RatFunc.const(names, dom, 0)
+    terms = ((a / (one - b), zero), (one, b / (one + a)), (b, one), (-one, a))
+    return FormalSum(1, terms, names)
+
+
+class TestTwistedNumerators:
+    """The numerator builder behind lhat_apply and equation_columns against
+    sum_i c_i(pt)^p * P_w(x_i(pt)) computed pointwise with FieldElement."""
+
+    @pytest.mark.parametrize(
+        "eq_id, deg",
+        (
+            ("feit", 6),
+            ("three_term", 7),
+            ("three_term_classical", 6),
+            ("zero_argument", 6),
+        ),
+    )
+    def test_matches_pointwise_reference(self, eq_id, deg):
+        p = 7
+        s = zero_argument_sum(p) if eq_id == "zero_argument" else build(eq_id, p)
+        rng = random.Random(deg)
+        vectors = [[0] * (deg + 1), [3] + [0] * deg]
+        for _ in range(3):
+            vectors.append([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(deg)])
+        factors, nums = twisted_numerators(s, deg, vectors)
+        assert len(nums) == len(vectors)
+        field = FieldDescriptor(p)
+        checked = 0
+        for coords in itertools.product(range(p), repeat=len(s.variables)):
+            point = {v: field.element(k) for v, k in zip(s.variables, coords)}
+            try:
+                values = [(c.evaluate(point), x.evaluate(point)) for c, x in s.terms]
+            except InadmissiblePoint:
+                assert any(fac.evaluate(point) == 0 for fac, _mult in factors)
+                continue
+            for w, num in zip(vectors, nums):
+                want = field.zero()
+                for cv, xv in values:
+                    pw = field.zero()
+                    for wj in reversed(w):
+                        pw = pw * xv + field.element(wj)
+                    want = want + cv**p * pw
+                got = RatFunc(num, factors, reduce=False).evaluate(point)
+                assert got == want, (w, coords)
+            checked += 1
+        assert checked
+
+    def test_only_zero_arguments_give_zero(self):
+        p = 7
+        s = zero_argument_sum(p)
+        only_zero = FormalSum(1, s.terms[:1], s.variables)
+        assert lhat_apply(1, only_zero).is_zero()

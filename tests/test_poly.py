@@ -217,3 +217,33 @@ class TestPrimeBound:
         f, g = self.operands(4294967311)
         with pytest.raises(BadParams):
             _mul_prime_fast(f, g)
+
+
+class TestPackingOverflow:
+    """Operands whose packed keys would pass 2^62 take the schoolbook
+    product instead of failing."""
+
+    @staticmethod
+    def operands():
+        rng = random.Random(21)
+
+        def make():
+            return SparsePoly(
+                VARS3,
+                DOM7,
+                {
+                    tuple(rng.randrange(1 << 21) for _ in VARS3): rng.randrange(1, 7)
+                    for _ in range(100)
+                },
+            )
+
+        return make(), make()
+
+    def test_product_matches_schoolbook(self):
+        f, g = self.operands()
+        assert f * g == _mul_schoolbook(f, g)
+
+    def test_chain_matches_schoolbook(self):
+        f, g = self.operands()
+        expected = _mul_schoolbook(_mul_schoolbook(f, g), f)
+        assert sum_of_products([(f, g, f)], VARS3, DOM7) == expected
