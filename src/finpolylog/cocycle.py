@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import solver
+from .catalog import build, verify_weak
 from .errors import (
     BadParams,
     BudgetExceeded,
@@ -22,6 +24,7 @@ from .errors import (
     ZeroInverse,
 )
 from .finlog import _ltilde_prime_table
+from .poly import PrimeDomain
 
 EXHAUSTIVE_COCYCLE_LIMIT = 101
 DEFAULT_PERMUTATION_BUDGET = 5040
@@ -105,33 +108,23 @@ def check_homogeneity(p: int) -> CheckResult:
     return CheckResult(True, p * p * (p - 1))
 
 
+def _weak_check(s, budget: int) -> CheckResult:
+    """The catalog's weak verdict on ``s`` over GF(p), as a CheckResult."""
+    v = verify_weak(s, s.domain.p, budget=budget)
+    point = None if v.counterexample is None else tuple(v.counterexample.values())
+    return CheckResult(v.holds, v.points_checked, point)
+
+
 def check_equation_B(p: int) -> CheckResult:
-    """H(x+y) = H(y) + (1-y)H(x/(1-y)) + yH(-x/y) for y not in {0,1}."""
-    h = _ltilde_prime_table(1, p)
-    checked = 0
-    for y in range(2, p):
-        inv_1y = pow((1 - y) % p, p - 2, p)
-        inv_y = pow(y, p - 2, p)
-        for x in range(p):
-            lhs = h[(x + y) % p]
-            rhs = (
-                h[y]
-                + (1 - y) * h[(x * inv_1y) % p]
-                + y * h[(-x * inv_y) % p]
-            ) % p
-            checked += 1
-            if lhs != rhs:
-                return CheckResult(False, checked, (x, y))
-    return CheckResult(True, checked)
+    """H(x+y) = H(y) + (1-y)H(x/(1-y)) + yH(-x/y) for y not in {0,1}: the
+    weak check of the catalog entry ``kontsevich_B`` over all of GF(p)^2."""
+    return _weak_check(build("kontsevich_B", p), p * p)
 
 
 def check_equation_C(p: int) -> CheckResult:
-    """x H(1/x) = -H(x) for x != 0."""
-    h = _ltilde_prime_table(1, p)
-    for x in range(1, p):
-        if (x * h[pow(x, p - 2, p)] + h[x]) % p:
-            return CheckResult(False, x, (x,))
-    return CheckResult(True, p - 1)
+    """x H(1/x) = -H(x) for x != 0: the weak check of the catalog entry
+    ``inversion`` (n=1) over all of GF(p)."""
+    return _weak_check(build("inversion", p, n=1), p)
 
 
 # ---------------------------------------------------------------------------
@@ -146,58 +139,42 @@ def coboundary_solve(p: int, table: np.ndarray | None = None) -> dict:
     inconsistency certificate: a combination of equation rows (indexed by
     their (x, y) pairs) whose left side cancels while the right side does
     not.
+
+    A^T goes through :func:`~finpolylog.solver._rref` once: its pivot
+    columns are the earliest independent rows of A, and column r of the
+    RREF writes row r as a combination of the pivot rows before it.  The
+    first row whose right-hand side differs from that combination's gives
+    the certificate (multiplier 1 on it, the only such combination);
+    otherwise psi comes from the RREF of the pivot rows, free variables 0.
     """
     t = phi_table(p) if table is None else table
     pairs = [(x, y) for x in range(p) for y in range(p)]
-    nrows = len(pairs)
-    a = np.zeros((nrows, p), dtype=np.int64)
-    rhs = np.zeros(nrows, dtype=np.int64)
+    a = np.zeros((len(pairs), p), dtype=np.int64)
+    rhs = np.zeros(len(pairs), dtype=np.int64)
     for r, (x, y) in enumerate(pairs):
         a[r, x] += 1
         a[r, y] += 1
         a[r, (x + y) % p] -= 1
-        a[r] %= p
         rhs[r] = t[x, y]
-    # combination vectors: built when a row is taken, kept for pivots only
-    pivots = {}
-    for r in range(nrows):
-        row = a[r].copy()
-        crow = np.zeros(nrows, dtype=np.int64)
-        crow[r] = 1
-        rr = int(rhs[r])
-        while True:
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                break
-            c = int(nz[0])
-            if c not in pivots:
-                inv = pow(int(row[c]), p - 2, p)
-                pivots[c] = ((row * inv) % p, (crow * inv) % p, (rr * inv) % p)
-                break
-            prow, pcomb, prhs = pivots[c]
-            f = int(row[c])
-            row = (row - f * prow) % p
-            crow = (crow - f * pcomb) % p
-            rr = (rr - f * prhs) % p
-        if np.all(row == 0) and rr % p != 0:
-            support = np.nonzero(crow)[0]
-            return {
-                "consistent": False,
-                "certificate": {
-                    "rows": [pairs[i] for i in support],
-                    "multipliers": [int(crow[i]) for i in support],
-                    "rhs_value": int(rr % p),
-                },
-            }
-    # consistent: back-substitute a particular solution
+    rows, combos = solver._rref(a.T, p)
+    combos = np.array(combos, dtype=np.int64).reshape(len(rows), len(pairs))
+    residual = (rhs - rhs[rows] @ combos) % p
+    bad = np.flatnonzero(residual)
+    if bad.size:
+        r = int(bad[0])
+        used = [(i, int(c)) for i, c in zip(rows, combos[:, r]) if c]
+        return {
+            "consistent": False,
+            "certificate": {
+                "rows": [pairs[i] for i, _c in used] + [pairs[r]],
+                "multipliers": [(-c) % p for _i, c in used] + [1],
+                "rhs_value": int(residual[r]),
+            },
+        }
+    cols, reduced = solver._rref(np.column_stack([a[rows], rhs[rows]]), p)
     psi = np.zeros(p, dtype=np.int64)
-    for c in sorted(pivots, reverse=True):
-        prow, _pc, prhs = pivots[c]
-        s = int(prhs)
-        for c2 in range(c + 1, p):
-            if prow[c2]:
-                s = (s - int(prow[c2]) * int(psi[c2])) % p
-        psi[c] = s % p
+    for c, row in zip(cols, reduced):
+        psi[c] = row[p]
     return {"consistent": True, "psi": [int(v) for v in psi]}
 
 
@@ -232,7 +209,7 @@ def group_mul(g1, g2, p: int, table: np.ndarray | None = None):
     )
 
 
-def group_inverse(g, p: int, table: np.ndarray | None = None):
+def group_inverse(g, p: int):
     u, b, a = g
     if a % p == 0:
         raise ZeroInverse("scaling component must be nonzero")
@@ -280,7 +257,7 @@ def group_check(
     for g in elements:
         if group_mul(g, ident, p, t) != g or group_mul(ident, g, p, t) != g:
             return CheckResult(False, 0, g, "identity axiom")
-        gi = group_inverse(g, p, t)
+        gi = group_inverse(g, p)
         if group_mul(g, gi, p, t) != ident or group_mul(gi, g, p, t) != ident:
             return CheckResult(False, 0, g, "inverse axiom")
 
@@ -348,15 +325,14 @@ def reduce_distribution(probs, p: int):
         raise BadParams(f"probabilities must be rationals, got {list(probs)}") from None
     if sum(fracs) != 1:
         raise BadParams("probabilities must sum to exactly 1")
+    dom = PrimeDomain(p)
     out = []
     for q in fracs:
         if q == 0:
             continue
         if q.denominator % p == 0:
             raise BadParams(f"denominator of {q} is divisible by {p}")
-        out.append(
-            (q.numerator * pow(q.denominator % p, p - 2, p)) % p
-        )
+        out.append(dom.coerce(q))
     return out
 
 
@@ -443,6 +419,5 @@ def main_identity_check(coarse, refinement, p: int) -> CheckResult:
         if ci.denominator % p == 0 or ci.numerator % p == 0:
             raise BadParams(f"coarse probability {ci} not invertible mod {p}")
         conditional = [Fraction(q) / ci for q in group]
-        ci_mod = (ci.numerator * pow(ci.denominator % p, p - 2, p)) % p
-        rhs = (rhs + ci_mod * entropy_mod_p(conditional, p)) % p
+        rhs = (rhs + PrimeDomain(p).coerce(ci) * entropy_mod_p(conditional, p)) % p
     return CheckResult(lhs == rhs % p, 1, None if lhs == rhs % p else (lhs, rhs % p))

@@ -14,11 +14,18 @@ from math import comb
 
 import numpy as np
 
-from .errors import BadParams, DepthExceeded, DomainMismatch, IndexOutOfRange
+from .errors import (
+    BadParams,
+    DepthExceeded,
+    DomainMismatch,
+    IndexOutOfRange,
+    SizeExceeded,
+)
 from .fields import FieldDescriptor, FieldElement, _poly_mul_mod, genocchi
 from .formal import FormalSum
 from .poly import (
     _PACKED_P_LIMIT,
+    DEFAULT_TERM_CAP,
     PrimeDomain,
     RatFunc,
     SparsePoly,
@@ -291,7 +298,9 @@ def twisted_numerators(s: FormalSum, deg: int, vectors):
     so that RatFunc(numerator, factors) is the sum read through P_w.  Term
     c[x] with x = n/d contributes c^p * (sum_j w_j n^j d^(deg-j)) times its
     cofactors; a constant argument v has n = v and d = 1, so it contributes
-    c^p * P_w(v).  The powers of n and d are built once per term.  For each
+    c^p * P_w(v).  The powers of n and d are built once per term; counting
+    each power at |previous power| * |base| terms, SizeExceeded is raised
+    before their running total would pass ``DEFAULT_TERM_CAP``.  For each
     vector in turn, the parts c^p * (...) are built as SparsePoly products,
     and the cofactor chains and the sum over terms run packed in
     :func:`~finpolylog.poly.sum_of_products`; building one vector's parts
@@ -301,11 +310,18 @@ def twisted_numerators(s: FormalSum, deg: int, vectors):
     factors, terms = clear_denominators(s, deg)
     one = SparsePoly.const(s.variables, dom, 1)
     powers = []
+    kept = 0  # bound on the terms of the power lists built so far
     for _cfn, x, _cofactors in terms:
         n_pows, d_pows = [one], [one]
         for _ in range(deg):
-            n_pows.append(n_pows[-1] * x.num)
-            d_pows.append(d_pows[-1] * x.den)
+            for pows, base in ((n_pows, x.num), (d_pows, x.den)):
+                kept += len(pows[-1].terms) * len(base.terms)
+                if kept > DEFAULT_TERM_CAP:
+                    raise SizeExceeded(
+                        f"powers of the arguments up to degree {deg} would "
+                        f"exceed {DEFAULT_TERM_CAP} terms"
+                    )
+                pows.append(pows[-1] * base)
         powers.append((n_pows, d_pows[::-1]))
     numerators = []
     for w in vectors:

@@ -711,8 +711,7 @@ class RatFunc:
                 raise ZeroDenominator("zero denominator factor")
             if fac.is_constant():
                 c = fac.constant_value()
-                num = num.scale(num.domain.inv(c) if mult == 1 else
-                                _pow_coeff(num.domain, num.domain.inv(c), mult))
+                num = num.scale(_pow_coeff(num.domain, num.domain.inv(c), mult))
                 continue
             lead, monic_fac = fac.monic()
             if lead != 1:
@@ -954,7 +953,4 @@ class RatFunc:
 
 
 def _pow_coeff(domain, c, n):
-    out = domain.one()
-    for _ in range(n):
-        out = (out * c) % domain.p if domain.kind == "prime" else out * c
-    return out
+    return pow(c, n, domain.p) if domain.kind == "prime" else c**n

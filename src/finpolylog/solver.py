@@ -270,14 +270,16 @@ def in_span(basis, vec, p: int) -> bool:
     return not np.any(res)
 
 
-def polylog_vector(n: int, p: int, deg: int | None = None) -> np.ndarray:
-    if deg is None:
-        deg = p - 1
-    poly = finite_polylog(n, p)
+def _coefficient_vector(poly: SparsePoly, p: int, deg: int) -> np.ndarray:
+    """Coefficients of a univariate ``poly`` as a vector of length deg+1."""
     vec = np.zeros(deg + 1, dtype=np.int64)
     for exps, coeff in poly.terms.items():
         vec[exps[0]] = coeff % p
     return vec
+
+
+def polylog_vector(n: int, p: int, deg: int | None = None) -> np.ndarray:
+    return _coefficient_vector(finite_polylog(n, p), p, p - 1 if deg is None else deg)
 
 
 def tau_vector(i: int, p: int, deg: int | None = None) -> np.ndarray:
@@ -287,10 +289,7 @@ def tau_vector(i: int, p: int, deg: int | None = None) -> np.ndarray:
     poly = tau(i, p)
     if poly.total_degree() > deg:
         raise BadParams(f"tau_{i} has degree {poly.total_degree()} > {deg}")
-    vec = np.zeros(deg + 1, dtype=np.int64)
-    for exps, coeff in poly.terms.items():
-        vec[exps[0]] = coeff % p
-    return vec
+    return _coefficient_vector(poly, p, deg)
 
 
 def tau_satisfies_three_term(i: int, p: int) -> bool:
@@ -310,11 +309,7 @@ def tau_satisfies_three_term(i: int, p: int) -> bool:
 def tau_family_rank(p: int) -> int:
     """Rank of {tau_i : 0 <= i <= (p-1)//3} inside polynomials of deg <= p."""
     bound = (p - 1) // 3
-    mat = np.zeros((bound + 1, p + 1), dtype=np.int64)
-    for i in range(bound + 1):
-        poly = tau(i, p)
-        for exps, coeff in poly.terms.items():
-            mat[i, exps[0]] = coeff % p
+    mat = np.stack([_coefficient_vector(tau(i, p), p, p) for i in range(bound + 1)])
     cols, _rows = _rref(mat, p)
     return len(cols)
 

@@ -110,6 +110,122 @@ class TestCoboundary:
                 assert (psi[x] + psi[y] - psi[(x + y) % p]) % p == t[x, y]
 
 
+
+def coboundary_oracle(p, t):
+    """Row-by-row elimination of phi(x,y) = psi(x) + psi(y) - psi(x+y):
+    each equation row is reduced against the pivot rows taken before it,
+    carrying the combination of original rows that produced it."""
+    pairs = [(x, y) for x in range(p) for y in range(p)]
+    pivots = {}
+    for r, (x, y) in enumerate(pairs):
+        row = np.zeros(p, dtype=np.int64)
+        row[x] += 1
+        row[y] += 1
+        row[(x + y) % p] -= 1
+        row %= p
+        crow = np.zeros(len(pairs), dtype=np.int64)
+        crow[r] = 1
+        rr = int(t[x, y])
+        while row.any():
+            c = int(np.flatnonzero(row)[0])
+            if c not in pivots:
+                inv = pow(int(row[c]), p - 2, p)
+                pivots[c] = ((row * inv) % p, (crow * inv) % p, (rr * inv) % p)
+                break
+            prow, pcomb, prhs = pivots[c]
+            f = int(row[c])
+            row = (row - f * prow) % p
+            crow = (crow - f * pcomb) % p
+            rr = (rr - f * prhs) % p
+        if not row.any() and rr % p:
+            support = np.flatnonzero(crow)
+            return {
+                "consistent": False,
+                "certificate": {
+                    "rows": [pairs[i] for i in support],
+                    "multipliers": [int(crow[i]) for i in support],
+                    "rhs_value": int(rr % p),
+                },
+            }
+    psi = [0] * p
+    for c in sorted(pivots, reverse=True):
+        prow, _pcomb, prhs = pivots[c]
+        s = int(prhs)
+        for c2 in range(c + 1, p):
+            s = (s - int(prow[c2]) * psi[c2]) % p
+        psi[c] = s
+    return {"consistent": True, "psi": psi}
+
+
+def H_table(p):
+    return [H(x, p) for x in range(p)]
+
+
+def equation_B_oracle(p):
+    """Equation B at every (x, y) with y not in {0, 1}, y outermost."""
+    h = H_table(p)
+    checked = 0
+    for y in range(2, p):
+        inv_1y = pow((1 - y) % p, p - 2, p)
+        inv_y = pow(y, p - 2, p)
+        for x in range(p):
+            checked += 1
+            lhs = h[(x + y) % p]
+            rhs = h[y] + (1 - y) * h[x * inv_1y % p] + y * h[-x * inv_y % p]
+            if (lhs - rhs) % p:
+                return {"holds": False, "checked": checked, "counterexample": [x, y]}
+    return {"holds": True, "checked": checked}
+
+
+def equation_C_oracle(p):
+    """Equation C at every x != 0."""
+    h = H_table(p)
+    for x in range(1, p):
+        if (x * h[pow(x, p - 2, p)] + h[x]) % p:
+            return {"holds": False, "checked": x, "counterexample": [x]}
+    return {"holds": True, "checked": p - 1}
+
+
+PRIMES_TO_101 = [p for p in range(3, 102) if all(p % d for d in range(2, p))]
+
+
+class TestAgainstLoops:
+    """coboundary_solve and equations B and C against plain loops."""
+
+    @pytest.mark.parametrize("p", [p for p in PRIMES_TO_101 if p <= 61])
+    def test_coboundary_of_phi(self, p):
+        t = phi_table(p)
+        assert coboundary_solve(p, table=t) == coboundary_oracle(p, t)
+
+    def test_coboundary_of_zero(self):
+        t = np.zeros((7, 7), dtype=np.int64)
+        assert coboundary_solve(7, table=t) == coboundary_oracle(7, t)
+        assert coboundary_oracle(7, t) == {"consistent": True, "psi": [0] * 7}
+
+    def test_coboundary_of_random_tables(self):
+        # coboundaries of a random psi with up to three entries changed
+        rng = random.Random(2024)
+        outcomes = set()
+        for _ in range(240):
+            p = rng.choice((3, 5, 7, 11, 13))
+            psi = [rng.randrange(p) for _ in range(p)]
+            idx = np.arange(p)
+            t = (np.take(psi, idx[:, None]) + np.take(psi, idx[None, :])
+                 - np.take(psi, (idx[:, None] + idx[None, :]) % p)) % p
+            for _ in range(rng.randrange(4)):
+                t[rng.randrange(p), rng.randrange(p)] = rng.randrange(p)
+            res = coboundary_solve(p, table=t)
+            assert res == coboundary_oracle(p, t)
+            if not res["consistent"]:
+                assert verify_certificate(p, res["certificate"], t)
+            outcomes.add(res["consistent"])
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("p", PRIMES_TO_101)
+    def test_equations_B_and_C(self, p):
+        assert check_equation_B(p).as_dict() == equation_B_oracle(p)
+        assert check_equation_C(p).as_dict() == equation_C_oracle(p)
+
 class TestExtensionGroup:
     @pytest.mark.parametrize("p", (5, 7))
     def test_axioms_exhaustive(self, p):

@@ -22,6 +22,8 @@ from finpolylog import (
     special_values,
     tau,
 )
+from finpolylog import SizeExceeded, finlog, verify_strong
+from finpolylog.cli import main
 from finpolylog.fields import build_extension
 from finpolylog.finlog import (
     _ltilde_prime_table,
@@ -249,3 +251,23 @@ class TestTwistedNumerators:
         s = zero_argument_sum(p)
         only_zero = FormalSum(1, s.terms[:1], s.variables)
         assert lhat_apply(1, only_zero).is_zero()
+
+
+class TestPowerSizeGuard:
+    """The powers of the arguments are refused before they outgrow the term
+    cap: two_term at p=211 needs about 45,000 terms of powers of 1-x."""
+
+    CAP = 10**4
+
+    def test_strong_check_raises(self, monkeypatch):
+        monkeypatch.setattr(finlog, "DEFAULT_TERM_CAP", self.CAP)
+        with pytest.raises(SizeExceeded):
+            verify_strong(build("two_term", 211))
+        assert verify_strong(build("two_term", 31)).holds
+
+    def test_cli_exits_2_without_traceback(self, monkeypatch, capsys):
+        monkeypatch.setattr(finlog, "DEFAULT_TERM_CAP", self.CAP)
+        code = main(["verify", "--eq", "two_term", "--p", "211", "--mode", "strong"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
