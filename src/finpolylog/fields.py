@@ -10,6 +10,7 @@ demand, with the von Staudt-Clausen poles reported as errors.
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+import operator
 
 from .errors import (
     BadParams,
@@ -35,6 +36,20 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _power(base, n: int, mul, one):
+    """base^n for n >= 0 by square-and-multiply, where ``mul`` multiplies
+    two values and ``one`` is the result for n = 0.  The result starts from
+    the first factor it takes, and the last squaring is skipped."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return one if result is None else result
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -189,14 +204,7 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, operator.mul, self.field.one())
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -242,14 +250,8 @@ class FieldElement:
 
 
 def _poly_pow_mod(base, n, modulus, p):
-    e = len(modulus) - 1
-    result = tuple([1] + [0] * (e - 1))
-    while n:
-        if n & 1:
-            result = _poly_mul_mod(result, base, modulus, p)
-        base = _poly_mul_mod(base, base, modulus, p)
-        n >>= 1
-    return result
+    one = tuple([1] + [0] * (len(modulus) - 2))
+    return _power(base, n, lambda a, b: _poly_mul_mod(a, b, modulus, p), one)
 
 
 def _is_irreducible(coeffs, p):

@@ -14,23 +14,10 @@ from math import comb
 
 import numpy as np
 
-from .errors import (
-    BadParams,
-    DepthExceeded,
-    DomainMismatch,
-    IndexOutOfRange,
-    SizeExceeded,
-)
-from .fields import FieldDescriptor, FieldElement, _poly_mul_mod, genocchi
+from .errors import BadParams, DepthExceeded, DomainMismatch, IndexOutOfRange
+from .fields import FieldDescriptor, FieldElement, _poly_mul_mod, _power, genocchi
 from .formal import FormalSum
-from .poly import (
-    _PACKED_P_LIMIT,
-    DEFAULT_TERM_CAP,
-    PrimeDomain,
-    RatFunc,
-    SparsePoly,
-    sum_of_products,
-)
+from .poly import _PACKED_P_LIMIT, PrimeDomain, RatFunc, SparsePoly, homogenized_sums
 
 
 @lru_cache(maxsize=None)
@@ -168,16 +155,6 @@ def lhat_eval_grid(m: int, s: FormalSum, cols, fld):
     def mul(a, b):
         return np.array(_poly_mul_mod(a, b, modulus, p))
 
-    def power(base, k):  # k >= 1
-        result = None
-        while True:
-            if k & 1:
-                result = base if result is None else mul(result, base)
-            k >>= 1
-            if not k:
-                return result
-            base = mul(base, base)
-
     monomials = {(0,) * len(cols): one}
 
     def monomial(exps):
@@ -188,7 +165,7 @@ def lhat_eval_grid(m: int, s: FormalSum, cols, fld):
             if any(rest):
                 mono = mul(monomial(rest), monomial((0,) * i + exps[i:]))
             else:
-                mono = power(cols[i], exps[i])
+                mono = _power(cols[i], exps[i], mul, one)
             monomials[exps] = mono
         return mono
 
@@ -215,14 +192,14 @@ def lhat_eval_grid(m: int, s: FormalSum, cols, fld):
     admissible = np.flatnonzero(mask)
     if admissible.size:
         inverses = {
-            key: power(evaluate(fac)[:, admissible], fld.q - 2)
+            key: _power(evaluate(fac)[:, admissible], fld.q - 2, mul, one)
             for key, fac in factors.items()
         }
 
         def at_admissible(rf):
             val = evaluate(rf.num)[:, admissible]
             for fac, mult in rf.factors:
-                val = mul(val, power(inverses[fac.serialize()], mult))
+                val = mul(val, _power(inverses[fac.serialize()], mult, mul, one))
             return val
 
         if e == 1:
@@ -243,7 +220,9 @@ def lhat_eval_grid(m: int, s: FormalSum, cols, fld):
         acc = 0
         for c, x in s.terms:
             cv = at_admissible(c)
-            term = mul(cv if e == 1 else power(cv, p), polylog(at_admissible(x)))
+            term = mul(
+                cv if e == 1 else _power(cv, p, mul, one), polylog(at_admissible(x))
+            )
             acc = (acc + term) % p
         values[:, admissible] = acc
     return mask, values[0] if flat else values
@@ -258,9 +237,9 @@ def clear_denominators(s: FormalSum, deg: int):
     c^p times d^deg.  Returns ``(factors, terms)``: ``factors`` is the least
     common multiple of the term denominators as (monic factor, multiplicity)
     pairs, and ``terms`` holds one ``(cfn, x, cofactors)`` per term of ``s``,
-    where ``cfn`` is the numerator of c^p and ``cofactors`` lists the factor
-    powers that raise that term's denominator to the common one.  Callers
-    multiply the cofactors one at a time onto their cleared term.
+    where ``cfn`` is the numerator of c^p and ``cofactors`` lists, as
+    (monic factor, exponent) pairs, the factor powers that raise that
+    term's denominator to the common one.
     """
     need = {}  # factor key -> [factor poly, max multiplicity]
     prepared = []
@@ -273,18 +252,13 @@ def clear_denominators(s: FormalSum, deg: int):
             cur = need.setdefault(key, [fac, 0])
             cur[1] = max(cur[1], used[key])
         prepared.append((cf.num, x, used))
-
-    powers = {key: [None, fac] for key, (fac, _mult) in need.items()}
     terms = []
     for cfn, x, used in prepared:
-        cofactors = []
-        for key, (fac, mult) in need.items():
-            extra = mult - used.get(key, 0)
-            if extra:
-                cache = powers[key]
-                while len(cache) <= extra:
-                    cache.append(cache[-1] * fac)
-                cofactors.append(cache[extra])
+        cofactors = [
+            (fac, mult - used.get(key, 0))
+            for key, (fac, mult) in need.items()
+            if mult > used.get(key, 0)
+        ]
         terms.append((cfn, x, cofactors))
     return tuple((fac, mult) for fac, mult in need.values()), terms
 
@@ -298,44 +272,14 @@ def twisted_numerators(s: FormalSum, deg: int, vectors):
     so that RatFunc(numerator, factors) is the sum read through P_w.  Term
     c[x] with x = n/d contributes c^p * (sum_j w_j n^j d^(deg-j)) times its
     cofactors; a constant argument v has n = v and d = 1, so it contributes
-    c^p * P_w(v).  The powers of n and d are built once per term; counting
-    each power at |previous power| * |base| terms, SizeExceeded is raised
-    before their running total would pass ``DEFAULT_TERM_CAP``.  For each
-    vector in turn, the parts c^p * (...) are built as SparsePoly products,
-    and the cofactor chains and the sum over terms run packed in
-    :func:`~finpolylog.poly.sum_of_products`; building one vector's parts
-    at a time keeps only those alive.
+    c^p * P_w(v).  The numerators are the
+    :func:`~finpolylog.poly.homogenized_sums` of the terms
+    (n, d, ((c^p numerator, 1), *cofactors)), with its domain and size
+    guards; ``vectors`` is read only after the guards.
     """
-    dom = s.domain
     factors, terms = clear_denominators(s, deg)
-    one = SparsePoly.const(s.variables, dom, 1)
-    powers = []
-    kept = 0  # bound on the terms of the power lists built so far
-    for _cfn, x, _cofactors in terms:
-        n_pows, d_pows = [one], [one]
-        for _ in range(deg):
-            for pows, base in ((n_pows, x.num), (d_pows, x.den)):
-                kept += len(pows[-1].terms) * len(base.terms)
-                if kept > DEFAULT_TERM_CAP:
-                    raise SizeExceeded(
-                        f"powers of the arguments up to degree {deg} would "
-                        f"exceed {DEFAULT_TERM_CAP} terms"
-                    )
-                pows.append(pows[-1] * base)
-        powers.append((n_pows, d_pows[::-1]))
-    numerators = []
-    for w in vectors:
-        if len(w) != deg + 1:
-            raise BadParams(f"need {deg + 1} coefficients, got {len(w)}")
-        products = []
-        for (cfn, _x, cofactors), (n_pows, d_pows) in zip(terms, powers):
-            q = SparsePoly.zero(s.variables, dom)
-            for wj, nj, dj in zip(w, n_pows, d_pows):
-                if wj:
-                    q = q + (nj * dj).scale(wj)
-            products.append((cfn * q, *cofactors))
-        numerators.append(sum_of_products(products, s.variables, dom))
-    return factors, numerators
+    terms = [(x.num, x.den, ((cfn, 1), *cofactors)) for cfn, x, cofactors in terms]
+    return factors, homogenized_sums(terms, deg, vectors, s.variables, s.domain)
 
 
 def lhat_apply(m: int, s: FormalSum) -> RatFunc:
@@ -343,7 +287,8 @@ def lhat_apply(m: int, s: FormalSum) -> RatFunc:
 
     Terms with argument 0 vanish (the polylog has no constant term) and are
     dropped; the rest go through :func:`twisted_numerators` with deg = p-1
-    and the polylog's coefficient vector (0, 1^(-m), ..., (p-1)^(-m)).
+    and the polylog's coefficient vector (0, 1^(-m), ..., (p-1)^(-m)),
+    which is built only once the builder's guards have passed.
     """
     dom = s.domain
     if dom.kind != "prime":
@@ -352,9 +297,8 @@ def lhat_apply(m: int, s: FormalSum) -> RatFunc:
     nonzero = replace(s, terms=tuple(t for t in s.terms if not t[1].is_zero()))
     if not nonzero.terms:
         return RatFunc(SparsePoly.zero(s.variables, dom))
-    factors, (num,) = twisted_numerators(
-        nonzero, p - 1, [(0, *_inv_power_table(m, p))]
-    )
+    vector = ((0, *_inv_power_table(m, p)) for _ in range(1))
+    factors, (num,) = twisted_numerators(nonzero, p - 1, vector)
     return RatFunc(num, factors, reduce=False)
 
 

@@ -19,16 +19,17 @@ polynomial becomes a sorted int64 array of Kronecker-packed exponent keys
 outer sums of keys and products of residues; equal keys merge through a
 stable argsort and an int64 ``np.add.reduceat``.  Below 2^31 a product of
 two residues is below 2^62 and is reduced before summing, so the kernel is
-exact; larger primes use the schoolbook product, and so do products whose
-packed keys would not fit in int64.  The kernel has one entry point,
-:func:`sum_of_products`: a single large product is a one-product sum, and
-whole chains of products and their sum stay packed, which is how the
-twisted evaluator's big identity checks stay tractable.  Storage stays
-dict-based: most products in the package are small, and pointwise
-evaluation walks the terms.
+exact; larger primes use the schoolbook product, and so do single products
+whose packed keys would not fit in int64.  Besides single products, the
+kernel has one more entry point, :func:`homogenized_sums`, which builds the
+cleared numerators of the twisted evaluator and of the solver's columns:
+its inputs are packed once, and powers, products and sums stay packed
+until one unpack per result.  Storage stays dict-based: most products in
+the package are small, and pointwise evaluation walks the terms.
 """
 
 from fractions import Fraction
+import operator
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .errors import (
     ZeroDenominator,
     ZeroInverse,
 )
-from .fields import FieldDescriptor, FieldElement
+from .fields import FieldDescriptor, FieldElement, _power
 
 DEFAULT_TERM_CAP = 10**7
 _FAST_MUL_THRESHOLD = 4096
@@ -284,14 +285,8 @@ class SparsePoly:
     def __pow__(self, n: int):
         if n < 0:
             raise BadParams("negative polynomial power")
-        result = SparsePoly.const(self.vars, self.domain, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        one = SparsePoly.const(self.vars, self.domain, 1)
+        return _power(self, n, operator.mul, one)
 
     def __eq__(self, other):
         return (
@@ -563,6 +558,8 @@ def _packed_add(parts, p: int):
     """Sum of packed polynomials, merged in one pass."""
     if len(parts) == 1:
         return parts[0]
+    if not parts:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     return _packed_merge(
         np.concatenate([k for k, _ in parts]),
         np.concatenate([v for _, v in parts]),
@@ -597,57 +594,115 @@ def _packed_mul(a, b, p: int):
 
 
 def _mul_prime_fast(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    """GF(p) product on the packed kernel, for p < 2^31: a one-product
-    :func:`sum_of_products`."""
+    """GF(p) product on the packed kernel, for p < 2^31.  Operands whose
+    packed keys would not fit in int64 take the schoolbook product."""
     p = f.domain.p
     if p >= _PACKED_P_LIMIT:
         raise BadParams(f"the packed kernel needs p < 2^31, got {p}")
-    return sum_of_products([(f, g)], f.vars, f.domain)
+    (ef, vf), (eg, vg) = _term_arrays(f), _term_arrays(g)
+    try:
+        kron = _Kronecker(_degree_bound(ef) + _degree_bound(eg) + 1)
+    except SizeExceeded:
+        return _mul_schoolbook(f, g)
+    keys, vals = _packed_mul(kron.pack(ef, vf), kron.pack(eg, vg), p)
+    return kron.unpack(keys, vals, f.vars, f.domain)
 
 
-def sum_of_products(products, variables, domain) -> SparsePoly:
-    """Sum over ``products`` (each a sequence of SparsePoly factors) of the
-    product of its factors.
+def homogenized_sums(terms, deg: int, vectors, variables, domain) -> list:
+    """Sums over ``terms`` of homogenized polynomials times factor powers,
+    one per coefficient vector, over GF(p) with p < 2^31 (BadParams
+    otherwise).
 
-    Over GF(p) with p < 2^31, every factor is packed once with one radix
-    vector (per variable, the largest degree sum over the products, plus
-    one), and the products and their sum stay packed until one final
-    unpack.  Otherwise, or when the radices overflow the packing, the
-    factors are multiplied by :func:`_mul_schoolbook` and added as
-    SparsePoly.
+    ``terms`` holds triples ``(n, d, factors)``: SparsePoly n and d, and
+    (SparsePoly f, exponent k) pairs.  For each w = (w_0, ..., w_deg) in
+    ``vectors``, the result is the sum over the terms of
+    (sum_j w_j n^j d^(deg-j)) * prod f^k, the factors multiplied onto the
+    homogenized part in their given order.  Every polynomial is packed
+    once, with per-variable radix max(deg * max(deg n, deg d) +
+    sum k deg f) + 1 over the terms, and stays packed until one unpack
+    per vector.  SizeExceeded is raised when the packed keys would not
+    fit in int64, and before the products building the powers of n, d
+    and f (each counted at |a| * |b| terms; the powers of a nonzero n or
+    d count at least deg), or the results over the vectors, would pass
+    ``DEFAULT_TERM_CAP`` terms.  Only then is ``vectors`` read, one
+    vector at a time.
     """
-    if domain.kind == "prime" and domain.p < _PACKED_P_LIMIT and products:
-        arrays = {}
-        bound = np.zeros(len(variables), dtype=np.int64)
-        for fs in products:
-            deg = np.zeros(len(variables), dtype=np.int64)
+    if domain.kind != "prime" or domain.p >= _PACKED_P_LIMIT:
+        raise BadParams(f"packed sums need GF(p) with p < 2^31, not {domain!r}")
+    p = domain.p
+    arrays = {}  # id -> (exps, vals) of every input polynomial
+    for n, d, factors in terms:
+        for f in (n, d, *(f for f, _k in factors)):
+            if id(f) not in arrays:
+                arrays[id(f)] = _term_arrays(f)
+    too_big = f"powers up to degree {deg} would exceed {DEFAULT_TERM_CAP} terms"
+    floor = deg * sum(bool(f.terms) for n, d, _fs in terms for f in (n, d))
+    if floor > DEFAULT_TERM_CAP:
+        raise SizeExceeded(too_big)
+    degs = {key: _degree_bound(exps) for key, (exps, _vals) in arrays.items()}
+    bound = np.zeros(len(variables), dtype=np.int64)
+    for n, d, factors in terms:
+        top = deg * np.maximum(degs[id(n)], degs[id(d)])
+        for f, k in factors:
+            top += k * degs[id(f)]
+        np.maximum(bound, top, out=bound)
+    kron = _Kronecker(bound + 1)
+    packed = {key: kron.pack(*ev) for key, ev in arrays.items()}
+    kept = 0  # bound on the terms of the powers built so far
+
+    def grow(a, b):
+        nonlocal kept
+        kept += len(a[0]) * len(b[0])
+        if kept > DEFAULT_TERM_CAP:
+            raise SizeExceeded(too_big)
+        return _packed_mul(a, b, p)
+
+    one = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+    # factor powers first: square-and-multiply reaches a refusal in a few
+    # products, where the power lists take deg of them per term
+    powers = {}  # (id, exponent) -> packed factor power
+    for _n, _d, factors in terms:
+        for f, k in factors:
+            if (id(f), k) not in powers:
+                powers[id(f), k] = _power(packed[id(f)], k, grow, one)
+    built = []
+    for n, d, factors in terms:
+        n_pows, d_pows = [one], [one]
+        for _ in range(deg):
+            for pows, base in ((n_pows, packed[id(n)]), (d_pows, packed[id(d)])):
+                pows.append(grow(pows[-1], base))
+        built.append((n_pows, d_pows[::-1], [powers[id(f), k] for f, k in factors]))
+    sums = []
+    total = 0
+    for w in vectors:
+        if len(w) != deg + 1:
+            raise BadParams(f"need {deg + 1} coefficients, got {len(w)}")
+        parts = []
+        for n_pows, d_pows, fs in built:
+            # the parts are merged in once they outnumber the sum's terms,
+            # so memory stays near the size of the sum, not of all parts
+            acc, pending, size = _packed_add([], p), [], 0
+            for wj, nj, dj in zip(w, n_pows, d_pows):
+                wj = int(wj) % p
+                if wj:
+                    keys, vals = _packed_mul(nj, dj, p)
+                    pending.append((keys, vals * wj % p))
+                    size += len(keys)
+                    if size > len(acc[0]):
+                        acc, pending, size = _packed_add([acc, *pending], p), [], 0
+            acc = _packed_add([acc, *pending], p)
             for f in fs:
-                if id(f) not in arrays:
-                    arrays[id(f)] = _term_arrays(f)
-                deg += _degree_bound(arrays[id(f)][0])
-            np.maximum(bound, deg, out=bound)
-        try:
-            kron = _Kronecker(bound + 1)
-        except SizeExceeded:
-            kron = None
-        if kron is not None:
-            packed = {key: kron.pack(*ev) for key, ev in arrays.items()}
-            p = domain.p
-            parts = []
-            for fs in products:
-                acc = packed[id(fs[0])]
-                for f in fs[1:]:
-                    acc = _packed_mul(acc, packed[id(f)], p)
-                parts.append(acc)
-            keys, vals = _packed_add(parts, p)
-            return kron.unpack(keys, vals, variables, domain)
-    total = SparsePoly.zero(variables, domain)
-    for fs in products:
-        acc = fs[0]
-        for f in fs[1:]:
-            acc = _mul_schoolbook(acc, f)
-        total = total + acc
-    return total
+                acc = _packed_mul(acc, f, p)
+            parts.append(acc)
+        keys, vals = _packed_add(parts, p)
+        total += len(keys)
+        if total > DEFAULT_TERM_CAP:
+            raise SizeExceeded(
+                f"the sums over the first {len(sums) + 1} vectors exceed "
+                f"{DEFAULT_TERM_CAP} terms"
+            )
+        sums.append(kron.unpack(keys, vals, variables, domain))
+    return sums
 
 
 def exact_divide(f: SparsePoly, g: SparsePoly):
@@ -853,14 +908,8 @@ class RatFunc:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = RatFunc.const(self.num.vars, self.num.domain, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        one = RatFunc.const(self.num.vars, self.num.domain, 1)
+        return _power(self, n, operator.mul, one)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):

@@ -39,7 +39,7 @@ def equation_columns(s: FormalSum, p: int, deg: int | None = None) -> list:
     dom = s.domain
     if dom.kind != "prime" or dom.p != p:
         raise BadParams("template must live over GF(p)")
-    units = [[int(i == j) for i in range(deg + 1)] for j in range(deg + 1)]
+    units = ([int(i == j) for i in range(deg + 1)] for j in range(deg + 1))
     return twisted_numerators(s, deg, units)[1]
 
 

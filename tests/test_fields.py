@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from finpolylog import FieldDescriptor, FieldElement, ZeroInverse
-from finpolylog.fields import bernoulli, bernoulli_mod_p, build_extension, genocchi
+from finpolylog.fields import (
+    _power,
+    bernoulli,
+    bernoulli_mod_p,
+    build_extension,
+    genocchi,
+)
 
 
 F7 = FieldDescriptor(7)
@@ -14,6 +20,22 @@ elems7 = st.integers(0, 6).map(F7.element)
 elems25 = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
     lambda c: FieldElement(c, F25)
 )
+
+
+def test_power_by_square_and_multiply():
+    """Square-and-multiply needs one product per bit after the leading
+    one, plus one per further set bit, and none for n = 0 or 1."""
+    products = []
+
+    def mul(a, b):
+        products.append((a, b))
+        return a * b
+
+    assert _power(3, 0, mul, "one") == "one" and not products
+    for n in range(1, 40):
+        products.clear()
+        assert _power(3, n, mul, "one") == 3**n
+        assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1
 
 
 class TestPrimeField:

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finpolylog import (
+    BadParams,
     FieldDescriptor,
     FormalSum,
     InadmissiblePoint,
     IndexOutOfRange,
     PrimeDomain,
     RatFunc,
+    SparsePoly,
     build,
     kummer_congruence,
     l1_via_witt,
@@ -22,7 +24,7 @@ from finpolylog import (
     special_values,
     tau,
 )
-from finpolylog import SizeExceeded, finlog, verify_strong
+from finpolylog import SizeExceeded, finlog, poly, verify_strong
 from finpolylog.cli import main
 from finpolylog.fields import build_extension
 from finpolylog.finlog import (
@@ -260,14 +262,48 @@ class TestPowerSizeGuard:
     CAP = 10**4
 
     def test_strong_check_raises(self, monkeypatch):
-        monkeypatch.setattr(finlog, "DEFAULT_TERM_CAP", self.CAP)
+        monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", self.CAP)
         with pytest.raises(SizeExceeded):
             verify_strong(build("two_term", 211))
         assert verify_strong(build("two_term", 31)).holds
 
     def test_cli_exits_2_without_traceback(self, monkeypatch, capsys):
-        monkeypatch.setattr(finlog, "DEFAULT_TERM_CAP", self.CAP)
+        monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", self.CAP)
         code = main(["verify", "--eq", "two_term", "--p", "211", "--mode", "strong"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestEarlyRefusal:
+    """Strong checks that cannot pass the guards are refused before the
+    p-1 entry coefficient table is built."""
+
+    @pytest.mark.parametrize(
+        "p, error", ((2147483659, BadParams), (3000017, SizeExceeded))
+    )
+    def test_refused_before_the_coefficient_table(self, monkeypatch, p, error):
+        s = build("two_term", p)
+
+        def table(m, p):
+            raise AssertionError("the coefficient table was built")
+
+        monkeypatch.setattr(finlog, "_inv_power_table", table)
+        with pytest.raises(error):
+            lhat_apply(1, s)
+
+
+def test_builder_makes_no_polynomial_sums(monkeypatch):
+    """The numerator builder stays packed: no SparsePoly addition runs."""
+    s = build("inversion", 101, n=1)
+    calls = []
+    add = SparsePoly.__add__
+
+    def counting_add(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(SparsePoly, "__add__", counting_add)
+    monkeypatch.setattr(SparsePoly, "__radd__", counting_add)
+    assert lhat_apply(1, s).is_zero()
+    assert not calls

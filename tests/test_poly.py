@@ -3,7 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finpolylog import BadParams, FieldDescriptor, InadmissiblePoint, RatFunc, SparsePoly
+from finpolylog import (
+    BadParams,
+    FieldDescriptor,
+    InadmissiblePoint,
+    RatFunc,
+    SizeExceeded,
+    SparsePoly,
+)
 from finpolylog import poly
 from finpolylog.poly import (
     PrimeDomain,
@@ -11,7 +18,7 @@ from finpolylog.poly import (
     _mul_prime_fast,
     _mul_schoolbook,
     exact_divide,
-    sum_of_products,
+    homogenized_sums,
 )
 
 
@@ -133,6 +140,40 @@ def prime_polys(max_terms=12, max_exp=4):
 chunk_sizes = st.sampled_from((1, 7, poly._FAST_CHUNK_PAIRS))
 
 
+@st.composite
+def homogenized_cases(draw):
+    """Terms (n, d, (factor, exponent) pairs), a degree and coefficient
+    vectors; d is sometimes 1, coefficients need not be reduced mod 11,
+    and the zero vector is always among the vectors."""
+    one = SparsePoly.const(VARS3, DOM11, 1)
+    small = prime_polys(max_terms=5, max_exp=3)
+    factors = st.lists(st.tuples(small, st.integers(1, 3)), max_size=2)
+    deg = draw(st.integers(0, 3))
+    terms = draw(
+        st.lists(
+            st.tuples(small, st.one_of(st.just(one), small), factors.map(tuple)),
+            max_size=3,
+        )
+    )
+    vector = st.tuples(*(st.integers(-12, 24) for _ in range(deg + 1)))
+    vectors = draw(st.lists(vector, min_size=1, max_size=3))
+    return terms, deg, vectors + [(0,) * (deg + 1)]
+
+
+def homogenized_reference(terms, deg, w, variables, domain):
+    """Sum over terms of sum_j w_j n^j d^(deg-j) * prod f^k, from
+    schoolbook products and SparsePoly addition."""
+    total = SparsePoly.zero(variables, domain)
+    for n, d, factors in terms:
+        for j, wj in enumerate(w):
+            part = SparsePoly.const(variables, domain, wj)
+            powers = [f for f, k in factors for _ in range(k)]
+            for f in [n] * j + [d] * (deg - j) + powers:
+                part = _mul_schoolbook(part, f)
+            total = total + part
+    return total
+
+
 class TestPackedKernel:
     """The packed GF(p) kernel against the schoolbook reference."""
 
@@ -143,19 +184,26 @@ class TestPackedKernel:
             mp.setattr(poly, "_FAST_CHUNK_PAIRS", chunk)
             assert _mul_prime_fast(a, b) == _mul_schoolbook(a, b)
 
-    @given(prime_polys(), prime_polys(), prime_polys(), prime_polys(), chunk_sizes)
-    @settings(max_examples=60, deadline=None)
-    def test_sum_of_products_matches_schoolbook(self, a, b, c, d, chunk):
-        expected = a + _mul_schoolbook(_mul_schoolbook(b, c), d) - a
+    @given(homogenized_cases(), st.booleans(), chunk_sizes)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_homogenized_sums_match_reference(self, case, cancel, chunk):
+        terms, deg, vectors = case
+        if cancel:  # every term meets its negative: each sum is zero
+            minus_one = SparsePoly.const(VARS3, DOM11, -1)
+            terms = terms + [(n, d, ((minus_one, 1), *fs)) for n, d, fs in terms]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(poly, "_FAST_CHUNK_PAIRS", chunk)
-            got = sum_of_products([(a,), (b, c, d), (-a,)], VARS3, DOM11)
-        assert got == expected
+            got = homogenized_sums(terms, deg, iter(vectors), VARS3, DOM11)
+        assert len(got) == len(vectors)
+        for w, sum_w in zip(vectors, got):
+            assert sum_w == homogenized_reference(terms, deg, w, VARS3, DOM11)
+            assert not cancel or sum_w.is_zero()
 
     def test_cancellation_leaves_the_zero_polynomial(self):
         x, y = (SparsePoly.variable(v, VARS3, DOM11) for v in ("x", "y"))
         f = (x + y) ** 3
-        assert sum_of_products([(f, x - y), (-f, x), (f, y)], VARS3, DOM11).is_zero()
+        terms = [(x - y, x, ((f, 1),)), (x, x, ((-f, 1),)), (y, x, ((f, 1),))]
+        assert homogenized_sums(terms, 2, [(0, 1, 0)], VARS3, DOM11)[0].is_zero()
 
     def test_cancellation_across_chunks(self, monkeypatch):
         # with one row per chunk, the x*y terms of (x + y)(x - y) come from
@@ -169,8 +217,10 @@ class TestPackedKernel:
         f = SparsePoly(VARS3, DOM11, {(1, 2, 0): 4, (0, 0, 5): 10})
         assert _mul_prime_fast(three, three) == SparsePoly.const(VARS3, DOM11, 9)
         assert _mul_prime_fast(three, f) == f.scale(3)
+        one = SparsePoly.const(VARS3, DOM11, 1)
         twelve = SparsePoly.const(VARS3, DOM11, 12)
-        assert sum_of_products([(three,), (three, three)], VARS3, DOM11) == twelve
+        terms = [(three, one, ()), (three, one, ((three, 1),))]
+        assert homogenized_sums(terms, 1, [(0, 1)], VARS3, DOM11) == [twelve]
 
     def test_exponents_at_the_radix_bound(self):
         # every variable reaches degf + degg, the largest exponent its
@@ -180,9 +230,12 @@ class TestPackedKernel:
         product = _mul_prime_fast(f, g)
         assert product == _mul_schoolbook(f, g)
         assert (7, 3, 7) in product.terms and (3, 7, 3) in product.terms
-        assert sum_of_products([(f, g, g)], VARS3, DOM11) == _mul_schoolbook(
-            _mul_schoolbook(f, g), g
-        )
+        # n^2 * g^2 reaches 2 * 4 + 2 * 3 in every variable, the radix bound
+        one = SparsePoly.const(VARS3, DOM11, 1)
+        terms = [(f, one, ((g, 2),))]
+        (got,) = homogenized_sums(terms, 2, [(0, 0, 1)], VARS3, DOM11)
+        assert got == _mul_schoolbook(_mul_schoolbook(f, f), _mul_schoolbook(g, g))
+        assert (14, 6, 14) in got.terms and (6, 14, 6) in got.terms
 
 
 class TestPrimeBound:
@@ -207,7 +260,6 @@ class TestPrimeBound:
         f, g = self.operands(p)
         expected = _mul_schoolbook(f, g)
         assert f * g == expected
-        assert sum_of_products([(f, g)], VARS, PrimeDomain(p)) == expected
 
     def test_packed_kernel_at_the_largest_allowed_prime(self):
         f, g = self.operands(2147483647)
@@ -218,10 +270,25 @@ class TestPrimeBound:
         with pytest.raises(BadParams):
             _mul_prime_fast(f, g)
 
+    def test_homogenized_sums_at_the_largest_allowed_prime(self):
+        p = 2147483647
+        f, g = self.operands(p)
+        terms = [(f, g, ((g, 1),)), (g, f, ())]
+        w = (p - 1, 0, p - 2)
+        got = homogenized_sums(terms, 2, [w], VARS, PrimeDomain(p))
+        assert got == [homogenized_reference(terms, 2, w, VARS, PrimeDomain(p))]
+
+    @pytest.mark.parametrize("domain", (PrimeDomain(2147483659), RationalDomain()))
+    def test_homogenized_sums_refuse_other_domains(self, domain):
+        x = SparsePoly.variable("x", VARS, domain)
+        with pytest.raises(BadParams):
+            homogenized_sums([(x, x, ())], 1, [(1, 1)], VARS, domain)
+
 
 class TestPackingOverflow:
-    """Operands whose packed keys would pass 2^62 take the schoolbook
-    product instead of failing."""
+    """A single product whose packed keys would pass 2^62 takes the
+    schoolbook product instead of failing; homogenized_sums, which has no
+    dict path, refuses such operands."""
 
     @staticmethod
     def operands():
@@ -243,7 +310,7 @@ class TestPackingOverflow:
         f, g = self.operands()
         assert f * g == _mul_schoolbook(f, g)
 
-    def test_chain_matches_schoolbook(self):
+    def test_homogenized_sums_refuse_the_overflow(self):
         f, g = self.operands()
-        expected = _mul_schoolbook(_mul_schoolbook(f, g), f)
-        assert sum_of_products([(f, g, f)], VARS3, DOM7) == expected
+        with pytest.raises(SizeExceeded):
+            homogenized_sums([(f, g, ((f, 1),))], 1, [(0, 1)], VARS3, DOM7)

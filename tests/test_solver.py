@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finpolylog import build, characterize, kernels_equal, lemma417_sequence, lhat_apply
-from finpolylog import solver
+from finpolylog import poly, solver
+from finpolylog.cli import main
 from finpolylog.poly import PrimeDomain, SparsePoly
 from finpolylog.solver import (
     PRESETS,
@@ -183,6 +184,18 @@ class TestSharedDenominatorClearing:
         cols = equation_columns(s, p, p - 1)
         assert len(num.terms) == residual_terms
         assert num == substitute_into_columns(cols, polylog_vector(weight, p), p)
+
+
+class TestColumnSizeGuard:
+    """The columns are refused once their terms pass the cap: FEIT has
+    317,720 column terms at p=97."""
+
+    def test_cli_exits_2_without_traceback(self, monkeypatch, capsys):
+        monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", 10**5)
+        assert main(["solve", "--preset", "FEIT", "--p", "97"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert main(["solve", "--preset", "FEIT", "--p", "31"]) == 0
 
 
 class TestPresets:
