@@ -261,20 +261,19 @@ def group_check(
         if group_mul(g, gi, p, t) != ident or group_mul(gi, g, p, t) != ident:
             return CheckResult(False, 0, g, "inverse axiom")
 
-    arr = np.array(elements, dtype=np.int64)  # (n, 3)
+    arr = np.array(elements, dtype=np.int64).T  # (3, n): u, b, a rows
+    flat = t.ravel()
 
     def mul_vec(g1, g2):
-        """Products of two (k, 3) arrays of elements, row by row."""
-        u1, b1, a1 = g1.T
-        u2, b2, a2 = g2.T
+        """Products of elements given as (u, b, a) coordinate arrays."""
+        u1, b1, a1 = g1
+        u2, b2, a2 = g2
         ab = (a1 * b2) % p
-        return np.stack(
-            ((u1 + a1 * u2 + t[b1, ab]) % p, (b1 + ab) % p, (a1 * a2) % p), axis=1
-        )
+        return ((u1 + a1 * u2 + flat[b1 * p + ab]) % p, (b1 + ab) % p, (a1 * a2) % p)
 
     if exhaustive:
-        prod = mul_vec(np.repeat(arr, n, axis=0), np.tile(arr, (n, 1)))
-        cayley = ((prod[:, 0] * p + prod[:, 1]) * (p - 1) + prod[:, 2] - 1).reshape(n, n)
+        u, b, a = mul_vec(np.repeat(arr, n, axis=1), np.tile(arr, (1, n)))
+        cayley = ((u * p + b) * (p - 1) + a - 1).reshape(n, n)
         checked = 0
         for i, g1 in enumerate(elements):
             row = cayley[i]
@@ -293,16 +292,16 @@ def group_check(
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(samples, 3))
     for start in range(0, samples, _GROUP_SAMPLE_CHUNK):
-        g1, g2, g3 = (arr[c] for c in idx[start : start + _GROUP_SAMPLE_CHUNK].T)
-        left = mul_vec(mul_vec(g1, g2), g3)
-        right = mul_vec(g1, mul_vec(g2, g3))
-        bad = (left != right).any(axis=1)
+        g1, g2, g3 = (arr[:, c] for c in idx[start : start + _GROUP_SAMPLE_CHUNK].T)
+        lu, lb, la = mul_vec(mul_vec(g1, g2), g3)
+        ru, rb, ra = mul_vec(g1, mul_vec(g2, g3))
+        bad = (lu != ru) | (lb != rb) | (la != ra)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
             return CheckResult(
                 False,
                 start + i + 1,
-                tuple(tuple(int(v) for v in g[i]) for g in (g1, g2, g3)),
+                tuple(tuple(int(v) for v in g[:, i]) for g in (g1, g2, g3)),
                 "associativity (sampled)",
             )
     return CheckResult(True, samples)

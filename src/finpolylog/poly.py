@@ -17,9 +17,11 @@ Large products over GF(p) with p < 2^31 run on a private packed kernel: a
 polynomial becomes a sorted int64 array of Kronecker-packed exponent keys
 (one radix per variable) and an int64 array of residues.  Products are
 outer sums of keys and products of residues; equal keys merge through a
-stable argsort and an int64 ``np.add.reduceat``.  Below 2^31 a product of
-two residues is below 2^62 and is reduced before summing, so the kernel is
-exact; larger primes use the schoolbook product, and so do single products
+stable argsort and an int64 ``np.add.reduceat``.  A one-term operand
+needs no merge: it shifts the other operand's keys, which stay sorted and
+distinct, and scales its residues, which stay nonzero.  Below 2^31 a
+product of two residues is below 2^62 and is reduced before summing, so
+the kernel is exact; larger primes use the schoolbook product, and so do single products
 whose packed keys would not fit in int64.  Besides single products, the
 kernel has one more entry point, :func:`homogenized_sums`, which builds the
 cleared numerators of the twisted evaluator and of the solver's columns:
@@ -526,13 +528,11 @@ class _Kronecker:
         cols = []
         rem = keys
         for r in self.radices:
-            cols.append(rem % r)
+            cols.append((rem % r).tolist())
             rem = rem // r
-        if cols:
-            exps = np.stack(cols, axis=1)
-        else:
-            exps = np.empty((len(keys), 0), dtype=np.int64)
-        terms = dict(zip(map(tuple, exps.tolist()), vals.tolist()))
+        # with no variables, zip(*cols) would yield nothing for the one key
+        exps = zip(*cols) if cols else [()] * len(keys)
+        terms = dict(zip(exps, vals.tolist()))
         return SparsePoly(variables, domain, terms, copy=False)
 
 
@@ -569,12 +569,19 @@ def _packed_add(parts, p: int):
 
 def _packed_mul(a, b, p: int):
     """Product of packed polynomials: outer sums of keys and products of
-    values, formed in chunks of about ``_FAST_CHUNK_PAIRS`` pairs."""
+    values, formed in chunks of about ``_FAST_CHUNK_PAIRS`` pairs.  A
+    one-term operand only shifts the other's keys and scales its values."""
     (ka, va), (kb, vb) = a, b
     if len(ka) > len(kb):
         ka, va, kb, vb = kb, vb, ka, va
     if not len(ka):
         return ka, va
+    if len(ka) == 1:
+        # a shift keeps the keys sorted and distinct, and a product of
+        # nonzero residues mod a prime is nonzero: nothing to merge
+        if len(kb) > DEFAULT_TERM_CAP:
+            raise SizeExceeded("fast multiply result exceeds term cap")
+        return kb + ka, vb * va % p
     chunk = max(1, _FAST_CHUNK_PAIRS // max(1, len(kb)))
     parts = []
     for start in range(0, len(ka), chunk):

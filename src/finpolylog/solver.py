@@ -44,21 +44,19 @@ def equation_columns(s: FormalSum, p: int, deg: int | None = None) -> list:
 
 
 def columns_matrix(cols, p: int) -> np.ndarray:
-    """Stack the column polynomials into a dense (monomials x ncols) matrix."""
-    index = {}
-    rows = []
-    mat_entries = []
+    """Stack the column polynomials into a dense (monomials x ncols) matrix.
+
+    Rows are the monomials of all columns, by total degree, then exponents.
+    """
+    keys, js, vals = [], [], []
     for j, poly in enumerate(cols):
-        for exps, coeff in poly.terms.items():
-            if exps not in index:
-                index[exps] = len(rows)
-                rows.append(exps)
-            mat_entries.append((index[exps], j, coeff % p))
-    order = sorted(range(len(rows)), key=lambda i: (sum(rows[i]), rows[i]))
-    rank_of = {old: new for new, old in enumerate(order)}
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for r, j, v in mat_entries:
-        mat[rank_of[r], j] = v
+        terms = poly.terms
+        keys += terms
+        js += [j] * len(terms)
+        vals += terms.values()
+    index = {e: i for i, e in enumerate(sorted(set(keys), key=lambda e: (sum(e), e)))}
+    mat = np.zeros((len(index), len(cols)), dtype=np.int64)
+    mat[[index[e] for e in keys], js] = np.array(vals) % p
     return mat
 
 

@@ -1,7 +1,8 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finpolylog import (
     BadParams,
@@ -136,8 +137,27 @@ def prime_polys(max_terms=12, max_exp=4):
     )
 
 
+def one_term_polys(max_exp=4):
+    """Single terms, the constants (all exponents 0) among them."""
+    exps = st.tuples(*(st.integers(0, max_exp) for _ in VARS3))
+    const = st.just((0,) * len(VARS3))
+    term = st.tuples(st.one_of(const, exps), st.integers(1, 10))
+    return term.map(lambda t: SparsePoly(VARS3, DOM11, {t[0]: t[1]}))
+
+
+# Multiplication operands: general, one-term and empty.
+mul_operands = st.one_of(
+    prime_polys(), one_term_polys(), st.just(SparsePoly.zero(VARS3, DOM11))
+)
+
 # Row-chunk sizes: one row per chunk, a few rows, everything at once.
 chunk_sizes = st.sampled_from((1, 7, poly._FAST_CHUNK_PAIRS))
+
+MONOMIAL = SparsePoly(VARS3, DOM11, {(2, 0, 3): 7})
+SEVEN = SparsePoly.const(VARS3, DOM11, 7)
+SPREAD = SparsePoly(
+    VARS3, DOM11, {(0, 0, 0): 1, (4, 1, 0): 10, (1, 3, 4): 5, (0, 2, 1): 3}
+)
 
 
 @st.composite
@@ -177,7 +197,14 @@ def homogenized_reference(terms, deg, w, variables, domain):
 class TestPackedKernel:
     """The packed GF(p) kernel against the schoolbook reference."""
 
-    @given(prime_polys(), prime_polys(), chunk_sizes)
+    @given(mul_operands, mul_operands, chunk_sizes)
+    @example(MONOMIAL, SPREAD, 1)
+    @example(SPREAD, MONOMIAL, 7)
+    @example(SEVEN, SPREAD, 1)
+    @example(SPREAD, SEVEN, 7)
+    @example(MONOMIAL, SEVEN, 1)
+    @example(MONOMIAL, SparsePoly.zero(VARS3, DOM11), 1)
+    @example(SparsePoly.zero(VARS3, DOM11), SPREAD, 1)
     @settings(max_examples=80, deadline=None)
     def test_multiply_matches_schoolbook(self, a, b, chunk):
         with pytest.MonkeyPatch.context() as mp:
@@ -222,6 +249,44 @@ class TestPackedKernel:
         terms = [(three, one, ()), (three, one, ((three, 1),))]
         assert homogenized_sums(terms, 1, [(0, 1)], VARS3, DOM11) == [twelve]
 
+    @pytest.mark.parametrize(
+        "a, b", ((MONOMIAL, SPREAD), (SPREAD, SEVEN), (SEVEN, MONOMIAL))
+    )
+    def test_one_term_products_need_no_merge(self, a, b, monkeypatch):
+        def no_merge(*args):
+            raise AssertionError("a one-term product merged")
+
+        monkeypatch.setattr(poly, "_packed_merge", no_merge)
+        assert _mul_prime_fast(a, b) == _mul_schoolbook(a, b)
+
+    def test_term_cap_on_products(self, monkeypatch):
+        # a one-term product is refused past the cap, as the general one is
+        def packed(n, step=1):
+            return np.arange(n) * step, np.ones(n, dtype=np.int64)
+
+        monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", 6)
+        for a, b in ((packed(1), packed(6)), (packed(2, 100), packed(3))):
+            assert len(poly._packed_mul(a, b, 11)[0]) == 6
+        for a, b in (
+            (packed(1), packed(7)),
+            (packed(7), packed(1)),
+            (packed(2, 100), packed(4)),
+        ):
+            with pytest.raises(SizeExceeded):
+                poly._packed_mul(a, b, 11)
+
+    def test_unpack_edge_cases(self):
+        empty = np.zeros(0, dtype=np.int64)
+        kron = poly._Kronecker([3, 4, 5])
+        assert kron.unpack(empty, empty, VARS3, DOM11) == SparsePoly.zero(VARS3, DOM11)
+        # with no variables the one monomial is the empty tuple, packed as 0
+        none = poly._Kronecker([])
+        assert none.unpack(empty, empty, (), DOM11) == SparsePoly.zero((), DOM11)
+        got = none.unpack(np.zeros(1, dtype=np.int64), np.array([5]), (), DOM11)
+        assert got.terms == {(): 5}
+        three, four = (SparsePoly.const((), DOM11, c) for c in (3, 4))
+        assert _mul_prime_fast(three, four).terms == {(): 1}
+
     def test_exponents_at_the_radix_bound(self):
         # every variable reaches degf + degg, the largest exponent its
         # radix can hold; a wrong radix would carry into the next variable
@@ -262,8 +327,13 @@ class TestPrimeBound:
         assert f * g == expected
 
     def test_packed_kernel_at_the_largest_allowed_prime(self):
-        f, g = self.operands(2147483647)
-        assert _mul_prime_fast(f, g) == _mul_schoolbook(f, g)
+        p = 2147483647
+        f, g = self.operands(p)
+        dom = PrimeDomain(p)
+        monomial = SparsePoly(VARS, dom, {(3, 5): p - 1})
+        const = SparsePoly.const(VARS, dom, p - 2)
+        for a, b in ((f, g), (monomial, f), (f, const), (monomial, const)):
+            assert _mul_prime_fast(a, b) == _mul_schoolbook(a, b)
 
     def test_packed_kernel_refuses_larger_primes(self):
         f, g = self.operands(4294967311)

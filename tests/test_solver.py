@@ -16,6 +16,7 @@ from finpolylog.solver import (
     basis_residuals,
     in_span,
     polylog_vector,
+    preset_degree,
     substitute_into_columns,
     tau_family_rank,
     tau_satisfies_three_term,
@@ -157,6 +158,56 @@ class TestEquationColumns:
         p = 7
         mat = columns_matrix(equation_columns(build("feit", p), p), p)
         assert mat.shape[1] == p  # unknowns a_0..a_{p-1}
+
+
+def columns_matrix_oracle(cols, p):
+    """Dense matrix of the columns, one scalar store per entry; rows are
+    the monomials by total degree, then exponents."""
+    index = {}
+    rows = []
+    mat_entries = []
+    for j, col in enumerate(cols):
+        for exps, coeff in col.terms.items():
+            if exps not in index:
+                index[exps] = len(rows)
+                rows.append(exps)
+            mat_entries.append((index[exps], j, coeff % p))
+    order = sorted(range(len(rows)), key=lambda i: (sum(rows[i]), rows[i]))
+    rank_of = {old: new for new, old in enumerate(order)}
+    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for r, j, v in mat_entries:
+        mat[rank_of[r], j] = v
+    return mat
+
+
+class TestColumnsMatrix:
+    @staticmethod
+    def assert_matches_oracle(cols, p):
+        got, want = columns_matrix(cols, p), columns_matrix_oracle(cols, p)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("p", (5, 7, 11))
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_preset_columns(self, preset, p):
+        deg = preset_degree(preset, p)
+        for eq_id, params in PRESETS[preset]["constraints"]:
+            cols = equation_columns(build(eq_id, p, **params), p, deg)
+            self.assert_matches_oracle(cols, p)
+
+    def test_hand_made_columns(self):
+        p, dom = 7, PrimeDomain(10007)  # coefficients up to 10006
+        variables = ("x", "y")
+        cols = [
+            SparsePoly(variables, dom, {(2, 0): 9, (0, 0): 10006}),
+            SparsePoly.zero(variables, dom),
+            # monomials first seen here sort before and between earlier ones
+            SparsePoly(variables, dom, {(0, 3): 7, (1, 0): 14, (2, 0): 1, (1, 1): 700}),
+            SparsePoly(variables, dom, {(0, 0): 6, (0, 3): 8}),
+        ]
+        self.assert_matches_oracle(cols, p)
+        self.assert_matches_oracle(cols[1:2], p)
+        self.assert_matches_oracle([], p)
 
 
 class TestSharedDenominatorClearing:
