@@ -788,7 +788,9 @@ def verify_weak(
     in ``itertools.product`` order over the elements by index, or the
     sample drawn by ``random.Random(seed).randrange(p)``, one coordinate
     per draw.  They go to :func:`~finpolylog.finlog.lhat_eval_grid` in
-    chunks of ``_WEAK_CHUNK``, over GF(p) and GF(p^e) alike.  The run stops
+    chunks of ``_WEAK_CHUNK``, over GF(p) and GF(p^e) alike, with the
+    number of points of the whole run, so that a run of fewer than p
+    points never builds the table of all p polylog values.  The run stops
     at the first admissible point with a nonzero value, which is the
     counterexample (an int per variable over GF(p), a coordinate list over
     GF(p^e)), re-checked by :func:`~finpolylog.finlog.lhat_eval`;
@@ -801,8 +803,9 @@ def verify_weak(
     m = s.weight if weight is None else weight
     checked = 0
     skipped = 0
+    points = min(fld.q ** len(s.variables), budget)
     for cols in _iter_grid_chunks(len(s.variables), fld, budget, seed):
-        mask, values = lhat_eval_grid(m, s, cols, fld)
+        mask, values = lhat_eval_grid(m, s, cols, fld, points)
         failing = np.flatnonzero(values.any(axis=0))
         if failing.size:
             j = int(failing[0])
@@ -836,7 +839,7 @@ def admissible_points(s: FormalSum, fld, budget: int = DEFAULT_WEAK_BUDGET):
         raise SizeExceeded(f"{total} points exceed budget {budget}")
     points = []
     for cols in _iter_grid_chunks(len(s.variables), fld, budget, 0):
-        mask, _values = lhat_eval_grid(s.weight, s, cols, fld)
+        mask, _values = lhat_eval_grid(s.weight, s, cols, fld, total)
         for coords in cols[:, :, mask].transpose(2, 0, 1).tolist():
             points.append(dict(zip(s.variables, map(fld.element, coords))))
     return len(points), iter(points)

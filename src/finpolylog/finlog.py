@@ -110,7 +110,7 @@ def _grid_field(fld) -> FieldDescriptor:
     return fld
 
 
-def lhat_eval_grid(m: int, s: FormalSum, cols, fld):
+def lhat_eval_grid(m: int, s: FormalSum, cols, fld, points: int | None = None):
     """Twisted evaluation of ``s`` at a batch of points of a finite field.
 
     ``fld`` is a :class:`FieldDescriptor` or a prime p (GF(p)), with
@@ -133,9 +133,12 @@ def lhat_eval_grid(m: int, s: FormalSum, cols, fld):
     that variable; denominator factors are inverted as their (q-2)-th power at
     the admissible points only, and coefficients are raised to the p-th
     power (over GF(p) that is the identity, c^p = c, and is skipped).  The
-    polylog is a lookup in :func:`_ltilde_prime_table` over GF(p) and
-    Horner's rule over :func:`_inv_power_table` over GF(p^e).  Raises
-    DomainMismatch unless every term is over GF(p).
+    polylog is Horner's rule over :func:`_inv_power_table`, p - 1 steps for
+    the whole batch.  Over GF(p) it is a lookup in
+    :func:`_ltilde_prime_table` instead, which takes p such steps once per
+    process, unless ``points`` (the number of points of the whole check,
+    by default this batch's) is below p.  Raises DomainMismatch unless
+    every term is over GF(p).
     """
     fld = _grid_field(fld)
     p, e, modulus = fld.p, fld.e, fld.modulus
@@ -149,6 +152,8 @@ def lhat_eval_grid(m: int, s: FormalSum, cols, fld):
     if cols.shape[1] != e:
         raise BadParams(f"points of GF({p}^{e}) need {e} coordinates")
     n = cols.shape[2]
+    if points is None:
+        points = n
     one = np.zeros((e, 1), dtype=np.int64)
     one[0] = 1
 
@@ -202,7 +207,7 @@ def lhat_eval_grid(m: int, s: FormalSum, cols, fld):
                 val = mul(val, _power(inverses[fac.serialize()], mult, mul, one))
             return val
 
-        if e == 1:
+        if e == 1 and points >= p:
             table = np.asarray(_ltilde_prime_table(m, p), dtype=np.int64)
 
             def polylog(xv):

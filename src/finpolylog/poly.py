@@ -26,8 +26,11 @@ whose packed keys would not fit in int64.  Besides single products, the
 kernel has one more entry point, :func:`homogenized_sums`, which builds the
 cleared numerators of the twisted evaluator and of the solver's columns:
 its inputs are packed once, and powers, products and sums stay packed
-until one unpack per result.  Storage stays dict-based: most products in
-the package are small, and pointwise evaluation walks the terms.
+until one unpack per result.  Terms that share a factor power are summed
+before it is multiplied on, so each shared power meets one product per
+group of terms, not one per term.  Storage stays dict-based: most
+products in the package are small, and pointwise evaluation walks the
+terms.
 """
 
 from fractions import Fraction
@@ -615,6 +618,50 @@ def _mul_prime_fast(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     return kron.unpack(keys, vals, f.vars, f.domain)
 
 
+def _grouped_sum(items, powers, p: int):
+    """Sum over ``items`` (packed polynomial, factor keys) of the
+    polynomial times ``powers[key]`` for each of its keys, multiplying a
+    factor power shared by several items once, onto their sum.
+
+    The power picked is the one shared by the most items, ties going to
+    the power with more terms; its items are summed recursively without
+    it and the sum is multiplied by it once, and the other items are
+    summed recursively.  A one-term polynomial keeps its own products,
+    which only shift keys (see :func:`_packed_mul`), and a one-term power
+    is never picked, as multiplying it onto a sum costs what it costs on
+    the items.  Items left ungrouped multiply their powers in their given
+    order.
+    """
+    counts = {}
+    for acc, keys in items:
+        if len(acc[0]) > 1:
+            for key in dict.fromkeys(keys):
+                if len(powers[key][0]) > 1:
+                    counts[key] = counts.get(key, 0) + 1
+    best = max(
+        counts, key=lambda key: (counts[key], len(powers[key][0])), default=None
+    )
+    if best is None or counts[best] < 2:
+        parts = []
+        for acc, keys in items:
+            for key in keys:
+                acc = _packed_mul(acc, powers[key], p)
+            parts.append(acc)
+        return _packed_add(parts, p)
+    shared, rest = [], []
+    for acc, keys in items:
+        if len(acc[0]) > 1 and best in keys:
+            keys = list(keys)
+            keys.remove(best)
+            shared.append((acc, keys))
+        else:
+            rest.append((acc, keys))
+    parts = [_packed_mul(_grouped_sum(shared, powers, p), powers[best], p)]
+    if rest:
+        parts.append(_grouped_sum(rest, powers, p))
+    return _packed_add(parts, p)
+
+
 def homogenized_sums(terms, deg: int, vectors, variables, domain) -> list:
     """Sums over ``terms`` of homogenized polynomials times factor powers,
     one per coefficient vector, over GF(p) with p < 2^31 (BadParams
@@ -623,8 +670,11 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> list:
     ``terms`` holds triples ``(n, d, factors)``: SparsePoly n and d, and
     (SparsePoly f, exponent k) pairs.  For each w = (w_0, ..., w_deg) in
     ``vectors``, the result is the sum over the terms of
-    (sum_j w_j n^j d^(deg-j)) * prod f^k, the factors multiplied onto the
-    homogenized part in their given order.  Every polynomial is packed
+    (sum_j w_j n^j d^(deg-j)) * prod f^k.  A factor power (the same f
+    object with the same k) that several terms share is multiplied once,
+    onto the sum of their homogenized parts, by :func:`_grouped_sum`;
+    the other factors are multiplied onto the homogenized part in their
+    given order.  Every polynomial is packed
     once, with per-variable radix max(deg * max(deg n, deg d) +
     sum k deg f) + 1 over the terms, and stays packed until one unpack
     per vector.  SizeExceeded is raised when the packed keys would not
@@ -678,14 +728,14 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> list:
         for _ in range(deg):
             for pows, base in ((n_pows, packed[id(n)]), (d_pows, packed[id(d)])):
                 pows.append(grow(pows[-1], base))
-        built.append((n_pows, d_pows[::-1], [powers[id(f), k] for f, k in factors]))
+        built.append((n_pows, d_pows[::-1], [(id(f), k) for f, k in factors]))
     sums = []
     total = 0
     for w in vectors:
         if len(w) != deg + 1:
             raise BadParams(f"need {deg + 1} coefficients, got {len(w)}")
-        parts = []
-        for n_pows, d_pows, fs in built:
+        items = []
+        for n_pows, d_pows, fkeys in built:
             # the parts are merged in once they outnumber the sum's terms,
             # so memory stays near the size of the sum, not of all parts
             acc, pending, size = _packed_add([], p), [], 0
@@ -697,11 +747,8 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> list:
                     size += len(keys)
                     if size > len(acc[0]):
                         acc, pending, size = _packed_add([acc, *pending], p), [], 0
-            acc = _packed_add([acc, *pending], p)
-            for f in fs:
-                acc = _packed_mul(acc, f, p)
-            parts.append(acc)
-        keys, vals = _packed_add(parts, p)
+            items.append((_packed_add([acc, *pending], p), fkeys))
+        keys, vals = _grouped_sum(items, powers, p)
         total += len(keys)
         if total > DEFAULT_TERM_CAP:
             raise SizeExceeded(

@@ -377,8 +377,8 @@ class TestInt64Limit:
 
 
 class TestStrongImpliesExhaustiveWeak:
-    # derived_goncharov's strong check takes about 10 s at p=7; its weak
-    # verdict there is still compared with the per-point loop above
+    # every twisted entry at every small prime, derived_goncharov at p=7
+    # (the slowest strong check here, about 2 s) among them
     @pytest.mark.parametrize(
         "eq_id,p",
         [
@@ -386,7 +386,6 @@ class TestStrongImpliesExhaustiveWeak:
             for p in SMALL_PRIMES
             for eq_id in catalog_ids()
             if not entry_info(eq_id)["classical"]
-            and (eq_id, p) != ("derived_goncharov", 7)
         ],
     )
     def test_strong_verdict_implies_weak(self, eq_id, p):

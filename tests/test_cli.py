@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,6 +58,16 @@ class TestReports:
         assert code == 1
         assert report["summary"]["failed"] == 1
         assert "reproduce" in report["records"][0]
+
+    def test_sampled_weak_check_at_a_large_prime(self, capsys):
+        # ten points need no table of all 30011 polylog values
+        argv = ["verify", "--eq", "two_term", "--p", "30011", "--mode", "weak",
+                "--budget", "10"]
+        start = time.perf_counter()
+        code, report = run_json(argv, capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert report["records"][0]["points_checked"] == 10
 
     def test_determinism(self, capsys):
         argv = ["verify", "--eq", "two_term,feit", "--p", "5,7", "--mode", "both"]

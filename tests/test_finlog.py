@@ -127,6 +127,23 @@ class TestTwistedEvaluator:
             else:
                 assert mask[j] and tuple(values[:, j].tolist()) == expected.coords
 
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    def test_horner_route_matches_the_table_at_every_point(self, p):
+        # a check of fewer than p points skips the table; both routes give
+        # the same value at every point of GF(p), for every weight
+        dom = PrimeDomain(p)
+        t = RatFunc.variable("T", ("T",), dom)
+        one = RatFunc.const(("T",), dom, 1)
+        cols = np.arange(p, dtype=np.int64)[None, :]
+        for m in range(1, p):
+            s = FormalSum(m, ((one, t), (t + 2, one / (t + 1))), ("T",))
+            mask, table = lhat_eval_grid(m, s, cols, p, points=p)
+            horner = lhat_eval_grid(m, s, cols, p, points=p - 1)
+            assert (horner[0] == mask).all() and (horner[1] == table).all()
+            plain = FormalSum(m, ((one, t),), ("T",))
+            values = lhat_eval_grid(m, plain, cols, p, points=1)[1]
+            assert values.tolist() == list(_ltilde_prime_table(m, p))
+
     def test_frobenius_twist_on_coefficients(self):
         # over GF(p^2) the coefficient c enters as c^p, detectable because
         # frobenius is nontrivial there

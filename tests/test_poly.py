@@ -163,18 +163,31 @@ SPREAD = SparsePoly(
 @st.composite
 def homogenized_cases(draw):
     """Terms (n, d, (factor, exponent) pairs), a degree and coefficient
-    vectors; d is sometimes 1, coefficients need not be reduced mod 11,
-    and the zero vector is always among the vectors."""
+    vectors; n is sometimes one term, d is sometimes 1, coefficients need
+    not be reduced mod 11, and the zero vector is always among the vectors.
+
+    Factors are fresh polynomials or objects of a small pool, so that one
+    factor appears in several terms, with equal or different exponents;
+    the first object of the pool is sometimes a factor of every term."""
     one = SparsePoly.const(VARS3, DOM11, 1)
     small = prime_polys(max_terms=5, max_exp=3)
-    factors = st.lists(st.tuples(small, st.integers(1, 3)), max_size=2)
+    pool = draw(st.lists(st.one_of(small, one_term_polys(3)), min_size=1, max_size=3))
+    exponents = st.integers(1, 3)
+    factor = st.tuples(st.one_of(small, st.sampled_from(pool)), exponents)
+    factors = st.lists(factor, max_size=3)
     deg = draw(st.integers(0, 3))
     terms = draw(
         st.lists(
-            st.tuples(small, st.one_of(st.just(one), small), factors.map(tuple)),
-            max_size=3,
+            st.tuples(
+                st.one_of(small, one_term_polys(3)),
+                st.one_of(st.just(one), small),
+                factors.map(tuple),
+            ),
+            max_size=4,
         )
     )
+    if draw(st.booleans()):
+        terms = [(n, d, (*fs, (pool[0], draw(exponents)))) for n, d, fs in terms]
     vector = st.tuples(*(st.integers(-12, 24) for _ in range(deg + 1)))
     vectors = draw(st.lists(vector, min_size=1, max_size=3))
     return terms, deg, vectors + [(0,) * (deg + 1)]
@@ -212,7 +225,7 @@ class TestPackedKernel:
             assert _mul_prime_fast(a, b) == _mul_schoolbook(a, b)
 
     @given(homogenized_cases(), st.booleans(), chunk_sizes)
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     def test_homogenized_sums_match_reference(self, case, cancel, chunk):
         terms, deg, vectors = case
         if cancel:  # every term meets its negative: each sum is zero
@@ -225,6 +238,31 @@ class TestPackedKernel:
         for w, sum_w in zip(vectors, got):
             assert sum_w == homogenized_reference(terms, deg, w, VARS3, DOM11)
             assert not cancel or sum_w.is_zero()
+
+    def test_a_shared_power_is_multiplied_once(self, monkeypatch):
+        # (x + y + z)^2 is the only 6-term operand: the three multi-term
+        # items share it and meet it in one product, onto their sum; the
+        # one-term item z^3 keeps its own product, which only shifts keys
+        x, y, z = (SparsePoly.variable(v, VARS3, DOM11) for v in VARS3)
+        one = SparsePoly.const(VARS3, DOM11, 1)
+        f = x + y + z
+        shared = ((f, 2),)
+        terms = [(x + one, one, shared), (y + 2, one, shared), (z + 3, one, shared)]
+        mul = poly._packed_mul
+        calls = []
+
+        def counting(a, b, p):
+            calls.append(6 in (len(a[0]), len(b[0])))
+            return mul(a, b, p)
+
+        monkeypatch.setattr(poly, "_packed_mul", counting)
+        for extra, products in (([], 1), ([(z * z * z, one, shared)], 2)):
+            calls.clear()
+            (got,) = homogenized_sums(terms + extra, 1, [(0, 1)], VARS3, DOM11)
+            assert sum(calls) == products
+            assert got == homogenized_reference(
+                terms + extra, 1, (0, 1), VARS3, DOM11
+            )
 
     def test_cancellation_leaves_the_zero_polynomial(self):
         x, y = (SparsePoly.variable(v, VARS3, DOM11) for v in ("x", "y"))
