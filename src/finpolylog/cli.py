@@ -355,7 +355,7 @@ def cmd_cocycle(args, report: Report) -> None:
             elif name == "eqC":
                 rec.update(_cocycle.check_equation_C(p).as_dict())
             elif name == "group":
-                rec.update(_cocycle.group_check(p, seed=args.seed).as_dict())
+                rec.update(_cocycle.group_check(p).as_dict())
             elif name == "coboundary":
                 result = _cocycle.coboundary_solve(p)
                 rec["consistent"] = result["consistent"]

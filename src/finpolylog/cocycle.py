@@ -5,6 +5,12 @@ GF(p).  The symmetric function phi(x, y) = (x+y) H(x/(x+y)) is a
 2-cocycle for the additive group, is not a coboundary, and defines a
 central extension of the affine group of the line.  The same H computes
 the entropy of rational probability distributions reduced mod p.
+
+The extension group's axioms are checked exactly without listing its
+p^2 (p-1) elements: identity and inverse reduce to t[b, 0] = t[0, b] =
+t[b, -b] = 0 on the table t of phi, and associativity to
+t[b1, a1 b2] + t[b1 + a1 b2, a1 c] = a1 t[b2, c] + t[b1, a1 b2 + a1 c]
+over b1, b2, c in GF(p) and a1 != 0 (see :func:`group_check`).
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from .errors import (
     NoAdmissibleOrdering,
     ZeroInverse,
 )
-from .finlog import _ltilde_prime_table
 from .poly import PrimeDomain
 
 EXHAUSTIVE_COCYCLE_LIMIT = 101
@@ -31,8 +36,15 @@ DEFAULT_PERMUTATION_BUDGET = 5040
 
 
 def H(x: int, p: int) -> int:
-    """H(x) = sum_{k=1}^{p-1} x^k / k, the weight-1 finite polylog."""
-    return _ltilde_prime_table(1, p)[x % p]
+    """H(x) = sum_{k=1}^{p-1} x^k / k, the weight-1 finite polylog.
+
+    Computed in O(log p) through the Witt form H(x) = (1 - x^p - (1-x)^p)/p
+    mod p: that numerator is an integer multiple of p, so its residue mod
+    p^2, divided by p, is H(x).
+    """
+    m = p * p
+    x %= p
+    return (1 - pow(x, p, m) - pow(1 - x, p, m)) % m // p
 
 
 def phi(x: int, y: int, p: int) -> int:
@@ -54,7 +66,7 @@ def phi_table(p: int) -> np.ndarray:
 
 @dataclass
 class CheckResult:
-    """Outcome of an exhaustive or sampled appendix check."""
+    """Outcome of an appendix check."""
 
     holds: bool
     checked: int
@@ -147,6 +159,8 @@ def coboundary_solve(p: int, table: np.ndarray | None = None) -> dict:
     the certificate (multiplier 1 on it, the only such combination);
     otherwise psi comes from the RREF of the pivot rows, free variables 0.
     """
+    if p > EXHAUSTIVE_COCYCLE_LIMIT:
+        raise BudgetExceeded(f"coboundary system capped at p <= {EXHAUSTIVE_COCYCLE_LIMIT}")
     t = phi_table(p) if table is None else table
     pairs = [(x, y) for x in range(p) for y in range(p)]
     a = np.zeros((len(pairs), p), dtype=np.int64)
@@ -217,94 +231,61 @@ def group_inverse(g, p: int):
     return ((-ainv * u) % p, (-ainv * b) % p, ainv)
 
 
-def _group_elements(p: int):
-    return [
-        (u, b, a) for u in range(p) for b in range(p) for a in range(1, p)
-    ]
+def group_check(p: int, table: np.ndarray | None = None) -> CheckResult:
+    """Identity, inverse and associativity axioms for the extension group.
 
+    Exact, and no group element is listed: each axiom reduces to an
+    identity on the table t of phi, read off :func:`group_mul`.
 
-_GROUP_SAMPLE_CHUNK = 2**16
+    - Identity: g e and e g differ from g only by t[b, 0] and t[0, b].
+    - Inverse: g g^-1 and g^-1 g reduce to t[b, -b] and t[c, -c], with
+      c = -b/a.
+    - Associativity: (g1 g2) g3 and g1 (g2 g3) always agree in b and a.
+      In u the u-terms and a3 cancel, and a2 enters only through
+      c = a2 b3, a bijection in b3.  So the axiom holds iff
+      t[b1, a1 b2] + t[b1 + a1 b2, a1 c] = a1 t[b2, c] + t[b1, a1 b2 + a1 c]
+      for all b1, b2, c in GF(p) and a1 != 0: p^3 (p-1) tuples, each
+      standing for the p^3 (p-1)^2 triples with those b1, a1, b2, c.
 
-
-def group_check(
-    p: int,
-    exhaustive: bool | None = None,
-    samples: int = 10**6,
-    seed: int = 0,
-    table: np.ndarray | None = None,
-) -> CheckResult:
-    """Associativity, identity, and inverse axioms for the extension group.
-
-    Exhaustive by default for p <= 7: the Cayley table M of the n
-    elements is computed once, as element indices in the order of
-    ``_group_elements`` (index (u*p + b)*(p-1) + a - 1), and for each g1
-    = element i the n x n table M[M[i]] of (g1 g_j) g_k is compared with
-    M[i][M], the table of g1 (g_j g_k); ``checked`` grows by n^2 per g1,
-    and the first bad (j, k) in row-major order is reported.  Otherwise
-    ``samples`` triples are drawn with a fixed seed, all at once, and
-    their products are compared in chunks of ``_GROUP_SAMPLE_CHUNK``,
-    stopping at the first chunk that holds a bad triple; a failure
-    reports the first bad sample and counts the samples up to it.
+    The axioms are checked in that order.  An identity or inverse failure
+    reports the element (0, b, 1) of the first b that breaks either, with
+    ``checked`` 0.  Associativity is evaluated one b1 at a time over
+    (a1, b2, c) arrays; ``checked`` is the 1-based position of the first
+    failing tuple in lexicographic (b1, a1, b2, c) order, p^3 (p-1) on a
+    pass, and the counterexample is the triple ((0, b1, a1), (0, b2, 1),
+    (0, c, 1)).
     """
-    t = phi_table(p) if table is None else table
-    if exhaustive is None:
-        exhaustive = p <= 7
-    if not exhaustive and samples < 1:
-        raise BadParams(f"sampled group check needs samples >= 1, got {samples}")
-    elements = _group_elements(p)
-    n = len(elements)
-    ident = (0, 0, 1)
-    for g in elements:
-        if group_mul(g, ident, p, t) != g or group_mul(ident, g, p, t) != g:
-            return CheckResult(False, 0, g, "identity axiom")
-        gi = group_inverse(g, p)
-        if group_mul(g, gi, p, t) != ident or group_mul(gi, g, p, t) != ident:
-            return CheckResult(False, 0, g, "inverse axiom")
+    if p > EXHAUSTIVE_COCYCLE_LIMIT:
+        raise BudgetExceeded(f"group check capped at p <= {EXHAUSTIVE_COCYCLE_LIMIT}")
+    t = (phi_table(p) if table is None else table) % p
+    idx = np.arange(p, dtype=np.int64)
+    neg = -idx % p
+    identity_bad = (t[:, 0] != 0) | (t[0, :] != 0)
+    bad = np.flatnonzero(identity_bad | (t[idx, neg] != 0) | (t[neg, idx] != 0))
+    if bad.size:
+        b = int(bad[0])
+        detail = "identity axiom" if identity_bad[b] else "inverse axiom"
+        return CheckResult(False, 0, (0, b, 1), detail)
 
-    arr = np.array(elements, dtype=np.int64).T  # (3, n): u, b, a rows
-    flat = t.ravel()
-
-    def mul_vec(g1, g2):
-        """Products of elements given as (u, b, a) coordinate arrays."""
-        u1, b1, a1 = g1
-        u2, b2, a2 = g2
-        ab = (a1 * b2) % p
-        return ((u1 + a1 * u2 + flat[b1 * p + ab]) % p, (b1 + ab) % p, (a1 * a2) % p)
-
-    if exhaustive:
-        u, b, a = mul_vec(np.repeat(arr, n, axis=1), np.tile(arr, (1, n)))
-        cayley = ((u * p + b) * (p - 1) + a - 1).reshape(n, n)
-        checked = 0
-        for i, g1 in enumerate(elements):
-            row = cayley[i]
-            bad = cayley[row] != row[cayley]
-            checked += n * n
-            if bad.any():
-                j, k = np.argwhere(bad)[0]
-                return CheckResult(
-                    False,
-                    checked,
-                    (g1, elements[j], elements[k]),
-                    "associativity",
-                )
-        return CheckResult(True, checked)
-
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(samples, 3))
-    for start in range(0, samples, _GROUP_SAMPLE_CHUNK):
-        g1, g2, g3 = (arr[:, c] for c in idx[start : start + _GROUP_SAMPLE_CHUNK].T)
-        lu, lb, la = mul_vec(mul_vec(g1, g2), g3)
-        ru, rb, ra = mul_vec(g1, mul_vec(g2, g3))
-        bad = (lu != ru) | (lb != rb) | (la != ra)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
+    a1 = idx[1:, None, None]
+    ab2 = a1 * idx[None, :, None] % p
+    ac = a1 * idx[None, None, :] % p
+    scaled = a1 * t[None, :, :]
+    right_sum = (ab2 + ac) % p
+    block = (p - 1) * p * p
+    for b1 in range(p):
+        row = t[b1]
+        diff = (row[ab2] + t[(b1 + ab2) % p, ac] - scaled - row[right_sum]) % p
+        if diff.any():
+            i = int(np.flatnonzero(diff)[0])
+            k, b2, c = (int(v) for v in np.unravel_index(i, diff.shape))
             return CheckResult(
                 False,
-                start + i + 1,
-                tuple(tuple(int(v) for v in g[:, i]) for g in (g1, g2, g3)),
-                "associativity (sampled)",
+                b1 * block + i + 1,
+                ((0, b1, k + 1), (0, b2, 1), (0, c, 1)),
+                "associativity",
             )
-    return CheckResult(True, samples)
+    return CheckResult(True, p * block)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +316,7 @@ def reduce_distribution(probs, p: int):
     return out
 
 
-def _entropy_of_residues(values, p: int, h) -> int | None:
+def _entropy_of_residues(values, p: int) -> int | None:
     """Recursive splitting; None if a partial sum hits 1 mod p."""
     total = 0  # running sum of consumed probabilities mod p
     acc = 0
@@ -345,7 +326,7 @@ def _entropy_of_residues(values, p: int, h) -> int | None:
         q = vals[0]
         rem = (1 - total) % p
         # entropy of the two-valued split (q/rem, 1 - q/rem), scaled back
-        acc = (acc + weight * h[(q * pow(rem, p - 2, p)) % p]) % p
+        acc = (acc + weight * H(q * pow(rem, p - 2, p), p)) % p
         total = (total + q) % p
         new_rem = (1 - total) % p
         if len(vals) > 2 and new_rem == 0:
@@ -368,10 +349,9 @@ def entropy_mod_p(
     mod p.  Raises NoAdmissibleOrdering when the budget is exhausted.
     """
     values = reduce_distribution(probs, p)
-    h = _ltilde_prime_table(1, p)
     if len(values) <= 1:
         return 0
-    first = _entropy_of_residues(values, p, h)
+    first = _entropy_of_residues(values, p)
     if first is not None:
         return first
     tried = 1
@@ -379,7 +359,7 @@ def entropy_mod_p(
         if tried >= permutation_budget:
             break
         tried += 1
-        res = _entropy_of_residues(list(perm), p, h)
+        res = _entropy_of_residues(list(perm), p)
         if res is not None:
             return res
     raise NoAdmissibleOrdering(
@@ -390,10 +370,9 @@ def entropy_mod_p(
 def all_ordering_values(probs, p: int):
     """Entropy values over every admissible ordering (for small k)."""
     values = reduce_distribution(probs, p)
-    h = _ltilde_prime_table(1, p)
     out = set()
     for perm in itertools.permutations(values):
-        res = _entropy_of_residues(list(perm), p, h)
+        res = _entropy_of_residues(list(perm), p)
         if res is not None:
             out.add(res)
     return out

@@ -26,16 +26,7 @@ MAX_ENUMERATED = 10**6
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test by trial division (small inputs only)."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _prime_divisors(n) == [n]
 
 
 def _power(base, n: int, mul, one):

@@ -174,6 +174,15 @@ class TestReports:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("check", ("group", "coboundary"))
+    def test_cocycle_tables_refused_beyond_their_limit(self, check, capsys):
+        start = time.perf_counter()
+        code = main(["cocycle", "--check", check, "--p", "1009"])
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
     def test_all_finite_at_three_leaves_out_weight_two(self, capsys):
         # at p=3 weight 2 = p-1, where L_2 is not a polylogarithm

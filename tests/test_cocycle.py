@@ -7,6 +7,7 @@ import pytest
 
 from finpolylog import (
     BadParams,
+    BudgetExceeded,
     NoAdmissibleOrdering,
     all_ordering_values,
     check_cocycle,
@@ -15,6 +16,7 @@ from finpolylog import (
     check_homogeneity,
     coboundary_solve,
     entropy_mod_p,
+    finite_polylog,
     group_check,
     group_inverse,
     group_mul,
@@ -26,7 +28,7 @@ from finpolylog import (
     verify_certificate,
 )
 from finpolylog import cocycle
-from finpolylog.cocycle import H, _group_elements
+from finpolylog.cocycle import H
 from finpolylog.fields import FieldDescriptor
 
 
@@ -43,6 +45,14 @@ class TestEntropyFunction:
         witt = l1_via_witt(p)
         for x in range(p):
             assert H(x, p) == int(witt.evaluate({"T": f.element(x)}))
+
+    @pytest.mark.parametrize("p", (5, 7, 11, 97))
+    def test_matches_the_defining_sum(self, p):
+        # finite_polylog(1, p) is sum_k T^k / k, coefficient by coefficient
+        f = FieldDescriptor(p)
+        poly = finite_polylog(1, p)
+        for x in range(p):
+            assert H(x, p) == int(poly.evaluate({"T": f.element(x)}))
 
 
 class TestCocycle:
@@ -227,13 +237,10 @@ class TestAgainstLoops:
         assert check_equation_C(p).as_dict() == equation_C_oracle(p)
 
 class TestExtensionGroup:
-    @pytest.mark.parametrize("p", (5, 7))
-    def test_axioms_exhaustive(self, p):
+    @pytest.mark.parametrize("p", (5, 7, 11))
+    def test_axioms_hold(self, p):
         r = group_check(p)
-        assert r.holds and r.checked == (p * p * (p - 1)) ** 3
-
-    def test_axioms_sampled(self):
-        assert group_check(11, exhaustive=False, samples=10**4).holds
+        assert r.holds and r.checked == p**3 * (p - 1)
 
     def test_inverse_formula(self):
         p = 7
@@ -247,80 +254,133 @@ class TestExtensionGroup:
         t[3, 2] = t[2, 3]
         assert not group_check(p, table=t).holds
 
+    @pytest.mark.parametrize(
+        "check", (group_check, coboundary_solve), ids=("group", "coboundary")
+    )
+    def test_refused_beyond_the_limit_before_any_table(self, check, monkeypatch):
+        def no_table(p):
+            raise AssertionError("phi_table built before the refusal")
+
+        monkeypatch.setattr(cocycle, "phi_table", no_table)
+        with pytest.raises(BudgetExceeded):
+            check(cocycle.EXHAUSTIVE_COCYCLE_LIMIT + 2)
+
 
 def mutated_table(p, x, y):
     """phi's table with one entry off by one: the identity and inverse
-    axioms still hold for x, y != 0, associativity does not."""
+    axioms still hold for x, y != 0 and x + y != 0, associativity does not."""
     t = phi_table(p).copy()
     t[x, y] = (t[x, y] + 1) % p
     return t
 
 
-def associativity_oracle(p, t, triples):
-    """First triple (in the given order) on which plain group_mul calls
-    disagree about associativity, with its 1-based position."""
-    for pos, (g1, g2, g3) in enumerate(triples, 1):
-        left = group_mul(group_mul(g1, g2, p, t), g3, p, t)
-        right = group_mul(g1, group_mul(g2, g3, p, t), p, t)
-        if left != right:
-            return pos, (g1, g2, g3)
-    return None
+def element_faults(p, t, g):
+    """The identity and inverse axioms that element g breaks for table t."""
+    ident = (0, 0, 1)
+    gi = group_inverse(g, p)
+    out = set()
+    if group_mul(g, ident, p, t) != g or group_mul(ident, g, p, t) != g:
+        out.add("identity axiom")
+    if group_mul(g, gi, p, t) != ident or group_mul(gi, g, p, t) != ident:
+        out.add("inverse axiom")
+    return out
 
 
-class TestGroupCheckAgainstLoops:
-    """The Cayley-table and chunked-sample paths of group_check against
-    plain loops over group_mul."""
+def failing_axioms(p, t):
+    """The group axioms that fail for table t, by brute force over every
+    element and, through the Cayley table, every triple of elements."""
+    elements = [(u, b, a) for u in range(p) for b in range(p) for a in range(1, p)]
+    n = len(elements)
+    out = set().union(*(element_faults(p, t, g) for g in elements))
+    # Cayley table of element indices, (u*p + b)*(p-1) + a - 1
+    coords = np.array(elements, dtype=np.int64).T
+    u1, b1, a1 = np.repeat(coords, n, axis=1)
+    u2, b2, a2 = np.tile(coords, (1, n))
+    ab = a1 * b2 % p
+    u = (u1 + a1 * u2 + t[b1, ab]) % p
+    cayley = ((u * p + (b1 + ab) % p) * (p - 1) + a1 * a2 % p - 1).reshape(n, n)
+    # row i: (g_i g_j) g_k is cayley[row][j, k] and g_i (g_j g_k) is row[cayley][j, k]
+    if any(not np.array_equal(cayley[row], row[cayley]) for row in cayley):
+        out.add("associativity")
+    return out
 
-    @pytest.mark.parametrize("p, checked", ((5, 20_000), (7, 172_872)))
-    def test_exhaustive_counterexample(self, p, checked):
+
+def breaks_associativity(p, t, triple):
+    g1, g2, g3 = triple
+    left = group_mul(group_mul(g1, g2, p, t), g3, p, t)
+    return left != group_mul(g1, group_mul(g2, g3, p, t), p, t)
+
+
+def seeded_tables(p, count, seed):
+    """phi's table and copies with 1-2 random entries changed, half of
+    them symmetrically, plus one change each that touches only the
+    identity, only the inverse and only the associativity condition."""
+    rng = random.Random(seed)
+    yield phi_table(p)
+    for x, y in ((3, 0), (2, p - 2), (1, 2)):
+        yield mutated_table(p, x, y)
+    for _ in range(count):
+        t = phi_table(p).copy()
+        for _ in range(rng.randint(1, 2)):
+            x, y = rng.randrange(p), rng.randrange(p)
+            t[x, y] = rng.randrange(p)
+            if rng.random() < 0.5:
+                t[y, x] = t[x, y]
+        yield t
+
+
+class TestGroupCheckAgainstBruteForce:
+    """group_check's reduced conditions on the table against every element
+    and every triple of the group."""
+
+    @pytest.mark.parametrize("p", (5, 7))
+    def test_verdicts_match(self, p):
+        details = set()
+        for t in seeded_tables(p, 60, seed=p):
+            fails = failing_axioms(p, t)
+            r = group_check(p, table=t)
+            assert r.holds == (not fails)
+            if r.holds:
+                assert r.as_dict() == {"holds": True, "checked": p**3 * (p - 1)}
+                continue
+            details.add(r.detail)
+            assert r.detail in fails
+            if r.detail == "associativity":
+                assert fails == {"associativity"}
+                assert breaks_associativity(p, t, r.counterexample)
+            else:
+                assert r.checked == 0
+                assert r.detail in element_faults(p, t, r.counterexample)
+        assert details == {"identity axiom", "inverse axiom", "associativity"}
+
+    def test_associativity_counterexample(self):
+        p = 5
         t = mutated_table(p, 1, 2)
-        elements = _group_elements(p)
-        n = len(elements)
-        triples = ((g1, g2, g3) for g1 in elements for g2 in elements for g3 in elements)
-        pos, triple = associativity_oracle(p, t, triples)
         r = group_check(p, table=t)
-        # checked counts every triple of each g1 up to the failing one
-        assert -(-pos // (n * n)) * n * n == checked
+        # a1 = 1 leaves the changed t[1, 2] on both sides; the first tuple
+        # that scales it, (b1, a1, b2, c) = (0, 2, 1, 2), comes after the
+        # 25 tuples of a1 = 1, the 5 of b2 = 0 and c = 0, 1
         assert r.as_dict() == {
             "holds": False,
-            "checked": checked,
-            "counterexample": list(triple),
+            "checked": 33,
+            "counterexample": [(0, 0, 2), (0, 1, 1), (0, 2, 1)],
             "detail": "associativity",
         }
-        assert triple == ((0, 0, 2), (0, 1, 1), (0, 2, 1))
-
-    @pytest.mark.parametrize("chunk", (7, cocycle._GROUP_SAMPLE_CHUNK))
-    def test_sampled_counterexample(self, chunk, monkeypatch):
-        p, samples, seed = 11, 10**4, 0
-        t = mutated_table(p, 3, 4)
-        elements = _group_elements(p)
-        idx = np.random.default_rng(seed).integers(0, len(elements), size=(samples, 3))
-        triples = (tuple(elements[i] for i in row) for row in idx)
-        pos, triple = associativity_oracle(p, t, triples)
-        monkeypatch.setattr(cocycle, "_GROUP_SAMPLE_CHUNK", chunk)
-        r = group_check(p, exhaustive=False, samples=samples, seed=seed, table=t)
-        assert r.as_dict() == {
-            "holds": False,
-            "checked": pos,
-            "counterexample": list(triple),
-            "detail": "associativity (sampled)",
-        }
-
-    @pytest.mark.parametrize("samples", (0, -3))
-    def test_no_samples_is_not_a_pass(self, samples):
-        with pytest.raises(BadParams):
-            group_check(11, exhaustive=False, samples=samples)
-
-    @pytest.mark.parametrize("chunk", (7, cocycle._GROUP_SAMPLE_CHUNK))
-    def test_sampled_pass_counts_every_sample(self, chunk, monkeypatch):
-        monkeypatch.setattr(cocycle, "_GROUP_SAMPLE_CHUNK", chunk)
-        r = group_check(11, exhaustive=False, samples=1000, seed=2)
-        assert r.as_dict() == {"holds": True, "checked": 1000}
+        assert breaks_associativity(p, t, r.counterexample)
 
 
 class TestEntropyModP:
     def test_fair_coin(self):
         assert entropy_mod_p([Fraction(1, 2), Fraction(1, 2)], 5) == 3
+
+    def test_large_prime(self):
+        # H(1/2) + (1/2) H(1/2), with H(1/2) the exact integer quotient
+        # (1 - x^p - (1-x)^p) / p for x = (p+1)/2, a number of 1.6M bits
+        p = 100003
+        x = (p + 1) // 2
+        h = (1 - x**p - (1 - x) ** p) // p % p
+        probs = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
+        assert entropy_mod_p(probs, p) == 3 * h * x % p
 
     def test_invalid_distribution(self):
         with pytest.raises(BadParams):

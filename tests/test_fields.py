@@ -10,6 +10,7 @@ from finpolylog.fields import (
     bernoulli_mod_p,
     build_extension,
     genocchi,
+    is_prime,
 )
 
 
@@ -36,6 +37,12 @@ def test_power_by_square_and_multiply():
         products.clear()
         assert _power(3, n, mul, "one") == 3**n
         assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1
+
+
+def test_is_prime():
+    naive = [n for n in range(-3, 600) if n > 1 and all(n % d for d in range(2, n))]
+    assert [n for n in range(-3, 600) if is_prime(n)] == naive
+    assert is_prime(2**31 - 1) and not is_prime(2**31 + 1) and not is_prime(1009**2)
 
 
 class TestPrimeField:
