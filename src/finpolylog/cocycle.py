@@ -107,7 +107,10 @@ def check_cocycle(p: int, table: np.ndarray | None = None) -> CheckResult:
 
 
 def check_homogeneity(p: int) -> CheckResult:
-    """phi(lam*x, lam*y) = lam*phi(x, y) for every lam != 0."""
+    """phi(lam*x, lam*y) = lam*phi(x, y) for every lam != 0; capped, as
+    the other table checks, at p <= ``EXHAUSTIVE_COCYCLE_LIMIT``."""
+    if p > EXHAUSTIVE_COCYCLE_LIMIT:
+        raise BudgetExceeded(f"homogeneity check capped at p <= {EXHAUSTIVE_COCYCLE_LIMIT}")
     t = phi_table(p)
     idx = np.arange(p, dtype=np.int64)
     for lam in range(1, p):

@@ -3,14 +3,17 @@
 A :class:`FieldDescriptor` fixes a prime p, an extension degree e and a monic
 modulus; elements are coordinate tuples over the prime field.  For e = 1 the
 modulus is the polynomial x and coordinates are single residues.  Bernoulli
-numbers are computed in exact rational arithmetic and reduced modulo p on
-demand, with the von Staudt-Clausen poles reported as errors.
+numbers are computed in exact rational arithmetic, or below index p - 1 by
+the same recurrence run modulo p, with the von Staudt-Clausen poles reported
+as errors.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 import operator
+
+import numpy as np
 
 from .errors import (
     BadParams,
@@ -355,11 +358,37 @@ def genocchi(j: int) -> int:
     return int(g)
 
 
+def _bernoulli_table_mod_p(n: int, p: int) -> list:
+    """B_0, ..., B_n modulo p, for n <= p - 2.
+
+    Below p - 1 every B_j is p-integral (von Staudt-Clausen), so the
+    recurrence B_m = -(1/(m+1)) sum_{k<m} C(m+1, k) B_k runs mod p: m + 1
+    < p is invertible.  A Pascal row carries C(m+1, k) mod p, and each
+    product is reduced before summing, so int64 stays exact for p < 2^31
+    (Python ints above).
+    """
+    if not 0 <= n <= p - 2:
+        raise BadParams(f"B_0..B_{n} mod {p} need n <= p - 2")
+    dtype = np.int64 if p < 1 << 31 else object
+    table = np.zeros(n + 1, dtype=dtype)
+    table[0] = 1
+    row = np.ones(2, dtype=dtype)  # C(1, k)
+    for m in range(1, n + 1):
+        row = np.concatenate(([1], (row[1:] + row[:-1]) % p, [1]))  # C(m+1, k)
+        acc = int((row[:m] * table[:m] % p).sum())
+        table[m] = -acc * pow(m + 1, p - 2, p) % p
+    return table.tolist()
+
+
 def bernoulli_mod_p(j: int, p: int) -> FieldElement:
-    """B_j reduced modulo p; raises at the von Staudt-Clausen poles."""
+    """B_j reduced modulo p; raises at the von Staudt-Clausen poles.
+    Indices up to p - 2 run the recurrence mod p, larger ones reduce the
+    exact Bernoulli number."""
     field = FieldDescriptor(p)
     if j > 0 and j % (p - 1) == 0:
         raise StaudtClausenPole(f"B_{j} has a pole modulo {p}")
+    if j <= p - 2:
+        return field.element(_bernoulli_table_mod_p(j, p)[j])
     b = bernoulli(j)
     if b.denominator % p == 0:
         raise StaudtClausenPole(f"B_{j} has a pole modulo {p}")

@@ -15,7 +15,14 @@ from math import comb
 import numpy as np
 
 from .errors import BadParams, DepthExceeded, DomainMismatch, IndexOutOfRange
-from .fields import FieldDescriptor, FieldElement, _poly_mul_mod, _power, genocchi
+from .fields import (
+    FieldDescriptor,
+    FieldElement,
+    _bernoulli_table_mod_p,
+    _poly_mul_mod,
+    _power,
+    genocchi,
+)
 from .formal import FormalSum
 from .poly import _PACKED_P_LIMIT, PrimeDomain, RatFunc, SparsePoly, homogenized_sums
 
@@ -274,7 +281,9 @@ def twisted_numerators(s: FormalSum, deg: int, vectors):
 
     Returns ``(factors, numerators)``: ``factors`` is the common denominator
     of :func:`clear_denominators` at degree ``deg``, shared by every vector,
-    so that RatFunc(numerator, factors) is the sum read through P_w.  Term
+    and ``numerators`` the :class:`~finpolylog.poly.Coordinates` of the
+    numerators, indexed by vector, so that RatFunc(numerator, factors) is
+    the sum read through P_w.  Term
     c[x] with x = n/d contributes c^p * (sum_j w_j n^j d^(deg-j)) times its
     cofactors; a constant argument v has n = v and d = 1, so it contributes
     c^p * P_w(v).  The numerators are the
@@ -303,7 +312,8 @@ def lhat_apply(m: int, s: FormalSum) -> RatFunc:
     if not nonzero.terms:
         return RatFunc(SparsePoly.zero(s.variables, dom))
     vector = ((0, *_inv_power_table(m, p)) for _ in range(1))
-    factors, (num,) = twisted_numerators(nonzero, p - 1, vector)
+    factors, nums = twisted_numerators(nonzero, p - 1, vector)
+    (num,) = nums.polys(s.variables, dom)
     return RatFunc(num, factors, reduce=False)
 
 
@@ -360,11 +370,12 @@ def special_values(p: int) -> list:
                 "status": "ok" if computed == 0 else "mismatch",
             }
         )
+    bern = _bernoulli_table_mod_p(p - 2, p)
     for mm in range(1, p - 1):
         if mm % 2 == 1 and mm != 1:
             continue
         computed = _polylog_at_unit(p - mm, p, -1)
-        g = genocchi(mm) % p
+        g = 2 * (1 - pow(2, mm, p)) * bern[mm] % p  # the Genocchi number G_mm
         expected = (g * pow(mm, p - 2, p)) % p
         if mm == 1:
             status = "logged" if computed != expected else "ok"

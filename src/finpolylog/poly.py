@@ -26,15 +26,20 @@ whose packed keys would not fit in int64.  Besides single products, the
 kernel has one more entry point, :func:`homogenized_sums`, which builds the
 cleared numerators of the twisted evaluator and of the solver's columns:
 its inputs are packed once, and powers, products and sums stay packed
-until one unpack per result.  Terms that share a factor power are summed
-before it is multiplied on, so each shared power meets one product per
-group of terms, not one per term.  Storage stays dict-based: most
-products in the package are small, and pointwise evaluation walks the
-terms.
+until one unpack into exponent rows.  Several coefficient vectors are
+stacked in blocks, each vector under one more Kronecker digit, so one pass
+over the terms serves a whole block.  Terms that share a factor power are
+summed before it is multiplied on, so each shared power meets one product
+per group of terms and block, not one per term and vector.  The sums come
+back in coordinate form (:class:`Coordinates`: exponent rows, a polynomial
+index, values), which the solver places into its matrix directly.  Storage
+stays dict-based: most products in the package are small, and pointwise
+evaluation walks the terms.
 """
 
 from fractions import Fraction
 import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -510,31 +515,31 @@ def _degree_bound(exps: np.ndarray) -> np.ndarray:
 
 
 class _Kronecker:
-    """Packing of exponent tuples below per-variable radices into int64."""
+    """Packing of exponent tuples below per-variable radices into int64;
+    every key is below ``span``, the product of the radices."""
 
     def __init__(self, radices):
-        self.radices = [int(r) for r in radices]
+        self.radices = np.array([int(r) for r in radices], dtype=np.int64)
         self.strides = np.empty(len(self.radices), dtype=np.int64)
         acc = 1
-        for i, r in enumerate(self.radices):
+        for i, r in enumerate(self.radices.tolist()):
             self.strides[i] = acc
             acc *= r
         if acc >= (1 << 62):
             raise SizeExceeded("exponent packing overflow in fast multiply")
+        self.span = acc
 
     def pack(self, exps: np.ndarray, vals: np.ndarray):
         keys = exps @ self.strides
         order = np.argsort(keys, kind="stable")
         return keys[order], vals[order]
 
+    def exponents(self, keys) -> np.ndarray:
+        """Exponent matrix (keys x variables) of packed keys."""
+        return keys[:, None] // self.strides % self.radices
+
     def unpack(self, keys, vals, variables, domain) -> SparsePoly:
-        cols = []
-        rem = keys
-        for r in self.radices:
-            cols.append((rem % r).tolist())
-            rem = rem // r
-        # with no variables, zip(*cols) would yield nothing for the one key
-        exps = zip(*cols) if cols else [()] * len(keys)
+        exps = map(tuple, self.exponents(keys).tolist())
         terms = dict(zip(exps, vals.tolist()))
         return SparsePoly(variables, domain, terms, copy=False)
 
@@ -662,27 +667,66 @@ def _grouped_sum(items, powers, p: int):
     return _packed_add(parts, p)
 
 
-def homogenized_sums(terms, deg: int, vectors, variables, domain) -> list:
+class Coordinates(NamedTuple):
+    """Polynomials 0..count-1 in coordinate form: polynomial ``index[i]``
+    has the term ``vals[i]`` times the monomial with exponent row
+    ``exps[i]``.  Within one polynomial the exponent rows are distinct and
+    the values nonzero."""
+
+    exps: np.ndarray  # int64, terms x variables
+    index: np.ndarray  # int64, one polynomial index per term
+    vals: np.ndarray  # int64 residues
+    count: int
+
+    def polys(self, variables, domain) -> list:
+        """The polynomials as SparsePoly, in index order."""
+        terms = [{} for _ in range(self.count)]
+        rows = map(tuple, self.exps.tolist())
+        for j, e, c in zip(self.index.tolist(), rows, self.vals.tolist()):
+            terms[j][e] = c
+        return [SparsePoly(variables, domain, t, copy=False) for t in terms]
+
+
+def _stack(parts):
+    """Packed polynomials whose keys lie in increasing disjoint ranges,
+    laid end to end: the keys stay sorted and distinct."""
+    if len(parts) == 1:
+        return parts[0]
+    keys, vals = zip(*parts)
+    return np.concatenate(keys), np.concatenate(vals)
+
+
+def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates:
     """Sums over ``terms`` of homogenized polynomials times factor powers,
     one per coefficient vector, over GF(p) with p < 2^31 (BadParams
-    otherwise).
+    otherwise), returned in coordinate form with one index per vector.
 
     ``terms`` holds triples ``(n, d, factors)``: SparsePoly n and d, and
     (SparsePoly f, exponent k) pairs.  For each w = (w_0, ..., w_deg) in
     ``vectors``, the result is the sum over the terms of
-    (sum_j w_j n^j d^(deg-j)) * prod f^k.  A factor power (the same f
-    object with the same k) that several terms share is multiplied once,
-    onto the sum of their homogenized parts, by :func:`_grouped_sum`;
-    the other factors are multiplied onto the homogenized part in their
-    given order.  Every polynomial is packed
+    (sum_j w_j n^j d^(deg-j)) * prod f^k.  Every polynomial is packed
     once, with per-variable radix max(deg * max(deg n, deg d) +
-    sum k deg f) + 1 over the terms, and stays packed until one unpack
-    per vector.  SizeExceeded is raised when the packed keys would not
-    fit in int64, and before the products building the powers of n, d
-    and f (each counted at |a| * |b| terms; the powers of a nonzero n or
-    d count at least deg), or the results over the vectors, would pass
-    ``DEFAULT_TERM_CAP`` terms.  Only then is ``vectors`` read, one
-    vector at a time.
+    sum k deg f) + 1 over the terms, and stays packed until the results
+    are unpacked into exponent rows.  The vectors are stacked in blocks:
+    vector i of a block gets one more Kronecker digit z^i, so a term's
+    homogenized part is sum_i z^i sum_j w_ij n^j d^(deg-j), and one
+    :func:`_grouped_sum` covers the whole block.  Factor powers have no
+    z digit, so a factor power (the same f object with the same k) that
+    several terms share is multiplied once per block, onto the sum of
+    their parts; the other factors are multiplied onto the part in their
+    given order.  Equal arguments share one list of powers.  A new block
+    starts before the block's parts would pass ``DEFAULT_TERM_CAP`` terms,
+    so a block holds at least one vector.
+
+    SizeExceeded is raised when the packed keys would not fit in int64,
+    and before the products building the powers of n, d and f (each
+    counted at |a| * |b| terms; the powers of a nonzero n or d count at
+    least deg) would pass ``DEFAULT_TERM_CAP`` terms.  Only then is
+    ``vectors`` read, one vector at a time.  A product of a block that
+    passes the cap halves the block, down to single vectors, which are
+    refused as the products of one vector are; and after each block
+    whose sums bring the total over the vectors read so far past the cap,
+    SizeExceeded names the number of vectors read.
     """
     if domain.kind != "prime" or domain.p >= _PACKED_P_LIMIT:
         raise BadParams(f"packed sums need GF(p) with p < 2^31, not {domain!r}")
@@ -722,41 +766,98 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> list:
         for f, k in factors:
             if (id(f), k) not in powers:
                 powers[id(f), k] = _power(packed[id(f)], k, grow, one)
+    # arguments equal as packed arrays share one list of powers
+    lists = {}  # packed bytes -> powers 0..deg of the polynomial
     built = []
     for n, d, factors in terms:
-        n_pows, d_pows = [one], [one]
+        bases = [packed[id(n)], packed[id(d)]]
+        pow_lists = [
+            lists.setdefault((keys.tobytes(), vals.tobytes()), [one])
+            for keys, vals in bases
+        ]
         for _ in range(deg):
-            for pows, base in ((n_pows, packed[id(n)]), (d_pows, packed[id(d)])):
-                pows.append(grow(pows[-1], base))
+            for pows, base in zip(pow_lists, bases):
+                if len(pows) <= deg:
+                    pows.append(grow(pows[-1], base))
+        n_pows, d_pows = pow_lists
         built.append((n_pows, d_pows[::-1], [(id(f), k) for f, k in factors]))
-    sums = []
-    total = 0
+    # the z digit sits above the variables' digits; a block holds at most
+    # `widest` vectors, so its keys stay below 2^62
+    widest = ((1 << 62) - 1) // kron.span
+    blocks = []  # (index of the block's first vector, keys, vals)
+    block = [[] for _ in built]  # per term, the block's parts in z order
+    first = count = size = total = 0
+    empty = np.zeros(0, dtype=np.int64)
+
+    def finish():
+        items = [(_stack(parts), fkeys) for parts, (*_pows, fkeys) in zip(block, built)]
+        for parts in block:
+            parts.clear()
+        block_sums(items, first, count, first)
+
+    def block_sums(items, lo, hi, base):
+        """Sum the items of vectors lo..hi-1, which sit at z digits
+        lo-base..hi-base-1, and check the running total."""
+        nonlocal total
+        try:
+            keys, vals = _grouped_sum(items, powers, p)
+        except SizeExceeded:
+            if hi - lo == 1:
+                raise
+        else:
+            total += len(keys)
+            if total > DEFAULT_TERM_CAP:
+                raise SizeExceeded(
+                    f"the sums over the first {hi} vectors exceed {DEFAULT_TERM_CAP} terms"
+                )
+            blocks.append((base, keys, vals))
+            return
+        # a stacked product passed the cap where the products of single
+        # vectors may not: halve the block, down to one vector
+        mid = (lo + hi) // 2
+        halves = ([], [])
+        for (keys, vals), fkeys in items:
+            cut = np.searchsorted(keys, (mid - base) * kron.span)
+            halves[0].append(((keys[:cut], vals[:cut]), fkeys))
+            halves[1].append(((keys[cut:], vals[cut:]), fkeys))
+        block_sums(halves[0], lo, mid, base)
+        block_sums(halves[1], mid, hi, base)
+
     for w in vectors:
         if len(w) != deg + 1:
             raise BadParams(f"need {deg + 1} coefficients, got {len(w)}")
-        items = []
-        for n_pows, d_pows, fkeys in built:
+        coeffs = [int(wj) % p for wj in w]
+        nonzero = [(j, c) for j, c in enumerate(coeffs) if c]
+        parts = []
+        for n_pows, d_pows, _fkeys in built:
             # the parts are merged in once they outnumber the sum's terms,
             # so memory stays near the size of the sum, not of all parts
-            acc, pending, size = _packed_add([], p), [], 0
-            for wj, nj, dj in zip(w, n_pows, d_pows):
-                wj = int(wj) % p
-                if wj:
-                    keys, vals = _packed_mul(nj, dj, p)
-                    pending.append((keys, vals * wj % p))
-                    size += len(keys)
-                    if size > len(acc[0]):
-                        acc, pending, size = _packed_add([acc, *pending], p), [], 0
-            items.append((_packed_add([acc, *pending], p), fkeys))
-        keys, vals = _grouped_sum(items, powers, p)
-        total += len(keys)
-        if total > DEFAULT_TERM_CAP:
-            raise SizeExceeded(
-                f"the sums over the first {len(sums) + 1} vectors exceed "
-                f"{DEFAULT_TERM_CAP} terms"
-            )
-        sums.append(kron.unpack(keys, vals, variables, domain))
-    return sums
+            acc, pending, pending_size = None, [], 0
+            for j, wj in nonzero:
+                keys, vals = _packed_mul(n_pows[j], d_pows[j], p)
+                if acc is None:  # the first product needs no merge
+                    acc = keys, vals * wj % p
+                    continue
+                pending.append((keys, vals * wj % p))
+                pending_size += len(keys)
+                if pending_size > len(acc[0]):
+                    acc, pending, pending_size = _packed_add([acc, *pending], p), [], 0
+            parts.append(_packed_add([acc or (empty, empty), *pending], p))
+        grown = sum(len(keys) for keys, _vals in parts)
+        if count > first and (size + grown > DEFAULT_TERM_CAP or count - first == widest):
+            finish()
+            first, size = count, 0
+        shift = (count - first) * kron.span
+        for block_parts, (keys, vals) in zip(block, parts):
+            block_parts.append((keys + shift if shift else keys, vals))
+        size += grown
+        count += 1
+    if count > first:
+        finish()
+    keys = np.concatenate([empty, *(k for _f, k, _v in blocks)])
+    index = np.concatenate([empty, *(k // kron.span + f for f, k, _v in blocks)])
+    vals = np.concatenate([empty, *(v for _f, _k, v in blocks)])
+    return Coordinates(kron.exponents(keys % kron.span), index, vals, count)
 
 
 def exact_divide(f: SparsePoly, g: SparsePoly):

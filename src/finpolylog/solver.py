@@ -18,11 +18,11 @@ import numpy as np
 from .errors import BadParams, UnknownId
 from .finlog import finite_polylog, tau, twisted_numerators
 from .formal import FormalSum
-from .poly import PrimeDomain, RatFunc, SparsePoly
+from .poly import Coordinates, PrimeDomain, RatFunc, SparsePoly
 from . import catalog as _catalog
 
 
-def equation_columns(s: FormalSum, p: int, deg: int | None = None) -> list:
+def equation_columns(s: FormalSum, p: int, deg: int | None = None) -> Coordinates:
     """Columns of the linear system attached to a template equation.
 
     Column j (0 <= j <= deg, default deg = p-1) is the polynomial
@@ -32,61 +32,69 @@ def equation_columns(s: FormalSum, p: int, deg: int | None = None) -> list:
     :func:`~finpolylog.finlog.twisted_numerators`, the builder behind
     ``lhat_apply``, gives for the unit vector P = T^j (coefficients are
     raised to the p-th power, matching the twisted evaluation convention).
-    Terms with argument 0 are kept: there P(0) = a_0.
+    Terms with argument 0 are kept: there P(0) = a_0.  The unit vectors
+    go through one stacked build, and the columns come back in
+    coordinate form (exponent rows, column index j, values), as
+    :func:`columns_matrix` reads them.
     """
     if deg is None:
         deg = p - 1
     dom = s.domain
     if dom.kind != "prime" or dom.p != p:
         raise BadParams("template must live over GF(p)")
-    units = ([int(i == j) for i in range(deg + 1)] for j in range(deg + 1))
+    units = ([0] * j + [1] + [0] * (deg - j) for j in range(deg + 1))
     return twisted_numerators(s, deg, units)[1]
 
 
-def columns_matrix(cols, p: int) -> np.ndarray:
-    """Stack the column polynomials into a dense (monomials x ncols) matrix.
+def columns_matrix(cols: Coordinates, p: int) -> np.ndarray:
+    """The dense (monomials x columns) matrix of columns in coordinate form.
 
-    Rows are the monomials of all columns, by total degree, then exponents.
+    Rows are the distinct exponent rows of all columns, by total degree,
+    then exponents; the entries are the values mod p, placed with one
+    store after one ``np.lexsort``.
     """
-    keys, js, vals = [], [], []
-    for j, poly in enumerate(cols):
-        terms = poly.terms
-        keys += terms
-        js += [j] * len(terms)
-        vals += terms.values()
-    index = {e: i for i, e in enumerate(sorted(set(keys), key=lambda e: (sum(e), e)))}
-    mat = np.zeros((len(index), len(cols)), dtype=np.int64)
-    mat[[index[e] for e in keys], js] = np.array(vals) % p
+    exps = cols.exps
+    order = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
+    ranked = exps[order]
+    new_row = np.ones(len(order), dtype=bool)
+    new_row[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    rows = np.empty_like(order)
+    rows[order] = np.cumsum(new_row) - 1
+    mat = np.zeros((int(new_row.sum()), cols.count), dtype=np.int64)
+    mat[rows, cols.index] = cols.vals % p
     return mat
 
 
-def substitute_into_columns(cols, vec, p: int) -> SparsePoly:
-    """Residual polynomial for a concrete coefficient vector."""
-    acc = None
+def substitute_into_columns(mat: np.ndarray, vec, p: int) -> np.ndarray:
+    """Residual of each row of a columns matrix for a concrete coefficient
+    vector: ``mat @ vec`` mod p, exact for p < 2^31."""
+    acc = np.zeros(mat.shape[0], dtype=np.int64)
     for j, q in enumerate(vec):
         q = int(q) % p
-        if q == 0:
-            continue
-        piece = cols[j].scale(q)
-        acc = piece if acc is None else acc + piece
-    if acc is None:
-        acc = SparsePoly.zero(cols[0].vars, cols[0].domain)
+        if q:
+            acc = (acc + mat[:, j] * q) % p
     return acc
 
 
 def h_two_term_matrix(p: int, deg: int) -> np.ndarray:
-    """Rows forcing h(T) = T P'(T) to satisfy h(x) = h(1-x)."""
-    dom = PrimeDomain(p)
-    x = SparsePoly.variable("x", ("x",), dom)
-    one = SparsePoly.const(("x",), dom, 1)
-    y = one - x
-    x_pow, y_pow = one, one  # x^j and (1-x)^j
-    cols = []
+    """Rows forcing h(T) = T P'(T) to satisfy h(x) = h(1-x).
+
+    Column j is j * (x^j - (1-x)^j), whose x^k coefficient is
+    j * ([k = j] - (-1)^k C(j, k)); the binomials come from Pascal's rule
+    mod p, one row of the triangle per column.
+    """
+    binom = np.zeros(deg + 1, dtype=np.int64)  # C(j, k) mod p for k <= deg
+    binom[0] = 1
+    sign = np.where(np.arange(deg + 1) % 2, -1, 1)
+    dense = np.zeros((deg + 1, deg + 1), dtype=np.int64)  # x^k coefficient x column j
     for j in range(deg + 1):
-        cols.append((x_pow - y_pow).scale(j))
-        x_pow = x_pow * x
-        y_pow = y_pow * y
-    return columns_matrix(cols, p)
+        if j:
+            binom[1:] = (binom[1:] + binom[:-1]) % p
+        col = -sign * binom
+        col[j] += 1
+        dense[:, j] = col * j % p
+    k, j = np.nonzero(dense)
+    return columns_matrix(Coordinates(k[:, None], j, dense[k, j], deg + 1), p)
 
 
 def constant_term_matrix(p: int, deg: int) -> np.ndarray:
@@ -382,9 +390,9 @@ def basis_residuals(preset: str, p: int, basis) -> bool:
     deg = preset_degree(preset, p)
     for eq_id, params in info["constraints"]:
         s = _catalog.build(eq_id, p, **params)
-        cols = equation_columns(s, p, deg)
+        mat = columns_matrix(equation_columns(s, p, deg), p)
         for vec in basis:
-            if not substitute_into_columns(cols, vec, p).is_zero():
+            if substitute_into_columns(mat, vec, p).any():
                 return False
     return True
 

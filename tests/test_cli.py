@@ -174,7 +174,7 @@ class TestReports:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
-    @pytest.mark.parametrize("check", ("group", "coboundary"))
+    @pytest.mark.parametrize("check", ("group", "coboundary", "homogeneity"))
     def test_cocycle_tables_refused_beyond_their_limit(self, check, capsys):
         start = time.perf_counter()
         code = main(["cocycle", "--check", check, "--p", "1009"])

@@ -255,7 +255,9 @@ class TestExtensionGroup:
         assert not group_check(p, table=t).holds
 
     @pytest.mark.parametrize(
-        "check", (group_check, coboundary_solve), ids=("group", "coboundary")
+        "check",
+        (group_check, coboundary_solve, check_homogeneity),
+        ids=("group", "coboundary", "homogeneity"),
     )
     def test_refused_beyond_the_limit_before_any_table(self, check, monkeypatch):
         def no_table(p):

@@ -12,6 +12,8 @@ from finpolylog.fields import (
     genocchi,
     is_prime,
 )
+from finpolylog.errors import BadParams
+from finpolylog.fields import _bernoulli_table_mod_p
 
 
 F7 = FieldDescriptor(7)
@@ -113,3 +115,18 @@ class TestBernoulli:
         with pytest.raises(StaudtClausenPole):
             bernoulli_mod_p(4, 5)
         assert int(bernoulli_mod_p(2, 7)) == pow(6, 5, 7)  # 1/6 mod 7
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 31, 101, 2147483659))
+    def test_recurrence_mod_p_matches_exact_numbers(self, p):
+        # below index p - 1 the recurrence runs mod p; above 2^31 on Python ints
+        n = min(p - 2, 40)
+        exact = map(bernoulli, range(n + 1))
+        want = [b.numerator * pow(b.denominator, -1, p) % p for b in exact]
+        assert _bernoulli_table_mod_p(n, p) == want
+        assert [int(bernoulli_mod_p(j, p)) for j in range(n + 1)] == want
+
+    def test_mod_p_past_the_recurrence(self):
+        # index p - 1 + 2 reduces the exact number: B_8 = -1/30 mod 7
+        assert int(bernoulli_mod_p(8, 7)) == -pow(30, -1, 7) % 7
+        with pytest.raises(BadParams):
+            _bernoulli_table_mod_p(6, 7)

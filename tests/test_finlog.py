@@ -26,7 +26,7 @@ from finpolylog import (
 )
 from finpolylog import SizeExceeded, finlog, poly, verify_strong
 from finpolylog.cli import main
-from finpolylog.fields import build_extension
+from finpolylog.fields import build_extension, genocchi
 from finpolylog.finlog import (
     _ltilde_prime_table,
     _polylog_at_unit,
@@ -170,6 +170,14 @@ class TestSpecialValues:
             assert _polylog_at_unit(n, p, 1) == table[1]
             assert _polylog_at_unit(n, p, -1) == table[p - 1]
 
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101))
+    def test_genocchi_rows_match_the_exact_numbers(self, p):
+        rows = [r for r in special_values(p) if r["kind"] == "genocchi_at_minus_one"]
+        assert [r["index"] for r in rows] == [1, *range(2, p - 1, 2)]
+        for r in rows:
+            mm = r["index"]
+            assert r["expected"] == genocchi(mm) % p * pow(mm, -1, p) % p
+
     def test_logged_rows_are_only_index_one(self):
         rows = special_values(13)
         assert all(r["index"] == 1 for r in rows if r["status"] == "logged")
@@ -243,6 +251,7 @@ class TestTwistedNumerators:
         for _ in range(3):
             vectors.append([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(deg)])
         factors, nums = twisted_numerators(s, deg, vectors)
+        nums = nums.polys(s.variables, s.domain)
         assert len(nums) == len(vectors)
         field = FieldDescriptor(p)
         checked = 0

@@ -233,11 +233,47 @@ class TestPackedKernel:
             terms = terms + [(n, d, ((minus_one, 1), *fs)) for n, d, fs in terms]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(poly, "_FAST_CHUNK_PAIRS", chunk)
-            got = homogenized_sums(terms, deg, iter(vectors), VARS3, DOM11)
+            sums = homogenized_sums(terms, deg, iter(vectors), VARS3, DOM11)
+        got = sums.polys(VARS3, DOM11)
         assert len(got) == len(vectors)
         for w, sum_w in zip(vectors, got):
             assert sum_w == homogenized_reference(terms, deg, w, VARS3, DOM11)
             assert not cancel or sum_w.is_zero()
+
+    @given(homogenized_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_blocks_match_one_vector_at_a_time(self, case):
+        # once the first vector is read, the cap drops to the sums' total
+        # term count: the vectors then split into blocks, or a stacked
+        # product passes the cap and its block is halved.  A call may be
+        # refused only where a vector on its own is refused.
+        terms, deg, vectors = case
+        want = [homogenized_reference(terms, deg, w, VARS3, DOM11) for w in vectors]
+        cap = max(1, sum(len(sum_w.terms) for sum_w in want))
+
+        def lowered(vectors):
+            for w in vectors:
+                poly.DEFAULT_TERM_CAP = cap
+                yield w
+
+        def run(vectors):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(poly, "DEFAULT_TERM_CAP", poly.DEFAULT_TERM_CAP)
+                sums = homogenized_sums(terms, deg, lowered(vectors), VARS3, DOM11)
+            return sums.polys(VARS3, DOM11)
+
+        alone = []
+        for w in vectors:
+            try:
+                alone += run([w])
+            except SizeExceeded:
+                alone.append(None)
+        if None in alone:
+            with pytest.raises(SizeExceeded):
+                run(vectors)
+        else:
+            assert alone == want
+            assert run(vectors) == want
 
     def test_a_shared_power_is_multiplied_once(self, monkeypatch):
         # (x + y + z)^2 is the only 6-term operand: the three multi-term
@@ -258,7 +294,8 @@ class TestPackedKernel:
         monkeypatch.setattr(poly, "_packed_mul", counting)
         for extra, products in (([], 1), ([(z * z * z, one, shared)], 2)):
             calls.clear()
-            (got,) = homogenized_sums(terms + extra, 1, [(0, 1)], VARS3, DOM11)
+            sums = homogenized_sums(terms + extra, 1, [(0, 1)], VARS3, DOM11)
+            (got,) = sums.polys(VARS3, DOM11)
             assert sum(calls) == products
             assert got == homogenized_reference(
                 terms + extra, 1, (0, 1), VARS3, DOM11
@@ -268,7 +305,8 @@ class TestPackedKernel:
         x, y = (SparsePoly.variable(v, VARS3, DOM11) for v in ("x", "y"))
         f = (x + y) ** 3
         terms = [(x - y, x, ((f, 1),)), (x, x, ((-f, 1),)), (y, x, ((f, 1),))]
-        assert homogenized_sums(terms, 2, [(0, 1, 0)], VARS3, DOM11)[0].is_zero()
+        (got,) = homogenized_sums(terms, 2, [(0, 1, 0)], VARS3, DOM11).polys(VARS3, DOM11)
+        assert got.is_zero()
 
     def test_cancellation_across_chunks(self, monkeypatch):
         # with one row per chunk, the x*y terms of (x + y)(x - y) come from
@@ -285,7 +323,8 @@ class TestPackedKernel:
         one = SparsePoly.const(VARS3, DOM11, 1)
         twelve = SparsePoly.const(VARS3, DOM11, 12)
         terms = [(three, one, ()), (three, one, ((three, 1),))]
-        assert homogenized_sums(terms, 1, [(0, 1)], VARS3, DOM11) == [twelve]
+        got = homogenized_sums(terms, 1, [(0, 1)], VARS3, DOM11)
+        assert got.polys(VARS3, DOM11) == [twelve]
 
     @pytest.mark.parametrize(
         "a, b", ((MONOMIAL, SPREAD), (SPREAD, SEVEN), (SEVEN, MONOMIAL))
@@ -336,7 +375,7 @@ class TestPackedKernel:
         # n^2 * g^2 reaches 2 * 4 + 2 * 3 in every variable, the radix bound
         one = SparsePoly.const(VARS3, DOM11, 1)
         terms = [(f, one, ((g, 2),))]
-        (got,) = homogenized_sums(terms, 2, [(0, 0, 1)], VARS3, DOM11)
+        (got,) = homogenized_sums(terms, 2, [(0, 0, 1)], VARS3, DOM11).polys(VARS3, DOM11)
         assert got == _mul_schoolbook(_mul_schoolbook(f, f), _mul_schoolbook(g, g))
         assert (14, 6, 14) in got.terms and (6, 14, 6) in got.terms
 
@@ -383,7 +422,8 @@ class TestPrimeBound:
         f, g = self.operands(p)
         terms = [(f, g, ((g, 1),)), (g, f, ())]
         w = (p - 1, 0, p - 2)
-        got = homogenized_sums(terms, 2, [w], VARS, PrimeDomain(p))
+        sums = homogenized_sums(terms, 2, [w], VARS, PrimeDomain(p))
+        got = sums.polys(VARS, PrimeDomain(p))
         assert got == [homogenized_reference(terms, 2, w, VARS, PrimeDomain(p))]
 
     @pytest.mark.parametrize("domain", (PrimeDomain(2147483659), RationalDomain()))

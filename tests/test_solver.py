@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 from finpolylog import build, characterize, kernels_equal, lemma417_sequence, lhat_apply
 from finpolylog import poly, solver
 from finpolylog.cli import main
-from finpolylog.poly import PrimeDomain, SparsePoly
+from finpolylog.finlog import twisted_numerators
+from finpolylog.errors import SizeExceeded
+from finpolylog.poly import Coordinates, PrimeDomain, SparsePoly
 from finpolylog.solver import (
     PRESETS,
     _rref,
@@ -128,11 +130,12 @@ class TestBlockedRref:
 class TestHTwoTermMatrix:
     @pytest.mark.parametrize("p", (5, 7, 11, 13, 17, 19, 23, 29, 31, 97))
     def test_running_powers_match_direct_powers(self, p):
+        # the Pascal rows mod p against j * (x^j - (1-x)^j) from SparsePoly powers
         dom = PrimeDomain(p)
         x = SparsePoly.variable("x", ("x",), dom)
         one = SparsePoly.const(("x",), dom, 1)
         for deg in (p - 1, p):
-            direct = columns_matrix(
+            direct = columns_matrix_oracle(
                 [(x**j - (one - x) ** j).scale(j) for j in range(deg + 1)], p
             )
             assert np.array_equal(h_two_term_matrix(p, deg), direct)
@@ -142,17 +145,25 @@ class TestEquationColumns:
     def test_polylog_solves_its_own_equation(self):
         p = 7
         s = build("feit", p)
-        cols = equation_columns(s, p)
+        mat = columns_matrix(equation_columns(s, p), p)
         for vec in (polylog_vector(1, p), np.zeros(p, dtype=np.int64)):
-            assert substitute_into_columns(cols, vec, p).is_zero()
+            assert not substitute_into_columns(mat, vec, p).any()
 
     def test_nonsolution_leaves_residual(self):
         p = 7
         s = build("feit", p)
-        cols = equation_columns(s, p)
+        mat = columns_matrix(equation_columns(s, p), p)
         vec = np.zeros(p, dtype=np.int64)
         vec[2] = 1  # T^2 is not a solution
-        assert not substitute_into_columns(cols, vec, p).is_zero()
+        assert substitute_into_columns(mat, vec, p).any()
+
+    def test_residual_at_the_largest_packed_prime(self):
+        # products of residues near 2^31 leave int64 unless reduced one by one
+        p = 2147483647
+        mat = np.array([[p - 1, p - 2, 1], [0, p - 1, p - 1]], dtype=np.int64)
+        vec = [p - 1, p - 3, 5]
+        want = [sum(int(a) * b for a, b in zip(row, vec)) % p for row in mat]
+        assert substitute_into_columns(mat, vec, p).tolist() == want
 
     def test_columns_matrix_shape(self):
         p = 7
@@ -180,10 +191,44 @@ def columns_matrix_oracle(cols, p):
     return mat
 
 
+def coordinates(cols):
+    """Coordinate form of a list of SparsePoly columns."""
+    nvars = len(cols[0].vars) if cols else 0
+    rows = [e for col in cols for e in col.terms]
+    return Coordinates(
+        np.array(rows, dtype=np.int64).reshape(len(rows), nvars),
+        np.array([j for j, col in enumerate(cols) for _ in col.terms], dtype=np.int64),
+        np.array([c for col in cols for c in col.terms.values()], dtype=np.int64),
+        len(cols),
+    )
+
+
+def per_vector_columns(s, p, deg):
+    """The columns one unit vector at a time: one call of the numerator
+    builder per column, each unpacked into a SparsePoly."""
+    cols = []
+    for j in range(deg + 1):
+        unit = [int(i == j) for i in range(deg + 1)]
+        (col,) = twisted_numerators(s, deg, [unit])[1].polys(s.variables, s.domain)
+        cols.append(col)
+    return cols
+
+
+PRESET_CONSTRAINTS = [
+    (preset, eq_id, params)
+    for preset in sorted(PRESETS)
+    for eq_id, params in PRESETS[preset]["constraints"]
+]
+
+
 class TestColumnsMatrix:
+    """The stacked columns and their matrix against one builder call per
+    unit vector, unpacked into dicts and placed one entry at a time."""
+
     @staticmethod
-    def assert_matches_oracle(cols, p):
-        got, want = columns_matrix(cols, p), columns_matrix_oracle(cols, p)
+    def assert_matches_oracle(s, p, deg):
+        got = columns_matrix(equation_columns(s, p, deg), p)
+        want = columns_matrix_oracle(per_vector_columns(s, p, deg), p)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -192,8 +237,57 @@ class TestColumnsMatrix:
     def test_preset_columns(self, preset, p):
         deg = preset_degree(preset, p)
         for eq_id, params in PRESETS[preset]["constraints"]:
-            cols = equation_columns(build(eq_id, p, **params), p, deg)
-            self.assert_matches_oracle(cols, p)
+            self.assert_matches_oracle(build(eq_id, p, **params), p, deg)
+
+    @pytest.mark.parametrize("p", (5, 7, 11))
+    def test_preset_columns_in_blocks(self, p, monkeypatch):
+        """Once the first vector is read, the cap drops to the columns'
+        total: the parts then split into blocks, or a stacked product
+        passes the cap and its block is halved.  The matrix must not change."""
+        sums, refused = [], []
+        grouped_sum = poly._grouped_sum
+        depth = [0]
+
+        def counting(items, powers, q):
+            outer = not depth[0]
+            depth[0] += 1
+            try:
+                result = grouped_sum(items, powers, q)
+            except SizeExceeded:
+                refused.append(outer)
+                raise
+            finally:
+                depth[0] -= 1
+            sums.append(outer)
+            return result
+
+        numerators = solver.twisted_numerators
+        split = halved = 0
+        for preset, eq_id, params in PRESET_CONSTRAINTS:
+            s = build(eq_id, p, **params)
+            deg = preset_degree(preset, p)
+            want = columns_matrix_oracle(per_vector_columns(s, p, deg), p)
+            cap = int(np.count_nonzero(want))
+
+            def lowered(vectors):
+                for w in vectors:
+                    monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", cap)
+                    yield w
+
+            with monkeypatch.context() as mp:
+                mp.setattr(poly, "_grouped_sum", counting)
+                mp.setattr(
+                    solver,
+                    "twisted_numerators",
+                    lambda s, deg, vectors: numerators(s, deg, lowered(vectors)),
+                )
+                sums.clear(), refused.clear()
+                got = columns_matrix(equation_columns(s, p, deg), p)
+            monkeypatch.undo()
+            assert np.array_equal(got, want), (preset, eq_id)
+            split += sums.count(True) > 1 and not any(refused)
+            halved += any(refused)
+        assert split >= 5 and halved >= 2
 
     def test_hand_made_columns(self):
         p, dom = 7, PrimeDomain(10007)  # coefficients up to 10006
@@ -205,15 +299,25 @@ class TestColumnsMatrix:
             SparsePoly(variables, dom, {(0, 3): 7, (1, 0): 14, (2, 0): 1, (1, 1): 700}),
             SparsePoly(variables, dom, {(0, 0): 6, (0, 3): 8}),
         ]
-        self.assert_matches_oracle(cols, p)
-        self.assert_matches_oracle(cols[1:2], p)
-        self.assert_matches_oracle([], p)
+        for part in (cols, cols[1:2], [], cols[::-1]):
+            got = columns_matrix(coordinates(part), p)
+            want = columns_matrix_oracle(part, p)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_columns_without_variables(self):
+        dom = PrimeDomain(7)
+        cols = [SparsePoly.const((), dom, c) for c in (3, 0, 5)]
+        got = columns_matrix(coordinates(cols), 7)
+        assert got.tolist() == [[3, 0, 5]]
+        assert coordinates(cols).polys((), dom) == cols
 
 
 class TestSharedDenominatorClearing:
     """lhat_apply and equation_columns clear denominators with the same
     routine; reading the columns at the polylog's coefficient vector must
-    give exactly the numerator of the twisted evaluation."""
+    give exactly the numerator of the twisted evaluation.  The numerator
+    goes into the matrix as one more column, so both sides are read on the
+    same rows."""
 
     @pytest.mark.parametrize(
         "eq_id, p, weight, residual_terms",
@@ -234,7 +338,18 @@ class TestSharedDenominatorClearing:
         num = lhat_apply(weight, s).num
         cols = equation_columns(s, p, p - 1)
         assert len(num.terms) == residual_terms
-        assert num == substitute_into_columns(cols, polylog_vector(weight, p), p)
+        extra = coordinates([num])
+        mat = columns_matrix(
+            Coordinates(
+                np.vstack([cols.exps, extra.exps]),
+                np.concatenate([cols.index, extra.index + cols.count]),
+                np.concatenate([cols.vals, extra.vals]),
+                cols.count + 1,
+            ),
+            p,
+        )
+        residual = substitute_into_columns(mat[:, :-1], polylog_vector(weight, p), p)
+        assert np.array_equal(residual, mat[:, -1])
 
 
 class TestColumnSizeGuard:
@@ -247,6 +362,25 @@ class TestColumnSizeGuard:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert main(["solve", "--preset", "FEIT", "--p", "31"]) == 0
+
+    def test_refused_before_the_last_block(self, monkeypatch, capsys):
+        # FEIT's parts at p=97 (157,140 terms) take two blocks under this
+        # cap; the total passes it within the first, so the 97th unit vector
+        # is never read
+        monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", 10**5)
+        read = []
+        numerators = solver.twisted_numerators
+
+        def counting(s, deg, vectors):
+            return numerators(s, deg, (read.append(deg) or w for w in vectors))
+
+        monkeypatch.setattr(solver, "twisted_numerators", counting)
+        assert main(["solve", "--preset", "FEIT", "--p", "97"]) == 2
+        assert "the sums over the first" in capsys.readouterr().err
+        assert 0 < len(read) < 97
+        read.clear()
+        assert main(["solve", "--preset", "FEIT", "--p", "31"]) == 0
+        assert len(read) == 31
 
 
 class TestPresets:
@@ -263,6 +397,8 @@ class TestPresets:
     def test_basis_is_sound(self, preset):
         r = characterize(preset, 7)
         assert basis_residuals(preset, 7, r.basis)
+        vec = polylog_vector(PRESETS[preset]["target"], 7) + 1
+        assert not basis_residuals(preset, 7, [vec])
 
     def test_kernels_equal_for_both_weight_two_presets(self):
         assert kernels_equal("KS", "J", 7)
