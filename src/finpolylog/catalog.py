@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -233,6 +234,9 @@ def _b_kummer_spence_v1(p):
     return FormalSum(2, terms, ("a", "b"))
 
 
+# Every specialization substitutes into the same 22-term sum; sums are
+# never mutated, so the built sum is shared.
+@lru_cache(maxsize=4)
 def _b_cathelineau_J(p):
     dom, one, xs = _gens(("a", "b", "c"), p)
     a, b, c = xs["a"], xs["b"], xs["c"]

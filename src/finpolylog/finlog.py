@@ -329,9 +329,24 @@ def tau(i: int, p: int, var: str = "T") -> SparsePoly:
     return (t**i) * ((one - t) ** i) * (t ** (p - 3 * i) + sign)
 
 
-def _polylog_at_unit(m: int, p: int, x: int) -> int:
-    """The weight-m polylog at x = 1 or -1: sum_k x^k k^(-m) mod p."""
-    return sum(c * x**k for k, c in enumerate(_inv_power_table(m, p), 1)) % p
+def _unit_power_sums(p: int):
+    """For n = 0..p-1, the weight-n polylog at 1 and at -1, as two lists
+    indexed by n: sum_k k^(-n) and sum_k (-1)^k k^(-n) mod p, k = 1..p-1.
+
+    One int64 vector of k^(-n) is carried from n to n + 1 by one product
+    with the inverses; residues stay below 2^31, so products and sums stay
+    inside int64.
+    """
+    if p >= _PACKED_P_LIMIT:
+        raise BadParams(f"special values need p < 2^31, got {p}")
+    inverses = np.array([pow(k, p - 2, p) for k in range(1, p)], dtype=np.int64)
+    power = np.ones(p - 1, dtype=np.int64)  # k^(-n) at index k - 1
+    at_one, at_minus_one = [], []
+    for _n in range(p):
+        at_one.append(int(power.sum() % p))
+        at_minus_one.append(int((power[1::2].sum() - power[::2].sum()) % p))
+        power = power * inverses % p
+    return at_one, at_minus_one
 
 
 def special_values(p: int) -> list:
@@ -342,9 +357,10 @@ def special_values(p: int) -> list:
     expected, status; status is "ok", "mismatch" or "logged" (the known
     index-1 Genocchi discrepancy, reported but not asserted).
     """
+    at_one, at_minus_one = _unit_power_sums(p)
     rows = []
     for n in range(1, p):
-        computed = _polylog_at_unit(n, p, 1)
+        computed = at_one[n]
         expected = (p - 1) if n % (p - 1) == 0 else 0
         rows.append(
             {
@@ -358,7 +374,7 @@ def special_values(p: int) -> list:
             }
         )
     for w in range(2, p, 2):
-        computed = _polylog_at_unit(w, p, -1)
+        computed = at_minus_one[w]
         rows.append(
             {
                 "p": p,
@@ -374,7 +390,7 @@ def special_values(p: int) -> list:
     for mm in range(1, p - 1):
         if mm % 2 == 1 and mm != 1:
             continue
-        computed = _polylog_at_unit(p - mm, p, -1)
+        computed = at_minus_one[p - mm]
         g = 2 * (1 - pow(2, mm, p)) * bern[mm] % p  # the Genocchi number G_mm
         expected = (g * pow(mm, p - 2, p)) % p
         if mm == 1:

@@ -66,15 +66,22 @@ class FormalSum:
         )
 
     def merged(self) -> "FormalSum":
-        """Combine terms with equal arguments and drop zero coefficients."""
-        groups = []  # list of [arg, coeff]
+        """Combine terms with equal arguments and drop zero coefficients.
+
+        Each argument joins the first earlier group whose argument equals
+        it; only groups with the same leading signature are compared, as
+        equal arguments have equal signatures."""
+        groups = []  # list of [arg, coeff], in order of first appearance
+        buckets = {}  # leading signature -> its groups, in the same order
         for c, x in self.terms:
-            for g in groups:
+            bucket = buckets.setdefault(x.leading_signature(), [])
+            for g in bucket:
                 if g[0] == x:
                     g[1] = g[1] + c
                     break
             else:
-                groups.append([x, c])
+                bucket.append([x, c])
+                groups.append(bucket[-1])
         new_terms = tuple(
             (c, x) for x, c in groups if not c.is_zero()
         )

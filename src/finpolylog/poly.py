@@ -11,7 +11,7 @@ polynomials.  There is no full multivariate gcd; reduction removes factors
 that divide the numerator exactly and normalizes the leading denominator
 coefficient, which is enough because every construction in this package
 builds denominators in factored form.  Equality is decided by
-cross-multiplication.
+cross-multiplication, after a cheap comparison of leading signatures.
 
 Large products over GF(p) with p < 2^31 run on a private packed kernel: a
 polynomial becomes a sorted int64 array of Kronecker-packed exponent keys
@@ -409,38 +409,11 @@ class SparsePoly:
 
     def substitute(self, assignments: dict) -> "RatFunc":
         """Substitute rational functions for variables; unassigned variables
-        must exist in the target universe and map to themselves."""
+        must exist in the target universe and map to themselves.  See
+        :func:`_substitution` for how the result is formed."""
         if not assignments:
             return RatFunc(self)
-        sample = next(iter(assignments.values()))
-        tvars, tdom = sample.num.vars, sample.num.domain
-        for rf in assignments.values():
-            if rf.num.vars != tvars or rf.num.domain != tdom:
-                raise DomainMismatch("inconsistent substitution targets")
-        if tdom != self.domain:
-            raise DomainMismatch("substitution changes the coefficient domain")
-        values = {}
-        for v in self.vars:
-            if v in assignments:
-                values[v] = assignments[v]
-            else:
-                if v not in tvars:
-                    raise DomainMismatch(
-                        f"variable {v!r} missing from target universe"
-                    )
-                values[v] = RatFunc(SparsePoly.variable(v, tvars, tdom))
-        acc = RatFunc(SparsePoly.zero(tvars, tdom))
-        powcache = {v: {} for v in self.vars}
-        for e, c in self.terms.items():
-            term = RatFunc(SparsePoly.const(tvars, tdom, c))
-            for v, k in zip(self.vars, e):
-                if k:
-                    pc = powcache[v]
-                    if k not in pc:
-                        pc[k] = values[v] ** k
-                    term = term * pc[k]
-            acc = acc + term
-        return acc
+        return RatFunc(*_substitution(self, assignments))
 
     def monic(self):
         """Return (unit, monic poly) with poly = self / unit."""
@@ -901,13 +874,65 @@ def exact_divide(f: SparsePoly, g: SparsePoly):
     return SparsePoly(f.vars, f.domain, quo, copy=False)
 
 
+def _substitution(poly: SparsePoly, assignments: dict):
+    """Numerator and denominator factors of ``poly`` with the rational
+    functions in ``assignments`` substituted for its variables, unreduced.
+
+    With N_v / D_v the value of variable v (v itself when unassigned) and
+    K_v the degree of ``poly`` in v, the numerator is
+    sum_e c_e prod_v N_v^(e_v) D_v^(K_v - e_v), built in one pass over the
+    terms from cached products N_v^j D_v^(K_v - j), over the factors of
+    every D_v raised to K_v.  Raises DomainMismatch when the values differ
+    in universe or domain, when they change the domain of ``poly``, or when
+    an unassigned variable is missing from their universe.
+    """
+    sample = next(iter(assignments.values()))
+    tvars, tdom = sample.num.vars, sample.num.domain
+    for rf in assignments.values():
+        if rf.num.vars != tvars or rf.num.domain != tdom:
+            raise DomainMismatch("inconsistent substitution targets")
+    if tdom != poly.domain:
+        raise DomainMismatch("substitution changes the coefficient domain")
+    values = []
+    for v in poly.vars:
+        if v in assignments:
+            values.append(assignments[v])
+        elif v in tvars:
+            values.append(RatFunc(SparsePoly.variable(v, tvars, tdom)))
+        else:
+            raise DomainMismatch(f"variable {v!r} missing from target universe")
+    columns = []  # (position, value, K_v, cache of N^j D^(K_v - j) by j)
+    factors = []
+    for i, value in enumerate(values):
+        k = max((e[i] for e in poly.terms), default=0)
+        if k:
+            columns.append((i, value, k, {}))
+            factors.extend((f, m * k) for f, m in value.factors)
+    if not columns:  # poly is a constant
+        return SparsePoly.const(tvars, tdom, poly.constant_value()), factors
+    acc = {}
+    for e, c in poly.terms.items():
+        term = None
+        for i, value, k, cache in columns:
+            j = e[i]
+            part = cache.get(j)
+            if part is None:
+                part = cache[j] = value.num**j
+                if value.factors and j < k:
+                    part = cache[j] = part * value.den ** (k - j)
+            term = part if term is None else term * part
+        for te, tc in term.terms.items():
+            acc[te] = acc.get(te, 0) + c * tc
+    return SparsePoly(tvars, tdom, acc), factors
+
+
 _REDUCE_NUM_CAP = 6000
 
 
 class RatFunc:
     """Rational function num / prod(factor^mult) with monic tracked factors."""
 
-    __slots__ = ("num", "factors", "_den")
+    __slots__ = ("num", "factors", "_den", "_sig")
 
     def __init__(self, num: SparsePoly, factors=(), *, reduce=True):
         norm = []
@@ -955,6 +980,7 @@ class RatFunc:
             merged[k] for k in sorted(merged)
         )
         self._den = None
+        self._sig = None  # (leading signature,) once computed
 
     # -- basic structure ---------------------------------------------
 
@@ -1073,12 +1099,35 @@ class RatFunc:
             return NotImplemented
         if self.num.vars != other.num.vars or self.num.domain != other.num.domain:
             return False
+        if self.leading_signature() != other.leading_signature():
+            return False
         return (self.num * other.den) == (other.num * self.den)
 
     def __hash__(self):
         raise TypeError("RatFunc is unhashable; use canonical_key()")
 
     # -- structure -------------------------------------------------------
+
+    def leading_signature(self):
+        """The graded-lex leading exponent of num minus those of the
+        denominator factors (times their multiplicities), with num's leading
+        coefficient; None for zero.
+
+        Leading exponents add and leading coefficients multiply under
+        products, and every factor is monic, so equal rational functions
+        have equal signatures."""
+        if self._sig is None:
+            if self.num.is_zero():
+                sig = None
+            else:
+                lead = self.num.leading_exponent()
+                exps = list(lead)
+                for fac, mult in self.factors:
+                    for i, k in enumerate(fac.leading_exponent()):
+                        exps[i] -= mult * k
+                sig = (tuple(exps), self.num.terms[lead])
+            self._sig = (sig,)
+        return self._sig[0]
 
     def canonical_key(self):
         """Deterministic key identifying the reduced num/den pair up to a
@@ -1133,14 +1182,33 @@ class RatFunc:
         return num_val * den_val.inverse()
 
     def substitute(self, assignments: dict) -> "RatFunc":
-        num = self.num.substitute(assignments)
-        result = num
+        """The image of num over the images of the factors, formed once.
+
+        Each factor's image B / E (reduced) raised to its multiplicity m
+        puts B^m among the factors, as one factor, and E^m on the numerator
+        side, where it nets against the factors of num's image.  Raises
+        ZeroDenominator when a factor's image is zero."""
+        image = self.num.substitute(assignments)
+        if not self.factors:
+            return image
+        num = image.num
+        net = {f.serialize(): [f, m] for f, m in image.factors}
+        tops = []
         for fac, mult in self.factors:
             fr = fac.substitute(assignments)
             if fr.is_zero():
                 raise ZeroDenominator("substitution kills a denominator factor")
-            result = result / fr**mult
-        return result
+            top = fr.num**mult
+            if top.is_constant():
+                num = num.scale(num.domain.inv(top.constant_value()))
+            else:
+                tops.append((top, 1))
+            for f, m in fr.factors:
+                net.setdefault(f.serialize(), [f, 0])[1] -= m * mult
+        for f, m in net.values():
+            if m < 0:
+                num = num * f ** (-m)
+        return RatFunc(num, [(f, m) for f, m in net.values() if m > 0] + tops)
 
     def serialize(self) -> str:
         num = self.num.serialize()

@@ -28,8 +28,9 @@ from finpolylog import SizeExceeded, finlog, poly, verify_strong
 from finpolylog.cli import main
 from finpolylog.fields import build_extension, genocchi
 from finpolylog.finlog import (
+    _inv_power_table,
     _ltilde_prime_table,
-    _polylog_at_unit,
+    _unit_power_sums,
     finite_polylog,
     recipe_decompose,
     recipe_prove_zero,
@@ -38,6 +39,11 @@ from finpolylog.finlog import (
 
 
 PRIMES = (5, 7, 11, 13)
+
+
+def _polylog_at_unit(m: int, p: int, x: int) -> int:
+    """Reference: the weight-m polylog at x = 1 or -1, sum_k x^k k^(-m) mod p."""
+    return sum(c * x**k for k, c in enumerate(_inv_power_table(m, p), 1)) % p
 
 
 class TestPolylogPolynomial:
@@ -162,6 +168,16 @@ class TestSpecialValues:
     def test_table_has_no_mismatches(self, p):
         rows = special_values(p)
         assert all(r["status"] in ("ok", "logged") for r in rows)
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101, 211))
+    def test_power_sums_match_the_reference(self, p):
+        at_one, at_minus_one = _unit_power_sums(p)
+        assert at_one == [_polylog_at_unit(n, p, 1) for n in range(p)]
+        assert at_minus_one == [_polylog_at_unit(n, p, -1) for n in range(p)]
+
+    def test_power_sums_refuse_primes_past_int64(self):
+        with pytest.raises(BadParams):
+            _unit_power_sums(2147483659)
 
     @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101))
     def test_values_at_one_and_minus_one_match_the_table(self, p):
