@@ -15,14 +15,17 @@ cross-multiplication, after a cheap comparison of leading signatures.
 
 Large products over GF(p) with p < 2^31 run on a private packed kernel: a
 polynomial becomes a sorted int64 array of Kronecker-packed exponent keys
-(one radix per variable) and an int64 array of residues.  Products are
-outer sums of keys and products of residues; equal keys merge through a
-stable argsort and an int64 ``np.add.reduceat``.  A one-term operand
-needs no merge: it shifts the other operand's keys, which stay sorted and
-distinct, and scales its residues, which stay nonzero.  Below 2^31 a
-product of two residues is below 2^62 and is reduced before summing, so
-the kernel is exact; larger primes use the schoolbook product, and so do single products
-whose packed keys would not fit in int64.  Besides single products, the
+(one radix per variable) and an int64 array of residues.  A one-term
+operand needs no merge: it shifts the other operand's keys, which stay
+sorted and distinct, and scales its residues, which stay nonzero.  A
+large product with no more cells in a dense line array over its keys than
+pairs of terms accumulates there, one scatter-add per term of the short
+operand; the others are outer sums of keys and products of residues, whose
+equal keys merge through a stable argsort and an int64 ``np.add.reduceat``.  Below 2^31 a product of
+two residues is below 2^62, and sums are reduced mod p before they could
+leave int64, so the kernel is exact; larger primes use the schoolbook
+product, and so do single products whose packed keys would not fit in
+int64.  Besides single products, the
 kernel has one more entry point, :func:`homogenized_sums`, which builds the
 cleared numerators of the twisted evaluator and of the solver's columns:
 its inputs are packed once, and powers, products and sums stay packed
@@ -38,6 +41,7 @@ evaluation walks the terms.
 """
 
 from fractions import Fraction
+import heapq
 import operator
 from typing import NamedTuple
 
@@ -56,6 +60,8 @@ from .fields import FieldDescriptor, FieldElement, _power
 DEFAULT_TERM_CAP = 10**7
 _FAST_MUL_THRESHOLD = 4096
 _FAST_CHUNK_PAIRS = 24_000_000
+# below this many pairs an outer sum's sort costs less than a line array
+_DENSE_MIN_PAIRS = 1 << 16
 # Residue products stay below 2^62, and their sums inside int64.
 _PACKED_P_LIMIT = 1 << 31
 
@@ -138,6 +144,11 @@ class PrimeDomain:
 
 def _gradlex_key(exps):
     return (sum(exps), exps)
+
+
+def _gradlex_descending(exps):
+    """A key whose ascending order is descending graded-lex order."""
+    return (-sum(exps), tuple(-e for e in exps))
 
 
 class SparsePoly:
@@ -468,8 +479,8 @@ def _mul_schoolbook(f: SparsePoly, g: SparsePoly) -> SparsePoly:
 # A packed polynomial is a pair (keys, vals) of int64 arrays: keys are the
 # Kronecker-packed exponent tuples, sorted and distinct, and vals their
 # nonzero residues mod p.  For p < 2^31 a product of two residues is below
-# 2^62 and is reduced before summing, so every sum of equal keys stays far
-# inside int64 and the kernel is exact.
+# 2^62, and products are summed unreduced only as many at a time as int64
+# holds, so the kernel is exact.
 
 
 def _term_arrays(poly: SparsePoly):
@@ -522,7 +533,8 @@ def _packed_merge(keys, vals, p: int):
 
     Inputs made of sorted runs (the rows of an outer sum, or packed
     operands laid end to end) sort in near-linear time under the stable
-    sort.  Returns sorted distinct keys.
+    sort.  The values of one key must sum inside int64.  Returns sorted
+    distinct keys.
     """
     if not len(keys):
         return keys, vals
@@ -548,10 +560,81 @@ def _packed_add(parts, p: int):
     )
 
 
+def _dense_mul(ka, va, kb, vb, p: int):
+    """Product of packed polynomials, ``ka`` the shorter with at least two
+    terms, accumulated in a dense line array; None, with no array
+    allocated, when the array would have more cells than there are pairs.
+    An array of more than ``DEFAULT_TERM_CAP`` cells is never allocated
+    either: the product is then the sum of the products with the two
+    halves of the operand whose keys spread wider.
+
+    The keys of ``ka`` are ka[0] + t_i·δ, δ the gcd of their differences.
+    The keys of ``kb`` fall into classes by residue mod δ, and each class
+    gets a line of cells, one per quotient k // δ from its first key's to
+    its last's plus t_max; the lines lie end to end.  Term i adds va_i·vb
+    to the cells t_i past those of ``kb``.  The cells are reduced mod p
+    whenever one more row could carry a sum past int64, so every p < 2^31
+    is exact, and the nonzero cells are read back as keys, which need a
+    sort only when there are several classes.
+    """
+    t = ka - ka[0]
+    delta = int(np.gcd.reduce(t))
+    t //= delta
+    quot, res = np.divmod(kb, delta)
+    order = np.argsort(res, kind="stable") if delta > 1 else slice(None)
+    quot, res, vals = quot[order], res[order], vb[order]
+    firsts = np.flatnonzero(np.concatenate(([True], res[1:] != res[:-1])))
+    counts = np.diff(np.append(firsts, len(kb)))
+    lengths = quot[firsts + counts - 1] - quot[firsts] + 1 + int(t[-1])
+    # summed as floats, which cannot wrap around; a count that passes is exact
+    cells = lengths.sum(dtype=np.float64)
+    if cells > len(ka) * len(kb):
+        return None
+    cells = int(cells)
+    if cells > DEFAULT_TERM_CAP:
+        # the wider operand's spread sets the lines' lengths or their pad
+        if ka[-1] - ka[0] > kb[-1] - kb[0]:
+            ka, va, kb, vb = kb, vb, ka, va
+        half = len(kb) // 2
+        low = _packed_mul((ka, va), (kb[:half], vb[:half]), p)
+        high = _packed_mul((ka, va), (kb[half:], vb[half:]), p)
+        keys, vals = _packed_add([low, high], p)
+        if len(keys) > DEFAULT_TERM_CAP:
+            raise SizeExceeded("fast multiply result exceeds term cap")
+        return keys, vals
+    starts = np.cumsum(lengths) - lengths
+    shift = starts - quot[firsts]  # a key's cell is its quotient plus its class's shift
+    cell = quot + np.repeat(shift, counts)
+    acc = np.zeros(cells, dtype=np.int64)
+    row = np.empty_like(vals)
+    # a cell below p gains at most (p-1)^2 per row
+    rows = ((1 << 63) - p) // (p - 1) ** 2
+    for i, (step, vi) in enumerate(zip(np.diff(t, prepend=0).tolist(), va.tolist())):
+        if i and not i % rows:
+            acc %= p
+        cell += step
+        np.add.at(acc, cell, np.multiply(vals, vi, out=row))
+    acc %= p
+    cell = np.flatnonzero(acc)
+    line = np.searchsorted(starts, cell, side="right") - 1
+    keys = ka[0] + res[firsts][line] + (cell - shift[line]) * delta
+    vals = acc[cell]
+    if len(firsts) > 1:
+        order = np.argsort(keys)
+        keys, vals = keys[order], vals[order]
+    return keys, vals
+
+
 def _packed_mul(a, b, p: int):
-    """Product of packed polynomials: outer sums of keys and products of
-    values, formed in chunks of about ``_FAST_CHUNK_PAIRS`` pairs.  A
-    one-term operand only shifts the other's keys and scales its values."""
+    """Product of packed polynomials.  A one-term operand only shifts the
+    other's keys and scales its values.  A product of at least
+    ``_DENSE_MIN_PAIRS`` pairs whose short operand has three terms or more
+    goes to :func:`_dense_mul`; what it declines forms outer sums of keys
+    and products of values in chunks of about ``_FAST_CHUNK_PAIRS`` pairs,
+    each merged into the sum of the chunks before it.  SizeExceeded is
+    raised once that sum passes ``DEFAULT_TERM_CAP`` terms, so a product
+    whose first rows pass the cap is refused even if later rows would
+    cancel it back below."""
     (ka, va), (kb, vb) = a, b
     if len(ka) > len(kb):
         ka, va, kb, vb = kb, vb, ka, va
@@ -563,21 +646,24 @@ def _packed_mul(a, b, p: int):
         if len(kb) > DEFAULT_TERM_CAP:
             raise SizeExceeded("fast multiply result exceeds term cap")
         return kb + ka, vb * va % p
-    chunk = max(1, _FAST_CHUNK_PAIRS // max(1, len(kb)))
-    parts = []
+    if len(ka) >= 3 and len(ka) * len(kb) >= _DENSE_MIN_PAIRS:
+        product = _dense_mul(ka, va, kb, vb, p)
+        if product is not None:
+            return product
+    chunk = max(1, _FAST_CHUNK_PAIRS // len(kb))
+    # a key of a chunk's outer sum gathers one pair per row at most, so
+    # below this many rows the unreduced products sum inside int64
+    lazy = min(chunk, len(ka)) * (p - 1) ** 2 < 1 << 63
+    keys = vals = None
     for start in range(0, len(ka), chunk):
         ks = ka[start : start + chunk]
-        vs = va[start : start + chunk]
-        parts.append(
-            _packed_merge(
-                (ks[:, None] + kb[None, :]).ravel(),
-                ((vs[:, None] * vb[None, :]) % p).ravel(),
-                p,
-            )
+        prods = (va[start : start + chunk, None] * vb[None, :]).ravel()
+        part = _packed_merge(
+            (ks[:, None] + kb[None, :]).ravel(), prods if lazy else prods % p, p
         )
-    keys, vals = _packed_add(parts, p)
-    if len(keys) > DEFAULT_TERM_CAP:
-        raise SizeExceeded("fast multiply result exceeds term cap")
+        keys, vals = part if keys is None else _packed_add([(keys, vals), part], p)
+        if len(keys) > DEFAULT_TERM_CAP:
+            raise SizeExceeded("fast multiply result exceeds term cap")
     return keys, vals
 
 
@@ -834,7 +920,12 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
 
 
 def exact_divide(f: SparsePoly, g: SparsePoly):
-    """Return f / g if g divides f exactly, else None (graded-lex division)."""
+    """Return f / g if g divides f exactly, else None (graded-lex division).
+
+    The remainder's exponents also sit in a heap ordered by descending
+    graded-lex key, so each leading term costs O(log n); an exponent that
+    cancels stays in the heap and is skipped when it surfaces.
+    """
     f._compat(g)
     if g.is_zero():
         raise ZeroDenominator("division by the zero polynomial")
@@ -843,6 +934,8 @@ def exact_divide(f: SparsePoly, g: SparsePoly):
     glead = g.leading_exponent()
     gc_inv = f.domain.inv(g.terms[glead])
     rem = dict(f.terms)
+    heap = [(_gradlex_descending(e), e) for e in rem]
+    heapq.heapify(heap)
     quo = {}
     p = f.domain.p if f.domain.kind == "prime" else None
     # bail out early if the division cannot terminate quickly
@@ -852,7 +945,9 @@ def exact_divide(f: SparsePoly, g: SparsePoly):
         steps += 1
         if steps > max_steps:
             return None
-        rlead = max(rem, key=_gradlex_key)
+        rlead = heapq.heappop(heap)[1]
+        while rlead not in rem:
+            rlead = heapq.heappop(heap)[1]
         diff = tuple(a - b for a, b in zip(rlead, glead))
         if any(d < 0 for d in diff):
             return None
@@ -870,6 +965,8 @@ def exact_divide(f: SparsePoly, g: SparsePoly):
             if nc == 0:
                 rem.pop(e, None)
             else:
+                if e not in rem:
+                    heapq.heappush(heap, (_gradlex_descending(e), e))
                 rem[e] = nc
     return SparsePoly(f.vars, f.domain, quo, copy=False)
 

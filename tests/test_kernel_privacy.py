@@ -15,6 +15,7 @@ MODULES = sorted(
 PRIVATE = {
     "_Kronecker",
     "_packed_mul",
+    "_dense_mul",
     "_packed_add",
     "_packed_merge",
     "_term_arrays",

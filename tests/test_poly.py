@@ -1,4 +1,6 @@
+from fractions import Fraction
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +83,76 @@ class TestSparsePoly:
     def test_serialize_is_deterministic(self):
         a = SparsePoly(VARS, DOM7, {(1, 2): 3, (2, 1): 4})
         assert a.serialize() == a.serialize()
+
+
+def exact_divide_reference(f, g):
+    """Graded-lex division that finds each leading term by a scan of the
+    whole remainder: the reference for :func:`exact_divide`."""
+    if f.is_zero():
+        return f
+    glead = g.leading_exponent()
+    gc_inv = f.domain.inv(g.terms[glead])
+    rem = dict(f.terms)
+    quo = {}
+    p = f.domain.p if f.domain.kind == "prime" else None
+    steps = 0
+    max_steps = 4 * len(f.terms) + 64
+    while rem:
+        steps += 1
+        if steps > max_steps:
+            return None
+        rlead = max(rem, key=lambda e: (sum(e), e))
+        diff = tuple(a - b for a, b in zip(rlead, glead))
+        if any(d < 0 for d in diff):
+            return None
+        qc = (rem[rlead] * gc_inv) % p if p is not None else rem[rlead] * gc_inv
+        quo[diff] = qc
+        for ge, gcoef in g.terms.items():
+            e = tuple(a + b for a, b in zip(diff, ge))
+            nc = rem.get(e, 0) - qc * gcoef
+            if p is not None:
+                nc %= p
+            if nc == 0:
+                rem.pop(e, None)
+            else:
+                rem[e] = nc
+    return SparsePoly(f.vars, f.domain, quo, copy=False)
+
+
+class TestExactDivide:
+    @given(polys, polys, polys, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_scanning_reference(self, q, g, r, exact):
+        # f = q g divides exactly; f = q g + r mostly does not
+        if g.is_zero():
+            return
+        f = q * g if exact else q * g + r
+        got = exact_divide(f, g)
+        want = exact_divide_reference(f, g)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.terms == want.terms
+            assert list(got.terms) == list(want.terms)  # the same steps in order
+            assert got * g == f
+
+    @pytest.mark.parametrize("n", (71, 72, 73, 80))
+    def test_step_bound(self, n):
+        # (x^n - 1) / (x - 1) takes n steps against a bound of 4 * 2 + 64
+        x = SparsePoly.variable("x", VARS, DOM7)
+        one = SparsePoly.const(VARS, DOM7, 1)
+        f = x**n - one
+        got = exact_divide(f, x - one)
+        assert got == exact_divide_reference(f, x - one)
+        assert (got is None) == (n > 72)
+
+    def test_rationals(self):
+        dom = RationalDomain()
+        x = SparsePoly.variable("x", VARS, dom)
+        y = SparsePoly.variable("y", VARS, dom)
+        g = x * x - y.scale(Fraction(1, 3))
+        q = x * y + y * y.scale(Fraction(5, 2)) - x
+        assert exact_divide(q * g, g) == q == exact_divide_reference(q * g, g)
+        assert exact_divide(q * g + x, g) is None
 
 
 class TestRatFunc:
@@ -378,6 +450,220 @@ class TestPackedKernel:
         (got,) = homogenized_sums(terms, 2, [(0, 0, 1)], VARS3, DOM11).polys(VARS3, DOM11)
         assert got == _mul_schoolbook(_mul_schoolbook(f, f), _mul_schoolbook(g, g))
         assert (14, 6, 14) in got.terms and (6, 14, 6) in got.terms
+
+
+DENSE_PRIMES = (2, 3, 11, (1 << 31) - 1)
+TOP_PRIME = (1 << 31) - 1
+
+
+@st.composite
+def dense_products(draw):
+    """A prime and two operands as exponent -> coefficient dicts, for the
+    dense line array: a long operand full on a rectangle of x^a y^b and a
+    short one of four or more terms in one variable, with gaps between its
+    exponents.  In x the short operand's keys have δ = 1 or a small gcd;
+    in y, δ is a multiple of the x radix, and the long operand's keys fall
+    into one class per residue.  Either way the line array has fewer cells
+    than there are pairs."""
+    p = draw(st.sampled_from(DENSE_PRIMES))
+    coeffs = st.integers(1, p - 1)
+    width, height = draw(st.integers(4, 12)), draw(st.integers(4, 12))
+    long = {(a, b): draw(coeffs) for a in range(width) for b in range(height)}
+    var = draw(st.sampled_from((0, 1)))
+    span = (width, height)[var]
+    exps = draw(st.lists(st.integers(0, span), min_size=4, max_size=6, unique=True))
+    short = {(e, 0) if var == 0 else (0, e): draw(coeffs) for e in exps}
+    return p, short, long
+
+
+def gapped_and_rectangle(p, top=False):
+    """A y-gapped short operand and a full 12 x 9 rectangle; with ``top``
+    every coefficient is p - 1."""
+    gapped = {(0, 0): 1, (0, 3): 2, (0, 4): 3, (0, 9): 4}
+    rectangle = {(a, b): 1 + (a + b) % 10 for a in range(12) for b in range(9)}
+    if top:
+        gapped, rectangle = dict.fromkeys(gapped, p - 1), dict.fromkeys(rectangle, p - 1)
+    return p, gapped, rectangle
+
+
+def packed_product(f, g, p, dense):
+    """Product of exponent -> coefficient dicts on the packed kernel, with
+    the line array forced on or off, and whether it was taken."""
+    exps = np.array(list(f) + list(g), dtype=np.int64)
+    kron = poly._Kronecker(2 * exps.max(axis=0) + 1)
+    packed = [
+        kron.pack(np.array(list(h), dtype=np.int64), np.array(list(h.values()), dtype=np.int64))
+        for h in (f, g)
+    ]
+    taken = []
+    dense_mul = poly._dense_mul
+
+    def spy(*args):
+        product = dense_mul(*args)
+        taken.append(product is not None)
+        return product
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_DENSE_MIN_PAIRS", 0 if dense else 1 << 62)
+        mp.setattr(poly, "_dense_mul", spy)
+        keys, vals = poly._packed_mul(*packed, p)
+    # the packed format: sorted distinct keys, nonzero residues
+    assert np.all(keys[1:] > keys[:-1]) and np.all((0 < vals) & (vals < p))
+    rows = map(tuple, kron.exponents(keys).tolist())
+    return dict(zip(rows, vals.tolist())), taken
+
+
+def dict_product(f, g, p):
+    """Schoolbook product of exponent -> coefficient dicts mod p."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = (out.get(e, 0) + c1 * c2) % p
+    return {e: c for e, c in out.items() if c}
+
+
+class TestDensePath:
+    """Products accumulated in the dense line array against the schoolbook
+    reference, with the path forced on and off through its pair
+    threshold."""
+
+    @given(dense_products(), st.booleans())
+    @example(gapped_and_rectangle(11), True)
+    @example(gapped_and_rectangle(TOP_PRIME, top=True), True)
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_matches_schoolbook(self, case, dense):
+        p, f, g = case
+        product, taken = packed_product(f, g, p, dense)
+        assert taken == ([True] if dense else [])
+        want = dict_product(f, g, p)
+        assert product == want
+        if p != 2:  # GF(2) has no SparsePoly domain
+            dom = PrimeDomain(p)
+            assert want == _mul_schoolbook(SparsePoly(VARS, dom, f), SparsePoly(VARS, dom, g)).terms
+
+    @staticmethod
+    def multiply(f, g, dense):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "_DENSE_MIN_PAIRS", 0 if dense else 1 << 62)
+            return _mul_prime_fast(f, g)
+
+    @given(mul_operands, mul_operands, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_small_operands_match_schoolbook(self, a, b, dense):
+        # the line array is declined where it would outnumber the pairs
+        assert self.multiply(a, b, dense) == _mul_schoolbook(a, b)
+
+    def test_residue_products_at_the_largest_prime(self):
+        # every cell gathers up to four products of (p-1)^2 ~ 2^62, so
+        # the cells must be reduced every two rows, and the sorted path
+        # must reduce each pair product once three rows meet in a key
+        dom = PrimeDomain(TOP_PRIME)
+        x = SparsePoly.variable("x", VARS, dom)
+        y = SparsePoly.variable("y", VARS, dom)
+        one = SparsePoly.const(VARS, dom, 1)
+        f = (one + x + x * x + x ** 3).scale(-1)
+        g = SparsePoly(VARS, dom, {(a, b): TOP_PRIME - 1 for a in range(40) for b in range(40)})
+        for dense in (True, False):
+            assert self.multiply(f, g, dense) == _mul_schoolbook(f, g)
+        assert self.multiply(f, y + x * y + x * x, False) == _mul_schoolbook(
+            f, y + x * y + x * x
+        )
+
+    @pytest.mark.parametrize("p", DENSE_PRIMES)
+    def test_cancellation_in_the_cells(self, p):
+        # (1 + x + x^2)(1 - x)(1 + x^3 + ... + x^(3n)) = 1 - x^(3n+3): all
+        # but two cells cancel
+        n = 500
+        f = {(0,): 1, (1,): 1, (2,): 1}
+        g = {e: c for k in range(n + 1) for e, c in (((3 * k,), 1), ((3 * k + 1,), p - 1))}
+        product, taken = packed_product(f, g, p, True)
+        assert taken == [True]
+        assert product == {(0,): 1, (3 * n + 3,): p - 1}
+
+    def test_cells_past_the_cap_are_never_allocated(self, monkeypatch):
+        # f = 1 + x + ... + x^(m-1) and g = (1 - x)(1 + x^m + ... + x^((k-1)m))
+        # have the product 1 - x^(km), through a line array of about
+        # (k+1)m cells; under a lower cap the array is split, and no
+        # allocation comes near its size
+        m, k, p = 1000, 1000, 11
+        ka = np.arange(m, dtype=np.int64)
+        kb = np.stack([np.arange(k) * m, np.arange(k) * m + 1], axis=1).ravel()
+        va = np.ones(m, dtype=np.int64)
+        vb = np.tile(np.array([1, p - 1], dtype=np.int64), k)
+        cells = k * m + m
+        for cap, fits in ((10**7, True), (cells // 10, False)):
+            monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", cap)
+            tracemalloc.start()
+            try:
+                keys, vals = poly._packed_mul((ka, va), (kb, vb), p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert keys.tolist() == [0, k * m] and vals.tolist() == [1, p - 1]
+            assert (peak >= 8 * cells) == fits, peak
+            if not fits:
+                assert peak < 8 * cells // 4
+
+    def test_a_cell_count_past_the_pairs_is_declined(self):
+        # three terms spread over 10^6 keys: the line array would hold
+        # far more cells than the 3 * 1000 pairs
+        ka = np.array([0, 1, 10**6], dtype=np.int64)
+        kb = np.arange(1000, dtype=np.int64)
+        ones = np.ones(1000, dtype=np.int64)
+        assert poly._dense_mul(ka, ones[:3], kb, ones, 11) is None
+
+
+class TestSortedPath:
+    """The sorted merge of outer sums, where the line array is declined."""
+
+    def test_refusal_before_the_chunks_are_concatenated(self, monkeypatch):
+        # 40 rows of 1000 keys in chunks of 2 rows: every row adds 1000
+        # new terms, so the merged chunks pass a cap of 5000 within three
+        # chunks, and no merge ever holds much more than the cap
+        ka = np.arange(40, dtype=np.int64) * 1000
+        kb = np.arange(1000, dtype=np.int64)
+        ones = np.ones(1000, dtype=np.int64)
+        merged = []
+        merge = poly._packed_merge
+
+        def counting(keys, vals, p):
+            merged.append(len(keys))
+            return merge(keys, vals, p)
+
+        monkeypatch.setattr(poly, "_packed_merge", counting)
+        monkeypatch.setattr(poly, "_DENSE_MIN_PAIRS", 1 << 62)
+        monkeypatch.setattr(poly, "_FAST_CHUNK_PAIRS", 2000)
+        monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", 5000)
+        with pytest.raises(SizeExceeded):
+            poly._packed_mul((ka, ones[:40]), (kb, ones), 11)
+        assert max(merged) <= 5000 + 2000
+        assert sum(merged) < 40 * 1000
+
+    def test_cli_exits_2_when_a_block_product_passes_the_cap(self, monkeypatch, capsys):
+        # with the line array off and one-row chunks, block products of J's
+        # columns pass a lowered cap chunk by chunk and are refused there,
+        # so the blocks halve before the solve is refused with exit code 2.
+        # Each merge holds the merged chunks (at most the cap) and one
+        # chunk; merging all chunks at once would hold about 11 rows of up
+        # to 6,390 terms
+        from finpolylog.cli import main
+
+        merged = []
+        merge = poly._packed_merge
+
+        def counting(keys, vals, p):
+            merged.append(len(keys))
+            return merge(keys, vals, p)
+
+        monkeypatch.setattr(poly, "_packed_merge", counting)
+        monkeypatch.setattr(poly, "_DENSE_MIN_PAIRS", 1 << 62)
+        monkeypatch.setattr(poly, "_FAST_CHUNK_PAIRS", 4000)
+        monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", 5000)
+        assert main(["solve", "--preset", "J", "--p", "11"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert max(merged) < 2 * 5000
 
 
 class TestPrimeBound:
