@@ -60,7 +60,7 @@ from .fields import FieldDescriptor, FieldElement, _power
 DEFAULT_TERM_CAP = 10**7
 _FAST_MUL_THRESHOLD = 4096
 _FAST_CHUNK_PAIRS = 24_000_000
-# below this many pairs an outer sum's sort costs less than a line array
+# smaller products stay on the sorted merge: they take milliseconds either way
 _DENSE_MIN_PAIRS = 1 << 16
 # Residue products stay below 2^62, and their sums inside int64.
 _PACKED_P_LIMIT = 1 << 31
@@ -148,7 +148,7 @@ def _gradlex_key(exps):
 
 def _gradlex_descending(exps):
     """A key whose ascending order is descending graded-lex order."""
-    return (-sum(exps), tuple(-e for e in exps))
+    return (-sum(exps), tuple(map(operator.neg, exps)))
 
 
 class SparsePoly:
