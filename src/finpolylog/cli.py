@@ -210,13 +210,17 @@ def cmd_verify(args, report: Report) -> None:
 
 def cmd_solve(args, report: Report) -> None:
     primes = parse_primes(args.p)
+    # presets of this call share their constraints' reductions
+    reductions = {}
     for preset in args.preset.split(","):
         preset = preset.strip()
         if preset not in _solver.PRESETS:
             raise BadParams(f"unknown preset {preset!r}")
         expected_dim = _solver.PRESETS[preset]["expected_dim"]
         for p in primes:
-            result, secs = report.timed(lambda: _solver.characterize(preset, p))
+            result, secs = report.timed(
+                lambda: _solver.characterize(preset, p, reductions)
+            )
             rec = result.as_dict()
             if expected_dim is not None:
                 rec["expected_dimension"] = expected_dim

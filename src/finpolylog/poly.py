@@ -29,15 +29,16 @@ int64.  Besides single products, the
 kernel has one more entry point, :func:`homogenized_sums`, which builds the
 cleared numerators of the twisted evaluator and of the solver's columns:
 its inputs are packed once, and powers, products and sums stay packed
-until one unpack into exponent rows.  Several coefficient vectors are
-stacked in blocks, each vector under one more Kronecker digit, so one pass
-over the terms serves a whole block.  Terms that share a factor power are
-summed before it is multiplied on, so each shared power meets one product
-per group of terms and block, not one per term and vector.  The sums come
-back in coordinate form (:class:`Coordinates`: exponent rows, a polynomial
-index, values), which the solver places into its matrix directly.  Storage
-stays dict-based: most products in the package are small, and pointwise
-evaluation walks the terms.
+until they are returned.  Several coefficient vectors are stacked in
+blocks, each vector under one more Kronecker digit, so one pass over the
+terms serves a whole block.  Terms that share a factor power are summed
+before it is multiplied on, so each shared power meets one product per
+group of terms and block, not one per term and vector.  The sums come back
+in coordinate form (:class:`Coordinates`: packed monomial keys with their
+radices, a polynomial index, values); the solver ranks its matrix rows by
+the keys directly, and exponent rows are unpacked only for a caller that
+asks for them.  Storage stays dict-based: most products in the package are
+small, and pointwise evaluation walks the terms.
 """
 
 from fractions import Fraction
@@ -728,14 +729,22 @@ def _grouped_sum(items, powers, p: int):
 
 class Coordinates(NamedTuple):
     """Polynomials 0..count-1 in coordinate form: polynomial ``index[i]``
-    has the term ``vals[i]`` times the monomial with exponent row
-    ``exps[i]``.  Within one polynomial the exponent rows are distinct and
-    the values nonzero."""
+    has the term ``vals[i]`` times the monomial with packed key
+    ``keys[i]``, whose exponent of variable v is its digit v under
+    ``radices`` (the first variable's digit lowest).  Within one
+    polynomial the keys are distinct and the values nonzero.  Exponent
+    rows are unpacked only when :attr:`exps` or :meth:`polys` is read."""
 
-    exps: np.ndarray  # int64, terms x variables
+    keys: np.ndarray  # int64, one packed monomial per term
     index: np.ndarray  # int64, one polynomial index per term
     vals: np.ndarray  # int64 residues
     count: int
+    radices: np.ndarray  # int64, one per variable
+
+    @property
+    def exps(self) -> np.ndarray:
+        """Exponent matrix (terms x variables) of the keys."""
+        return _Kronecker(self.radices).exponents(self.keys)
 
     def polys(self, variables, domain) -> list:
         """The polynomials as SparsePoly, in index order."""
@@ -755,6 +764,19 @@ def _stack(parts):
     return np.concatenate(keys), np.concatenate(vals)
 
 
+def _nonzero_residues(w, p: int):
+    """Pairs (j, w_j mod p) of the coefficients of ``w`` that are nonzero
+    mod p, found with numpy; entries that numpy does not hold as integers
+    (Python ints past int64, say) are reduced one by one first."""
+    coeffs = np.asarray(w)
+    if coeffs.dtype.kind not in "iu":
+        coeffs = np.array([int(wj) % p for wj in w], dtype=np.int64)
+    j = np.flatnonzero(coeffs)
+    c = coeffs[j] % p
+    keep = c != 0
+    return list(zip(j[keep].tolist(), c[keep].tolist()))
+
+
 def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates:
     """Sums over ``terms`` of homogenized polynomials times factor powers,
     one per coefficient vector, over GF(p) with p < 2^31 (BadParams
@@ -765,8 +787,8 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
     ``vectors``, the result is the sum over the terms of
     (sum_j w_j n^j d^(deg-j)) * prod f^k.  Every polynomial is packed
     once, with per-variable radix max(deg * max(deg n, deg d) +
-    sum k deg f) + 1 over the terms, and stays packed until the results
-    are unpacked into exponent rows.  The vectors are stacked in blocks:
+    sum k deg f) + 1 over the terms, and stays packed: the results keep
+    their keys and these radices.  The vectors are stacked in blocks:
     vector i of a block gets one more Kronecker digit z^i, so a term's
     homogenized part is sum_i z^i sum_j w_ij n^j d^(deg-j), and one
     :func:`_grouped_sum` covers the whole block.  Factor powers have no
@@ -781,7 +803,8 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
     and before the products building the powers of n, d and f (each
     counted at |a| * |b| terms; the powers of a nonzero n or d count at
     least deg) would pass ``DEFAULT_TERM_CAP`` terms.  Only then is
-    ``vectors`` read, one vector at a time.  A product of a block that
+    ``vectors`` read, one vector at a time, each through a numpy search
+    for its nonzero coefficients.  A product of a block that
     passes the cap halves the block, down to single vectors, which are
     refused as the products of one vector are; and after each block
     whose sums bring the total over the vectors read so far past the cap,
@@ -885,8 +908,7 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
     for w in vectors:
         if len(w) != deg + 1:
             raise BadParams(f"need {deg + 1} coefficients, got {len(w)}")
-        coeffs = [int(wj) % p for wj in w]
-        nonzero = [(j, c) for j, c in enumerate(coeffs) if c]
+        nonzero = _nonzero_residues(w, p)
         parts = []
         for n_pows, d_pows, _fkeys in built:
             # the parts are merged in once they outnumber the sum's terms,
@@ -916,7 +938,7 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
     keys = np.concatenate([empty, *(k for _f, k, _v in blocks)])
     index = np.concatenate([empty, *(k // kron.span + f for f, k, _v in blocks)])
     vals = np.concatenate([empty, *(v for _f, _k, v in blocks)])
-    return Coordinates(kron.exponents(keys % kron.span), index, vals, count)
+    return Coordinates(keys % kron.span, index, vals, count, kron.radices)
 
 
 def exact_divide(f: SparsePoly, g: SparsePoly):

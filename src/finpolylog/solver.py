@@ -34,7 +34,7 @@ def equation_columns(s: FormalSum, p: int, deg: int | None = None) -> Coordinate
     raised to the p-th power, matching the twisted evaluation convention).
     Terms with argument 0 are kept: there P(0) = a_0.  The unit vectors
     go through one stacked build, and the columns come back in
-    coordinate form (exponent rows, column index j, values), as
+    coordinate form (packed monomial keys, column index j, values), as
     :func:`columns_matrix` reads them.
     """
     if deg is None:
@@ -42,22 +42,22 @@ def equation_columns(s: FormalSum, p: int, deg: int | None = None) -> Coordinate
     dom = s.domain
     if dom.kind != "prime" or dom.p != p:
         raise BadParams("template must live over GF(p)")
-    units = ([0] * j + [1] + [0] * (deg - j) for j in range(deg + 1))
+    units = (np.eye(1, deg + 1, j, dtype=np.int64)[0] for j in range(deg + 1))
     return twisted_numerators(s, deg, units)[1]
 
 
 def columns_matrix(cols: Coordinates, p: int) -> np.ndarray:
     """The dense (monomials x columns) matrix of columns in coordinate form.
 
-    Rows are the distinct exponent rows of all columns, by total degree,
-    then exponents; the entries are the values mod p, placed with one
-    store after one ``np.lexsort``.
+    Rows are the distinct monomials of all columns in ascending order of
+    their packed keys, ranked by one int64 argsort; the entries are the
+    values mod p, placed with one store.  No result of the solver depends
+    on the row order: the RREF of the rows is unique.
     """
-    exps = cols.exps
-    order = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
-    ranked = exps[order]
+    order = np.argsort(cols.keys)
+    ranked = cols.keys[order]
     new_row = np.ones(len(order), dtype=bool)
-    new_row[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    new_row[1:] = ranked[1:] != ranked[:-1]
     rows = np.empty_like(order)
     rows[order] = np.cumsum(new_row) - 1
     mat = np.zeros((int(new_row.sum()), cols.count), dtype=np.int64)
@@ -81,7 +81,8 @@ def h_two_term_matrix(p: int, deg: int) -> np.ndarray:
 
     Column j is j * (x^j - (1-x)^j), whose x^k coefficient is
     j * ([k = j] - (-1)^k C(j, k)); the binomials come from Pascal's rule
-    mod p, one row of the triangle per column.
+    mod p, one row of the triangle per column.  Rows are the powers x^k
+    with a nonzero coefficient, by k.
     """
     binom = np.zeros(deg + 1, dtype=np.int64)  # C(j, k) mod p for k <= deg
     binom[0] = 1
@@ -93,8 +94,7 @@ def h_two_term_matrix(p: int, deg: int) -> np.ndarray:
         col = -sign * binom
         col[j] += 1
         dense[:, j] = col * j % p
-    k, j = np.nonzero(dense)
-    return columns_matrix(Coordinates(k[:, None], j, dense[k, j], deg + 1), p)
+    return dense[dense.any(axis=1)]
 
 
 def constant_term_matrix(p: int, deg: int) -> np.ndarray:
@@ -348,26 +348,48 @@ class KernelReport:
         }
 
 
-def preset_matrices(preset: str, p: int):
+def _reduced_constraint(eq_id: str, params: dict, p: int, deg: int):
+    """The RREF rows of one constraint's columns matrix, read-only, and
+    the matrix's row count.  The matrix is dropped once it is reduced."""
+    s = _catalog.build(eq_id, p, **params)
+    mat = columns_matrix(equation_columns(s, p, deg), p)
+    _cols, rows = _rref(mat, p)
+    reduced = np.array(rows, dtype=np.int64).reshape(len(rows), deg + 1)
+    reduced.flags.writeable = False
+    return reduced, mat.shape[0]
+
+
+def characterize(preset: str, p: int, reductions: dict | None = None) -> KernelReport:
+    """The solution space of ``preset`` at p.
+
+    Each constraint's matrix is reduced as soon as it is built, and only
+    its RREF rows (at most (deg+1)^2 residues) and its row count are kept;
+    the kernel is that of the reduced rows and the side conditions
+    stacked, which is the kernel of the full matrices stacked, as each
+    RREF spans its matrix's rows.  ``reductions`` maps (equation, params,
+    p, degree) to a reduction; a caller that passes one dict to several
+    calls shares the reductions of the constraints they have in common.
+    ``rows`` counts the rows of the full matrices.
+    """
     if preset not in PRESETS:
         raise UnknownId(f"unknown preset {preset!r}")
     info = PRESETS[preset]
     deg = preset_degree(preset, p)
-    mats = []
+    if reductions is None:
+        reductions = {}
+    parts, nrows = [], 0
     for eq_id, params in info["constraints"]:
-        s = _catalog.build(eq_id, p, **params)
-        mats.append(columns_matrix(equation_columns(s, p, deg), p))
+        key = (eq_id, tuple(sorted(params.items())), p, deg)
+        if key not in reductions:
+            reductions[key] = _reduced_constraint(eq_id, params, p, deg)
+        reduced, count = reductions[key]
+        parts.append(reduced)
+        nrows += count
     for side in info["side"]:
-        mats.append(_SIDE_CONDITIONS[side](p, deg))
-    return mats
-
-
-def characterize(preset: str, p: int) -> KernelReport:
-    info = PRESETS[preset]
-    deg = preset_degree(preset, p)
-    mats = preset_matrices(preset, p)
-    stacked = np.vstack(mats)
-    basis = kernel_basis(stacked, p)
+        mat = _SIDE_CONDITIONS[side](p, deg)
+        parts.append(mat)
+        nrows += mat.shape[0]
+    basis = kernel_basis(np.vstack(parts), p)
     target = polylog_vector(info["target"], p, deg)
     contains = in_span(basis, target, p)
     report = KernelReport(
@@ -375,7 +397,7 @@ def characterize(preset: str, p: int) -> KernelReport:
         p=p,
         dimension=len(basis),
         basis=basis,
-        rows=int(stacked.shape[0]),
+        rows=nrows,
         target_weight=info["target"],
         contains_target=contains,
         proportional_to_target=(len(basis) == 1 and contains),

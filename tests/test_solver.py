@@ -1,3 +1,6 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +130,55 @@ class TestBlockedRref:
         assert np.array_equal(mat, before)
 
 
+@st.composite
+def stacked_parts(draw):
+    """(parts, permutation, p): a few matrices with the same columns,
+    entries anywhere in (-p, 2p), some of low rank, and a shuffle of the
+    rows of their stack."""
+    p = draw(st.sampled_from((2, 3, 97, 2**31 - 1)))
+    ncols = draw(st.integers(1, 8))
+    entry = st.integers(-(p - 1), 2 * p - 1)
+
+    def matrix(nrows, ncols):
+        row = st.lists(entry, min_size=ncols, max_size=ncols)
+        return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        nrows = draw(st.integers(0, 10))
+        if draw(st.booleans()):  # rank at most `inner`
+            inner = draw(st.integers(1, ncols))
+            left, right = matrix(nrows, inner), matrix(inner, ncols)
+            rows = [
+                [sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+                for row in left
+            ]
+        else:
+            rows = matrix(nrows, ncols)
+        parts.append(np.array(rows, dtype=np.int64).reshape(nrows, ncols))
+    total = sum(len(part) for part in parts)
+    return parts, draw(st.permutations(range(total))), p
+
+
+class TestStackedReductions:
+    """characterize stacks each constraint's RREF rows in place of its
+    matrix, and columns_matrix gives rows in packed-key order: the kernel
+    must not depend on either."""
+
+    @given(stacked_parts())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_kernel_ignores_row_order_and_per_part_reduction(self, case):
+        parts, perm, p = case
+        stacked = np.vstack(parts)
+        ncols = stacked.shape[1]
+        reduced = np.vstack(
+            [np.array(_rref(part, p)[1], dtype=np.int64).reshape(-1, ncols) for part in parts]
+        )
+        want = [v.tolist() for v in kernel_basis(stacked, p)]
+        assert [v.tolist() for v in kernel_basis(stacked[list(perm)], p)] == want
+        assert [v.tolist() for v in kernel_basis(reduced, p)] == want
+
+
 class TestHTwoTermMatrix:
     @pytest.mark.parametrize("p", (5, 7, 11, 13, 17, 19, 23, 29, 31, 97))
     def test_running_powers_match_direct_powers(self, p):
@@ -138,7 +190,7 @@ class TestHTwoTermMatrix:
             direct = columns_matrix_oracle(
                 [(x**j - (one - x) ** j).scale(j) for j in range(deg + 1)], p
             )
-            assert np.array_equal(h_two_term_matrix(p, deg), direct)
+            assert_same_rows(h_two_term_matrix(p, deg), direct)
 
 
 class TestEquationColumns:
@@ -191,16 +243,36 @@ def columns_matrix_oracle(cols, p):
     return mat
 
 
+def packed_coordinates(exps, index, vals, count):
+    """Coordinates of exponent rows, packed under radices one past each
+    variable's largest exponent."""
+    radices = exps.max(axis=0) + 1 if len(exps) else np.ones(exps.shape[1], dtype=np.int64)
+    kron = poly._Kronecker(radices)
+    return Coordinates(exps @ kron.strides, index, vals, count, kron.radices)
+
+
 def coordinates(cols):
     """Coordinate form of a list of SparsePoly columns."""
     nvars = len(cols[0].vars) if cols else 0
     rows = [e for col in cols for e in col.terms]
-    return Coordinates(
+    return packed_coordinates(
         np.array(rows, dtype=np.int64).reshape(len(rows), nvars),
         np.array([j for j, col in enumerate(cols) for _ in col.terms], dtype=np.int64),
         np.array([c for col in cols for c in col.terms.values()], dtype=np.int64),
         len(cols),
     )
+
+
+def sorted_rows(mat):
+    """The rows of ``mat`` in lexicographic order of their entries.
+    ``columns_matrix`` ranks rows by packed key and the oracle by
+    graded-lex exponents; both sorted this way compare entry by entry."""
+    return mat[np.lexsort(mat.T[::-1])] if mat.size else mat
+
+
+def assert_same_rows(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(sorted_rows(got), sorted_rows(want))
 
 
 def per_vector_columns(s, p, deg):
@@ -229,8 +301,7 @@ class TestColumnsMatrix:
     def assert_matches_oracle(s, p, deg):
         got = columns_matrix(equation_columns(s, p, deg), p)
         want = columns_matrix_oracle(per_vector_columns(s, p, deg), p)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.array_equal(got, want)
+        assert_same_rows(got, want)
 
     @pytest.mark.parametrize("p", (5, 7, 11))
     @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -284,7 +355,7 @@ class TestColumnsMatrix:
                 sums.clear(), refused.clear()
                 got = columns_matrix(equation_columns(s, p, deg), p)
             monkeypatch.undo()
-            assert np.array_equal(got, want), (preset, eq_id)
+            assert_same_rows(got, want)
             split += sums.count(True) > 1 and not any(refused)
             halved += any(refused)
         assert split >= 5 and halved >= 2
@@ -302,7 +373,7 @@ class TestColumnsMatrix:
         for part in (cols, cols[1:2], [], cols[::-1]):
             got = columns_matrix(coordinates(part), p)
             want = columns_matrix_oracle(part, p)
-            assert got.shape == want.shape and np.array_equal(got, want)
+            assert_same_rows(got, want)
 
     def test_columns_without_variables(self):
         dom = PrimeDomain(7)
@@ -340,7 +411,7 @@ class TestSharedDenominatorClearing:
         assert len(num.terms) == residual_terms
         extra = coordinates([num])
         mat = columns_matrix(
-            Coordinates(
+            packed_coordinates(
                 np.vstack([cols.exps, extra.exps]),
                 np.concatenate([cols.index, extra.index + cols.count]),
                 np.concatenate([cols.vals, extra.vals]),
@@ -363,6 +434,16 @@ class TestColumnSizeGuard:
         assert err.startswith("error: ") and "Traceback" not in err
         assert main(["solve", "--preset", "FEIT", "--p", "31"]) == 0
 
+    def test_cli_exits_2_after_an_unguarded_solve(self, monkeypatch, capsys):
+        # reductions are shared within one call only: none of this call's
+        # may let the next pass the lowered cap
+        assert main(["solve", "--preset", "FEIT", "--p", "97"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", 10**5)
+        assert main(["solve", "--preset", "FEIT", "--p", "97"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_refused_before_the_last_block(self, monkeypatch, capsys):
         # FEIT's parts at p=97 (157,140 terms) take two blocks under this
         # cap; the total passes it within the first, so the 97th unit vector
@@ -381,6 +462,38 @@ class TestColumnSizeGuard:
         read.clear()
         assert main(["solve", "--preset", "FEIT", "--p", "31"]) == 0
         assert len(read) == 31
+
+
+class TestSharedReductions:
+    """One solve call reduces each (equation, params, p, degree) once:
+    L2_PAIR and THM423 have the same two constraints at degree p-1."""
+
+    def test_two_presets_build_each_constraint_once(self, monkeypatch, capsys):
+        def records(argv):
+            assert main(argv) == 0
+            return json.loads(capsys.readouterr().out)["records"]
+
+        alone = records(["solve", "--preset", "L2_PAIR", "--p", "5..13"])
+        alone += records(["solve", "--preset", "THM423", "--p", "5..13"])
+        built = []
+        columns = solver.equation_columns
+
+        def counting(s, p, deg=None):
+            built.append(p)
+            return columns(s, p, deg)
+
+        monkeypatch.setattr(solver, "equation_columns", counting)
+        both = records(["solve", "--preset", "L2_PAIR,THM423", "--p", "5..13"])
+        assert Counter(built) == {5: 2, 7: 2, 11: 2, 13: 2}
+        assert both == alone
+
+    def test_reductions_are_read_only(self):
+        reductions = {}
+        characterize("L2_PAIR", 7, reductions)
+        assert len(reductions) == 2
+        for reduced, _rows in reductions.values():
+            with pytest.raises(ValueError):
+                reduced[0, 0] = 0
 
 
 class TestPresets:
