@@ -764,19 +764,6 @@ def _stack(parts):
     return np.concatenate(keys), np.concatenate(vals)
 
 
-def _nonzero_residues(w, p: int):
-    """Pairs (j, w_j mod p) of the coefficients of ``w`` that are nonzero
-    mod p, found with numpy; entries that numpy does not hold as integers
-    (Python ints past int64, say) are reduced one by one first."""
-    coeffs = np.asarray(w)
-    if coeffs.dtype.kind not in "iu":
-        coeffs = np.array([int(wj) % p for wj in w], dtype=np.int64)
-    j = np.flatnonzero(coeffs)
-    c = coeffs[j] % p
-    keep = c != 0
-    return list(zip(j[keep].tolist(), c[keep].tolist()))
-
-
 def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates:
     """Sums over ``terms`` of homogenized polynomials times factor powers,
     one per coefficient vector, over GF(p) with p < 2^31 (BadParams
@@ -803,8 +790,7 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
     and before the products building the powers of n, d and f (each
     counted at |a| * |b| terms; the powers of a nonzero n or d count at
     least deg) would pass ``DEFAULT_TERM_CAP`` terms.  Only then is
-    ``vectors`` read, one vector at a time, each through a numpy search
-    for its nonzero coefficients.  A product of a block that
+    ``vectors`` read, one vector at a time.  A product of a block that
     passes the cap halves the block, down to single vectors, which are
     refused as the products of one vector are; and after each block
     whose sums bring the total over the vectors read so far past the cap,
@@ -908,7 +894,8 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
     for w in vectors:
         if len(w) != deg + 1:
             raise BadParams(f"need {deg + 1} coefficients, got {len(w)}")
-        nonzero = _nonzero_residues(w, p)
+        # zero coefficients cost one truth test each
+        nonzero = [(j, c) for j, wj in enumerate(w) if wj and (c := int(wj) % p)]
         parts = []
         for n_pows, d_pows, _fkeys in built:
             # the parts are merged in once they outnumber the sum's terms,

@@ -42,7 +42,7 @@ def equation_columns(s: FormalSum, p: int, deg: int | None = None) -> Coordinate
     dom = s.domain
     if dom.kind != "prime" or dom.p != p:
         raise BadParams("template must live over GF(p)")
-    units = (np.eye(1, deg + 1, j, dtype=np.int64)[0] for j in range(deg + 1))
+    units = ([0] * j + [1] + [0] * (deg - j) for j in range(deg + 1))
     return twisted_numerators(s, deg, units)[1]
 
 
@@ -249,8 +249,12 @@ def kernel_basis(mat: np.ndarray, p: int):
     Each basis vector has a 1 in its own free column and 0 in every other
     free column, ordered by ascending free column index.
     """
-    ncols = mat.shape[1]
-    pivot_cols, pivot_rows = _rref(mat, p)
+    return _free_column_basis(*_rref(mat, p), mat.shape[1], p)
+
+
+def _free_column_basis(pivot_cols, pivot_rows, ncols: int, p: int):
+    """The basis of :func:`kernel_basis` read off an RREF, given as
+    :func:`_rref` returns it."""
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
     for f in free_cols:
@@ -349,24 +353,26 @@ class KernelReport:
 
 
 def _reduced_constraint(eq_id: str, params: dict, p: int, deg: int):
-    """The RREF rows of one constraint's columns matrix, read-only, and
-    the matrix's row count.  The matrix is dropped once it is reduced."""
+    """The RREF of one constraint's columns matrix, as its pivot columns
+    and its rows (read-only), and the matrix's row count.  The matrix is
+    dropped once it is reduced."""
     s = _catalog.build(eq_id, p, **params)
     mat = columns_matrix(equation_columns(s, p, deg), p)
-    _cols, rows = _rref(mat, p)
+    cols, rows = _rref(mat, p)
     reduced = np.array(rows, dtype=np.int64).reshape(len(rows), deg + 1)
     reduced.flags.writeable = False
-    return reduced, mat.shape[0]
+    return tuple(cols), reduced, mat.shape[0]
 
 
 def characterize(preset: str, p: int, reductions: dict | None = None) -> KernelReport:
     """The solution space of ``preset`` at p.
 
     Each constraint's matrix is reduced as soon as it is built, and only
-    its RREF rows (at most (deg+1)^2 residues) and its row count are kept;
-    the kernel is that of the reduced rows and the side conditions
-    stacked, which is the kernel of the full matrices stacked, as each
-    RREF spans its matrix's rows.  ``reductions`` maps (equation, params,
+    its RREF (at most (deg+1)^2 residues) and its row count are kept.  The
+    kernel is read off the RREF of a constraint that stands alone, and is
+    otherwise that of the reduced rows and the side conditions stacked,
+    which is the kernel of the full matrices stacked, as each RREF spans
+    its matrix's rows.  ``reductions`` maps (equation, params,
     p, degree) to a reduction; a caller that passes one dict to several
     calls shares the reductions of the constraints they have in common.
     ``rows`` counts the rows of the full matrices.
@@ -382,14 +388,18 @@ def characterize(preset: str, p: int, reductions: dict | None = None) -> KernelR
         key = (eq_id, tuple(sorted(params.items())), p, deg)
         if key not in reductions:
             reductions[key] = _reduced_constraint(eq_id, params, p, deg)
-        reduced, count = reductions[key]
+        pivots, reduced, count = reductions[key]
         parts.append(reduced)
         nrows += count
     for side in info["side"]:
         mat = _SIDE_CONDITIONS[side](p, deg)
         parts.append(mat)
         nrows += mat.shape[0]
-    basis = kernel_basis(np.vstack(parts), p)
+    if len(info["constraints"]) == 1 and not info["side"]:
+        # a constraint alone: its reduction is already the stack's RREF
+        basis = _free_column_basis(pivots, reduced, deg + 1, p)
+    else:
+        basis = kernel_basis(np.vstack(parts), p)
     target = polylog_vector(info["target"], p, deg)
     contains = in_span(basis, target, p)
     report = KernelReport(

@@ -712,23 +712,6 @@ class TestPrimeBound:
         got = sums.polys(VARS, PrimeDomain(p))
         assert got == [homogenized_reference(terms, 2, w, VARS, PrimeDomain(p))]
 
-    def test_homogenized_sums_read_any_integer_vector(self):
-        # numpy holds these as object, float64, bool and int64 arrays; each
-        # must read as its coefficients reduced mod p
-        p = 11
-        f, g = self.operands(p)
-        terms = [(f, g, ((g, 1),)), (g, f, ())]
-        vectors = [
-            (2**70, 0, -(2**64)),
-            (-1, 2**63 + 1, 5),
-            (True, False, True),
-            np.array([12, -11, 22], dtype=np.int64),
-        ]
-        got = homogenized_sums(terms, 2, vectors, VARS, PrimeDomain(p))
-        for w, sum_w in zip(vectors, got.polys(VARS, PrimeDomain(p))):
-            reduced = [int(wj) % p for wj in w]
-            assert sum_w == homogenized_reference(terms, 2, reduced, VARS, PrimeDomain(p))
-
     @pytest.mark.parametrize("domain", (PrimeDomain(2147483659), RationalDomain()))
     def test_homogenized_sums_refuse_other_domains(self, domain):
         x = SparsePoly.variable("x", VARS, domain)

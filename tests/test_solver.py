@@ -187,10 +187,10 @@ class TestHTwoTermMatrix:
         x = SparsePoly.variable("x", ("x",), dom)
         one = SparsePoly.const(("x",), dom, 1)
         for deg in (p - 1, p):
-            direct = columns_matrix_oracle(
+            direct = packed_order_oracle(
                 [(x**j - (one - x) ** j).scale(j) for j in range(deg + 1)], p
             )
-            assert_same_rows(h_two_term_matrix(p, deg), direct)
+            assert_same_matrix(h_two_term_matrix(p, deg), direct)
 
 
 class TestEquationColumns:
@@ -263,16 +263,18 @@ def coordinates(cols):
     )
 
 
-def sorted_rows(mat):
-    """The rows of ``mat`` in lexicographic order of their entries.
-    ``columns_matrix`` ranks rows by packed key and the oracle by
-    graded-lex exponents; both sorted this way compare entry by entry."""
-    return mat[np.lexsort(mat.T[::-1])] if mat.size else mat
+def packed_order_oracle(cols, p):
+    """``columns_matrix_oracle`` with its rows in the order of
+    ``columns_matrix``: ascending packed key, whose most significant digit
+    is the last variable's exponent, so the rows go by their reversed
+    exponent tuples."""
+    mat = columns_matrix_oracle(cols, p)
+    exps = sorted({e for col in cols for e in col.terms}, key=lambda e: (sum(e), e))
+    return mat[sorted(range(len(exps)), key=lambda i: exps[i][::-1])]
 
 
-def assert_same_rows(got, want):
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert np.array_equal(sorted_rows(got), sorted_rows(want))
+def assert_same_matrix(got, want):
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def per_vector_columns(s, p, deg):
@@ -300,8 +302,8 @@ class TestColumnsMatrix:
     @staticmethod
     def assert_matches_oracle(s, p, deg):
         got = columns_matrix(equation_columns(s, p, deg), p)
-        want = columns_matrix_oracle(per_vector_columns(s, p, deg), p)
-        assert_same_rows(got, want)
+        want = packed_order_oracle(per_vector_columns(s, p, deg), p)
+        assert_same_matrix(got, want)
 
     @pytest.mark.parametrize("p", (5, 7, 11))
     @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -337,7 +339,7 @@ class TestColumnsMatrix:
         for preset, eq_id, params in PRESET_CONSTRAINTS:
             s = build(eq_id, p, **params)
             deg = preset_degree(preset, p)
-            want = columns_matrix_oracle(per_vector_columns(s, p, deg), p)
+            want = packed_order_oracle(per_vector_columns(s, p, deg), p)
             cap = int(np.count_nonzero(want))
 
             def lowered(vectors):
@@ -355,7 +357,7 @@ class TestColumnsMatrix:
                 sums.clear(), refused.clear()
                 got = columns_matrix(equation_columns(s, p, deg), p)
             monkeypatch.undo()
-            assert_same_rows(got, want)
+            assert_same_matrix(got, want)
             split += sums.count(True) > 1 and not any(refused)
             halved += any(refused)
         assert split >= 5 and halved >= 2
@@ -372,8 +374,8 @@ class TestColumnsMatrix:
         ]
         for part in (cols, cols[1:2], [], cols[::-1]):
             got = columns_matrix(coordinates(part), p)
-            want = columns_matrix_oracle(part, p)
-            assert_same_rows(got, want)
+            want = packed_order_oracle(part, p)
+            assert_same_matrix(got, want)
 
     def test_columns_without_variables(self):
         dom = PrimeDomain(7)
@@ -487,11 +489,23 @@ class TestSharedReductions:
         assert Counter(built) == {5: 2, 7: 2, 11: 2, 13: 2}
         assert both == alone
 
+    @pytest.mark.parametrize("p", (5, 7, 11))
+    @pytest.mark.parametrize(
+        "preset",
+        sorted(n for n, i in PRESETS.items() if len(i["constraints"]) == 1 and not i["side"]),
+    )
+    def test_lone_constraint_kernel_read_off_its_reduction(self, preset, p):
+        ((eq_id, params),) = PRESETS[preset]["constraints"]
+        deg = preset_degree(preset, p)
+        mat = columns_matrix(equation_columns(build(eq_id, p, **params), p, deg), p)
+        want = [v.tolist() for v in kernel_basis(mat, p)]
+        assert [v.tolist() for v in characterize(preset, p).basis] == want
+
     def test_reductions_are_read_only(self):
         reductions = {}
         characterize("L2_PAIR", 7, reductions)
         assert len(reductions) == 2
-        for reduced, _rows in reductions.values():
+        for _pivots, reduced, _rows in reductions.values():
             with pytest.raises(ValueError):
                 reduced[0, 0] = 0
 
