@@ -29,11 +29,12 @@ int64.  Besides single products, the
 kernel has one more entry point, :func:`homogenized_sums`, which builds the
 cleared numerators of the twisted evaluator and of the solver's columns:
 its inputs are packed once, and powers, products and sums stay packed
-until they are returned.  Several coefficient vectors are stacked in
-blocks, each vector under one more Kronecker digit, so one pass over the
-terms serves a whole block.  Terms that share a factor power are summed
-before it is multiplied on, so each shared power meets one product per
-group of terms and block, not one per term and vector.  The sums come back
+until they are returned.  All coefficient vectors are stacked in one
+block, each vector under one more Kronecker digit, so one pass over the
+terms serves every vector; a block that would pass the term cap is
+refused, not split.  Terms that share a factor power are summed before it
+is multiplied on, so each shared power meets one product per group of
+terms, not one per term and vector.  The sums come back
 in coordinate form (:class:`Coordinates`: packed monomial keys with their
 radices, a polynomial index, values); the solver ranks its matrix rows by
 the keys directly, and exponent rows are unpacked only for a caller that
@@ -760,7 +761,8 @@ def _stack(parts):
     laid end to end: the keys stay sorted and distinct."""
     if len(parts) == 1:
         return parts[0]
-    keys, vals = zip(*parts)
+    empty = np.zeros(0, dtype=np.int64)
+    keys, vals = zip((empty, empty), *parts)
     return np.concatenate(keys), np.concatenate(vals)
 
 
@@ -775,26 +777,24 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
     (sum_j w_j n^j d^(deg-j)) * prod f^k.  Every polynomial is packed
     once, with per-variable radix max(deg * max(deg n, deg d) +
     sum k deg f) + 1 over the terms, and stays packed: the results keep
-    their keys and these radices.  The vectors are stacked in blocks:
-    vector i of a block gets one more Kronecker digit z^i, so a term's
-    homogenized part is sum_i z^i sum_j w_ij n^j d^(deg-j), and one
-    :func:`_grouped_sum` covers the whole block.  Factor powers have no
-    z digit, so a factor power (the same f object with the same k) that
-    several terms share is multiplied once per block, onto the sum of
-    their parts; the other factors are multiplied onto the part in their
-    given order.  Equal arguments share one list of powers.  A new block
-    starts before the block's parts would pass ``DEFAULT_TERM_CAP`` terms,
-    so a block holds at least one vector.
+    their keys and these radices.  The vectors are stacked in one block:
+    vector i gets one more Kronecker digit z^i, so a term's homogenized
+    part is sum_i z^i sum_j w_ij n^j d^(deg-j), and one
+    :func:`_grouped_sum` covers every vector.  Factor powers have no z
+    digit, so a factor power (the same f object with the same k) that
+    several terms share is multiplied once, onto the sum of their parts;
+    the other factors are multiplied onto the part in their given order.
+    Equal arguments share one list of powers.
 
     SizeExceeded is raised when the packed keys would not fit in int64,
     and before the products building the powers of n, d and f (each
     counted at |a| * |b| terms; the powers of a nonzero n or d count at
     least deg) would pass ``DEFAULT_TERM_CAP`` terms.  Only then is
-    ``vectors`` read, one vector at a time.  A product of a block that
-    passes the cap halves the block, down to single vectors, which are
-    refused as the products of one vector are; and after each block
-    whose sums bring the total over the vectors read so far past the cap,
-    SizeExceeded names the number of vectors read.
+    ``vectors`` read, one vector at a time.  The block is never split:
+    SizeExceeded is raised, naming the number of vectors read, as soon as
+    the vectors would overflow the packed keys under their z digits, the
+    stacked parts pass ``DEFAULT_TERM_CAP`` terms, a product of the
+    stacked sum passes it (see :func:`_packed_mul`), or the sums do.
     """
     if domain.kind != "prime" or domain.p >= _PACKED_P_LIMIT:
         raise BadParams(f"packed sums need GF(p) with p < 2^31, not {domain!r}")
@@ -849,55 +849,21 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
                     pows.append(grow(pows[-1], base))
         n_pows, d_pows = pow_lists
         built.append((n_pows, d_pows[::-1], [(id(f), k) for f, k in factors]))
-    # the z digit sits above the variables' digits; a block holds at most
-    # `widest` vectors, so its keys stay below 2^62
+    # the z digit sits above the variables' digits: the keys of `widest`
+    # stacked vectors stay below 2^62
     widest = ((1 << 62) - 1) // kron.span
-    blocks = []  # (index of the block's first vector, keys, vals)
-    block = [[] for _ in built]  # per term, the block's parts in z order
-    first = count = size = total = 0
+    stacked = [[] for _ in built]  # per term, the stacked parts in z order
+    count = size = 0
     empty = np.zeros(0, dtype=np.int64)
-
-    def finish():
-        items = [(_stack(parts), fkeys) for parts, (*_pows, fkeys) in zip(block, built)]
-        for parts in block:
-            parts.clear()
-        block_sums(items, first, count, first)
-
-    def block_sums(items, lo, hi, base):
-        """Sum the items of vectors lo..hi-1, which sit at z digits
-        lo-base..hi-base-1, and check the running total."""
-        nonlocal total
-        try:
-            keys, vals = _grouped_sum(items, powers, p)
-        except SizeExceeded:
-            if hi - lo == 1:
-                raise
-        else:
-            total += len(keys)
-            if total > DEFAULT_TERM_CAP:
-                raise SizeExceeded(
-                    f"the sums over the first {hi} vectors exceed {DEFAULT_TERM_CAP} terms"
-                )
-            blocks.append((base, keys, vals))
-            return
-        # a stacked product passed the cap where the products of single
-        # vectors may not: halve the block, down to one vector
-        mid = (lo + hi) // 2
-        halves = ([], [])
-        for (keys, vals), fkeys in items:
-            cut = np.searchsorted(keys, (mid - base) * kron.span)
-            halves[0].append(((keys[:cut], vals[:cut]), fkeys))
-            halves[1].append(((keys[cut:], vals[cut:]), fkeys))
-        block_sums(halves[0], lo, mid, base)
-        block_sums(halves[1], mid, hi, base)
-
-    for w in vectors:
+    for count, w in enumerate(vectors, 1):
         if len(w) != deg + 1:
             raise BadParams(f"need {deg + 1} coefficients, got {len(w)}")
+        if count > widest:
+            raise SizeExceeded(f"more than {widest} vectors overflow the packed keys")
         # zero coefficients cost one truth test each
         nonzero = [(j, c) for j, wj in enumerate(w) if wj and (c := int(wj) % p)]
-        parts = []
-        for n_pows, d_pows, _fkeys in built:
+        shift = (count - 1) * kron.span
+        for term_parts, (n_pows, d_pows, _fkeys) in zip(stacked, built):
             # the parts are merged in once they outnumber the sum's terms,
             # so memory stays near the size of the sum, not of all parts
             acc, pending, pending_size = None, [], 0
@@ -910,22 +876,26 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
                 pending_size += len(keys)
                 if pending_size > len(acc[0]):
                     acc, pending, pending_size = _packed_add([acc, *pending], p), [], 0
-            parts.append(_packed_add([acc or (empty, empty), *pending], p))
-        grown = sum(len(keys) for keys, _vals in parts)
-        if count > first and (size + grown > DEFAULT_TERM_CAP or count - first == widest):
-            finish()
-            first, size = count, 0
-        shift = (count - first) * kron.span
-        for block_parts, (keys, vals) in zip(block, parts):
-            block_parts.append((keys + shift if shift else keys, vals))
-        size += grown
-        count += 1
-    if count > first:
-        finish()
-    keys = np.concatenate([empty, *(k for _f, k, _v in blocks)])
-    index = np.concatenate([empty, *(k // kron.span + f for f, k, _v in blocks)])
-    vals = np.concatenate([empty, *(v for _f, _k, v in blocks)])
-    return Coordinates(keys % kron.span, index, vals, count, kron.radices)
+            keys, vals = _packed_add([acc or (empty, empty), *pending], p)
+            size += len(keys)
+            if size > DEFAULT_TERM_CAP:
+                raise SizeExceeded(
+                    f"the parts of the first {count} vectors exceed {DEFAULT_TERM_CAP} terms"
+                )
+            term_parts.append((keys + shift if shift else keys, vals))
+    items = [(_stack(parts), fkeys) for parts, (*_pows, fkeys) in zip(stacked, built)]
+    try:
+        keys, vals = _grouped_sum(items, powers, p)
+    except SizeExceeded as exc:
+        raise SizeExceeded(
+            f"a product over the {count} stacked vectors exceeds {DEFAULT_TERM_CAP} terms"
+        ) from exc
+    if len(keys) > DEFAULT_TERM_CAP:
+        raise SizeExceeded(
+            f"the sums over the {count} vectors exceed {DEFAULT_TERM_CAP} terms"
+        )
+    index, keys = np.divmod(keys, kron.span)
+    return Coordinates(keys, index, vals, count, kron.radices)
 
 
 def exact_divide(f: SparsePoly, g: SparsePoly):

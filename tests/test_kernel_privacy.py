@@ -20,6 +20,8 @@ PRIVATE = {
     "_packed_merge",
     "_term_arrays",
     "_degree_bound",
+    "_grouped_sum",
+    "_stack",
 }
 
 

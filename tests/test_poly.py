@@ -312,41 +312,6 @@ class TestPackedKernel:
             assert sum_w == homogenized_reference(terms, deg, w, VARS3, DOM11)
             assert not cancel or sum_w.is_zero()
 
-    @given(homogenized_cases())
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_blocks_match_one_vector_at_a_time(self, case):
-        # once the first vector is read, the cap drops to the sums' total
-        # term count: the vectors then split into blocks, or a stacked
-        # product passes the cap and its block is halved.  A call may be
-        # refused only where a vector on its own is refused.
-        terms, deg, vectors = case
-        want = [homogenized_reference(terms, deg, w, VARS3, DOM11) for w in vectors]
-        cap = max(1, sum(len(sum_w.terms) for sum_w in want))
-
-        def lowered(vectors):
-            for w in vectors:
-                poly.DEFAULT_TERM_CAP = cap
-                yield w
-
-        def run(vectors):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(poly, "DEFAULT_TERM_CAP", poly.DEFAULT_TERM_CAP)
-                sums = homogenized_sums(terms, deg, lowered(vectors), VARS3, DOM11)
-            return sums.polys(VARS3, DOM11)
-
-        alone = []
-        for w in vectors:
-            try:
-                alone += run([w])
-            except SizeExceeded:
-                alone.append(None)
-        if None in alone:
-            with pytest.raises(SizeExceeded):
-                run(vectors)
-        else:
-            assert alone == want
-            assert run(vectors) == want
-
     def test_a_shared_power_is_multiplied_once(self, monkeypatch):
         # (x + y + z)^2 is the only 6-term operand: the three multi-term
         # items share it and meet it in one product, onto their sum; the
@@ -640,13 +605,20 @@ class TestSortedPath:
         assert max(merged) <= 5000 + 2000
         assert sum(merged) < 40 * 1000
 
+    @staticmethod
+    def lower_the_cap(monkeypatch, cap=5000):
+        """The line array off, chunks of one row of J's stacked products at
+        p=11, and a cap of ``cap`` terms."""
+        monkeypatch.setattr(poly, "_DENSE_MIN_PAIRS", 1 << 62)
+        monkeypatch.setattr(poly, "_FAST_CHUNK_PAIRS", 4000)
+        monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", cap)
+
     def test_cli_exits_2_when_a_block_product_passes_the_cap(self, monkeypatch, capsys):
-        # with the line array off and one-row chunks, block products of J's
-        # columns pass a lowered cap chunk by chunk and are refused there,
-        # so the blocks halve before the solve is refused with exit code 2.
-        # Each merge holds the merged chunks (at most the cap) and one
-        # chunk; merging all chunks at once would hold about 11 rows of up
-        # to 6,390 terms
+        # under this cap the stacked parts of J's columns pass it at the
+        # ninth vector, before any product of their stacked sum, and the
+        # solve exits 2 (under a cap of 8000, test_a_refused_stack_is_not_retried
+        # refuses a stacked product chunk by chunk instead).  No merge on
+        # the way holds more than the cap plus one chunk
         from finpolylog.cli import main
 
         merged = []
@@ -657,13 +629,53 @@ class TestSortedPath:
             return merge(keys, vals, p)
 
         monkeypatch.setattr(poly, "_packed_merge", counting)
-        monkeypatch.setattr(poly, "_DENSE_MIN_PAIRS", 1 << 62)
-        monkeypatch.setattr(poly, "_FAST_CHUNK_PAIRS", 4000)
-        monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", 5000)
+        self.lower_the_cap(monkeypatch)
         assert main(["solve", "--preset", "J", "--p", "11"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert max(merged) < 2 * 5000
+
+    @pytest.mark.parametrize(
+        "cap, refused",
+        (
+            (5000, "the parts of the first 9 vectors exceed 5000 terms"),
+            (8000, "a product over the 11 stacked vectors exceeds 8000 terms"),
+        ),
+    )
+    def test_a_refused_stack_is_not_retried(self, cap, refused, monkeypatch, capsys):
+        # the stacked vectors are summed at most once: stacked parts or a
+        # stacked product past the cap refuse the call, with no second try
+        # on fewer vectors.  A stacked product merges its chunks into their
+        # running sum (at most the cap) one chunk at a time; merging all
+        # chunks at once would hold about 11 rows of up to 6,390 terms
+        from finpolylog.cli import main
+
+        merged = []
+        merge = poly._packed_merge
+
+        def merging(keys, vals, p):
+            merged.append(len(keys))
+            return merge(keys, vals, p)
+
+        outer = []
+        grouped_sum = poly._grouped_sum
+        depth = [0]
+
+        def counting(items, powers, p):
+            outer.append(not depth[0])
+            depth[0] += 1
+            try:
+                return grouped_sum(items, powers, p)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(poly, "_packed_merge", merging)
+        monkeypatch.setattr(poly, "_grouped_sum", counting)
+        self.lower_the_cap(monkeypatch, cap)
+        assert main(["solve", "--preset", "J", "--p", "11"]) == 2
+        assert capsys.readouterr().err == f"error: {refused}\n"
+        assert outer.count(True) == (cap == 8000)
+        assert max(merged) < 2 * cap
 
 
 class TestPrimeBound:
@@ -722,7 +734,7 @@ class TestPrimeBound:
 class TestPackingOverflow:
     """A single product whose packed keys would pass 2^62 takes the
     schoolbook product instead of failing; homogenized_sums, which has no
-    dict path, refuses such operands."""
+    dict path, refuses such operands, and more vectors than its keys hold."""
 
     @staticmethod
     def operands():
@@ -748,3 +760,15 @@ class TestPackingOverflow:
         f, g = self.operands()
         with pytest.raises(SizeExceeded):
             homogenized_sums([(f, g, ((f, 1),))], 1, [(0, 1)], VARS3, DOM7)
+
+    def test_homogenized_sums_refuse_vectors_past_the_keys(self):
+        # x^(2^61) at degree 1 takes the radix 2^61 + 1, so the packed keys
+        # hold one z digit: one vector is summed, and a second is refused
+        # rather than summed on its own
+        x = ("x",)
+        n = SparsePoly(x, DOM7, {(1 << 61,): 1})
+        one = SparsePoly.const(x, DOM7, 1)
+        (got,) = homogenized_sums([(n, one, ())], 1, [(2, 3)], x, DOM7).polys(x, DOM7)
+        assert got == n.scale(3) + one.scale(2)
+        with pytest.raises(SizeExceeded, match="overflow the packed keys"):
+            homogenized_sums([(n, one, ())], 1, [(2, 3), (1, 0)], x, DOM7)

@@ -9,7 +9,6 @@ from finpolylog import build, characterize, kernels_equal, lemma417_sequence, lh
 from finpolylog import poly, solver
 from finpolylog.cli import main
 from finpolylog.finlog import twisted_numerators
-from finpolylog.errors import SizeExceeded
 from finpolylog.poly import Coordinates, PrimeDomain, SparsePoly
 from finpolylog.solver import (
     PRESETS,
@@ -288,13 +287,6 @@ def per_vector_columns(s, p, deg):
     return cols
 
 
-PRESET_CONSTRAINTS = [
-    (preset, eq_id, params)
-    for preset in sorted(PRESETS)
-    for eq_id, params in PRESETS[preset]["constraints"]
-]
-
-
 class TestColumnsMatrix:
     """The stacked columns and their matrix against one builder call per
     unit vector, unpacked into dicts and placed one entry at a time."""
@@ -311,56 +303,6 @@ class TestColumnsMatrix:
         deg = preset_degree(preset, p)
         for eq_id, params in PRESETS[preset]["constraints"]:
             self.assert_matches_oracle(build(eq_id, p, **params), p, deg)
-
-    @pytest.mark.parametrize("p", (5, 7, 11))
-    def test_preset_columns_in_blocks(self, p, monkeypatch):
-        """Once the first vector is read, the cap drops to the columns'
-        total: the parts then split into blocks, or a stacked product
-        passes the cap and its block is halved.  The matrix must not change."""
-        sums, refused = [], []
-        grouped_sum = poly._grouped_sum
-        depth = [0]
-
-        def counting(items, powers, q):
-            outer = not depth[0]
-            depth[0] += 1
-            try:
-                result = grouped_sum(items, powers, q)
-            except SizeExceeded:
-                refused.append(outer)
-                raise
-            finally:
-                depth[0] -= 1
-            sums.append(outer)
-            return result
-
-        numerators = solver.twisted_numerators
-        split = halved = 0
-        for preset, eq_id, params in PRESET_CONSTRAINTS:
-            s = build(eq_id, p, **params)
-            deg = preset_degree(preset, p)
-            want = packed_order_oracle(per_vector_columns(s, p, deg), p)
-            cap = int(np.count_nonzero(want))
-
-            def lowered(vectors):
-                for w in vectors:
-                    monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", cap)
-                    yield w
-
-            with monkeypatch.context() as mp:
-                mp.setattr(poly, "_grouped_sum", counting)
-                mp.setattr(
-                    solver,
-                    "twisted_numerators",
-                    lambda s, deg, vectors: numerators(s, deg, lowered(vectors)),
-                )
-                sums.clear(), refused.clear()
-                got = columns_matrix(equation_columns(s, p, deg), p)
-            monkeypatch.undo()
-            assert_same_matrix(got, want)
-            split += sums.count(True) > 1 and not any(refused)
-            halved += any(refused)
-        assert split >= 5 and halved >= 2
 
     def test_hand_made_columns(self):
         p, dom = 7, PrimeDomain(10007)  # coefficients up to 10006
@@ -426,8 +368,9 @@ class TestSharedDenominatorClearing:
 
 
 class TestColumnSizeGuard:
-    """The columns are refused once their terms pass the cap: FEIT has
-    317,720 column terms at p=97."""
+    """The columns are refused once their stacked parts, a product of
+    their stacked sum, or the sum itself passes the cap: FEIT has 317,720
+    column terms at p=97."""
 
     def test_cli_exits_2_without_traceback(self, monkeypatch, capsys):
         monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", 10**5)
@@ -447,9 +390,8 @@ class TestColumnSizeGuard:
         assert err.startswith("error: ") and "Traceback" not in err
 
     def test_refused_before_the_last_block(self, monkeypatch, capsys):
-        # FEIT's parts at p=97 (157,140 terms) take two blocks under this
-        # cap; the total passes it within the first, so the 97th unit vector
-        # is never read
+        # FEIT's stacked parts at p=97 (157,140 terms) pass this cap before
+        # the 97th unit vector is read
         monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", 10**5)
         read = []
         numerators = solver.twisted_numerators
@@ -459,7 +401,7 @@ class TestColumnSizeGuard:
 
         monkeypatch.setattr(solver, "twisted_numerators", counting)
         assert main(["solve", "--preset", "FEIT", "--p", "97"]) == 2
-        assert "the sums over the first" in capsys.readouterr().err
+        assert "the parts of the first" in capsys.readouterr().err
         assert 0 < len(read) < 97
         read.clear()
         assert main(["solve", "--preset", "FEIT", "--p", "31"]) == 0
