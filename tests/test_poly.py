@@ -312,6 +312,43 @@ class TestPackedKernel:
             assert sum_w == homogenized_reference(terms, deg, w, VARS3, DOM11)
             assert not cancel or sum_w.is_zero()
 
+    @given(homogenized_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_stacked_sums_under_a_lowered_cap(self, case):
+        # once the first vector is read, the cap drops to the sums' total
+        # term count: the one stacked block is then summed, or refused with
+        # SizeExceeded, and a refused block is not summed again
+        terms, deg, vectors = case
+        want = [homogenized_reference(terms, deg, w, VARS3, DOM11) for w in vectors]
+        cap = max(1, sum(len(sum_w.terms) for sum_w in want))
+        outer = []
+        grouped_sum = poly._grouped_sum
+        depth = [0]
+
+        def counting(items, powers, p):
+            outer.append(not depth[0])
+            depth[0] += 1
+            try:
+                return grouped_sum(items, powers, p)
+            finally:
+                depth[0] -= 1
+
+        def lowered(vectors):
+            for w in vectors:
+                poly.DEFAULT_TERM_CAP = cap
+                yield w
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "DEFAULT_TERM_CAP", poly.DEFAULT_TERM_CAP)
+            mp.setattr(poly, "_grouped_sum", counting)
+            try:
+                sums = homogenized_sums(terms, deg, lowered(vectors), VARS3, DOM11)
+            except SizeExceeded:
+                pass
+            else:
+                assert sums.polys(VARS3, DOM11) == want
+        assert outer.count(True) <= 1
+
     def test_a_shared_power_is_multiplied_once(self, monkeypatch):
         # (x + y + z)^2 is the only 6-term operand: the three multi-term
         # items share it and meet it in one product, onto their sum; the

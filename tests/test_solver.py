@@ -9,6 +9,7 @@ from finpolylog import build, characterize, kernels_equal, lemma417_sequence, lh
 from finpolylog import poly, solver
 from finpolylog.cli import main
 from finpolylog.finlog import twisted_numerators
+from finpolylog.errors import SizeExceeded
 from finpolylog.poly import Coordinates, PrimeDomain, SparsePoly
 from finpolylog.solver import (
     PRESETS,
@@ -287,6 +288,13 @@ def per_vector_columns(s, p, deg):
     return cols
 
 
+PRESET_CONSTRAINTS = [
+    (preset, eq_id, params)
+    for preset in sorted(PRESETS)
+    for eq_id, params in PRESETS[preset]["constraints"]
+]
+
+
 class TestColumnsMatrix:
     """The stacked columns and their matrix against one builder call per
     unit vector, unpacked into dicts and placed one entry at a time."""
@@ -303,6 +311,55 @@ class TestColumnsMatrix:
         deg = preset_degree(preset, p)
         for eq_id, params in PRESETS[preset]["constraints"]:
             self.assert_matches_oracle(build(eq_id, p, **params), p, deg)
+
+    @pytest.mark.parametrize("p", (5, 7, 11))
+    def test_preset_columns_under_a_lowered_cap(self, p, monkeypatch):
+        """Once the first vector is read, the cap drops to the columns'
+        total: the one stacked block then gives the same matrix or is
+        refused, and a refused block is not summed again."""
+        outer = []
+        grouped_sum = poly._grouped_sum
+        depth = [0]
+
+        def counting(items, powers, q):
+            outer.append(not depth[0])
+            depth[0] += 1
+            try:
+                return grouped_sum(items, powers, q)
+            finally:
+                depth[0] -= 1
+
+        numerators = solver.twisted_numerators
+        summed = refused = 0
+        for preset, eq_id, params in PRESET_CONSTRAINTS:
+            s = build(eq_id, p, **params)
+            deg = preset_degree(preset, p)
+            want = packed_order_oracle(per_vector_columns(s, p, deg), p)
+            cap = int(np.count_nonzero(want))
+
+            def lowered(vectors):
+                for w in vectors:
+                    monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", cap)
+                    yield w
+
+            outer.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(poly, "_grouped_sum", counting)
+                mp.setattr(
+                    solver,
+                    "twisted_numerators",
+                    lambda s, deg, vectors: numerators(s, deg, lowered(vectors)),
+                )
+                try:
+                    got = columns_matrix(equation_columns(s, p, deg), p)
+                except SizeExceeded:
+                    refused += 1
+                else:
+                    assert_same_matrix(got, want)
+                    summed += 1
+            monkeypatch.undo()
+            assert outer.count(True) <= 1
+        assert summed and refused
 
     def test_hand_made_columns(self):
         p, dom = 7, PrimeDomain(10007)  # coefficients up to 10006
