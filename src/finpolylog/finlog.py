@@ -252,6 +252,11 @@ def clear_denominators(s: FormalSum, deg: int):
     where ``cfn`` is the numerator of c^p and ``cofactors`` lists, as
     (monic factor, exponent) pairs, the factor powers that raise that
     term's denominator to the common one.
+
+    The denominators of c^p are Frobenius images g^p = g(x^p), tracked as
+    such.  At deg = p the argument factors enter as f^(pk) as well, so
+    every cofactor of a tracked f is a power f^(pq) = f^q(x^p), which has
+    as many terms as f^q (see :func:`~finpolylog.poly.homogenized_sums`).
     """
     need = {}  # factor key -> [factor poly, max multiplicity]
     prepared = []
@@ -289,7 +294,11 @@ def twisted_numerators(s: FormalSum, deg: int, vectors):
     c^p * P_w(v).  The numerators are the
     :func:`~finpolylog.poly.homogenized_sums` of the terms
     (n, d, ((c^p numerator, 1), *cofactors)), with its domain and size
-    guards; ``vectors`` is read only after the guards.
+    guards; ``vectors`` is read only after the guards.  That builder
+    takes a cofactor f^(pq+r) as f^r * f^q(x^p), the Frobenius image
+    having the packed keys of f^q times p, so at deg = p, where every
+    cofactor exponent of an argument factor is a multiple of p, the
+    cofactors are as sparse as the powers f^q.
     """
     factors, terms = clear_denominators(s, deg)
     terms = [(x.num, x.den, ((cfn, 1), *cofactors)) for cfn, x, cofactors in terms]
@@ -300,19 +309,41 @@ def lhat_apply(m: int, s: FormalSum) -> RatFunc:
     """Twisted symbolic evaluation of a formal sum as one rational function.
 
     Terms with argument 0 vanish (the polylog has no constant term) and are
-    dropped; the rest go through :func:`twisted_numerators` with deg = p-1
-    and the polylog's coefficient vector (0, 1^(-m), ..., (p-1)^(-m)),
+    dropped; the rest go through :func:`twisted_numerators` with deg = p
+    and the polylog's coefficient vector (0, 1^(-m), ..., (p-1)^(-m), 0),
     which is built only once the builder's guards have passed.
+
+    At deg = p an argument n/d has denominator d^p = d(x^p), the
+    coefficients' denominators are Frobenius images as well, and every
+    cofactor of an argument factor is f^(pq) = f^q(x^p), whose packed keys
+    are those of f^q times p: no dense power such as f^(p-1) is formed.
+    Each term's homogenized part there is d times its part at deg = p-1,
+    so the numerator is N * L, N the numerator at deg = p-1 and
+    L = prod f^(M'_f - M_f) the quotient of the two common denominators;
+    L is nonzero, so the numerator vanishes exactly when N does.  A zero
+    numerator gives the zero function, as at deg = p-1.  A nonzero one,
+    a failed check, is rebuilt at deg = p-1 with (0, 1^(-m), ...,
+    (p-1)^(-m)), and that N over its common denominator is returned, so
+    the result never depends on which degree decided the check.
     """
     dom = s.domain
     if dom.kind != "prime":
         raise BadParams("symbolic evaluation requires a GF(p) domain")
     p = dom.p
     nonzero = replace(s, terms=tuple(t for t in s.terms if not t[1].is_zero()))
+    zero = RatFunc(SparsePoly.zero(s.variables, dom))
     if not nonzero.terms:
-        return RatFunc(SparsePoly.zero(s.variables, dom))
-    vector = ((0, *_inv_power_table(m, p)) for _ in range(1))
-    factors, nums = twisted_numerators(nonzero, p - 1, vector)
+        return zero
+
+    def numerators(deg):
+        # the polylog's coefficients, padded with zeros up to degree deg
+        pad = (0,) * (deg - p + 1)
+        vector = ((0, *_inv_power_table(m, p), *pad) for _ in range(1))
+        return twisted_numerators(nonzero, deg, vector)
+
+    if not len(numerators(p)[1].keys):
+        return zero
+    factors, nums = numerators(p - 1)
     (num,) = nums.polys(s.variables, dom)
     return RatFunc(num, factors, reduce=False)
 

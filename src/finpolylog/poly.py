@@ -34,7 +34,10 @@ block, each vector under one more Kronecker digit, so one pass over the
 terms serves every vector; a block that would pass the term cap is
 refused, not split.  Terms that share a factor power are summed before it
 is multiplied on, so each shared power meets one product per group of
-terms, not one per term and vector.  The sums come back
+terms, not one per term and vector.  A factor power f^(pq+r) is f^r
+times the Frobenius image f^q(x^p), whose keys are those of f^q times
+p, so a p-th power is a scaling of keys and has no more terms than its
+base.  The sums come back
 in coordinate form (:class:`Coordinates`: packed monomial keys with their
 radices, a polynomial index, values); the solver ranks its matrix rows by
 the keys directly, and exponent rows are unpacked only for a caller that
@@ -784,7 +787,11 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
     digit, so a factor power (the same f object with the same k) that
     several terms share is multiplied once, onto the sum of their parts;
     the other factors are multiplied onto the part in their given order.
-    Equal arguments share one list of powers.
+    Equal arguments share one list of powers.  A factor power f^k with
+    k >= p is f^r times the Frobenius image f^q(x^p) = (f^q)^p, where
+    k = pq + r and f^q is built the same way: over GF(p) the image has
+    the terms of f^q, and its packed keys are those of f^q times p, whose
+    digits p * q * deg f <= k * deg f stay below the radices.
 
     SizeExceeded is raised when the packed keys would not fit in int64,
     and before the products building the powers of n, d and f (each
@@ -827,13 +834,22 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
         return _packed_mul(a, b, p)
 
     one = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+
+    def factor_power(base, k):
+        # f^(pq+r) = f^r * f^q(x^p), the image's keys those of f^q times p
+        if k < p:
+            return _power(base, k, grow, one)
+        q, r = divmod(k, p)
+        keys, vals = factor_power(base, q)
+        return grow(_power(base, r, grow, one), (keys * p, vals))
+
     # factor powers first: square-and-multiply reaches a refusal in a few
     # products, where the power lists take deg of them per term
     powers = {}  # (id, exponent) -> packed factor power
     for _n, _d, factors in terms:
         for f, k in factors:
             if (id(f), k) not in powers:
-                powers[id(f), k] = _power(packed[id(f)], k, grow, one)
+                powers[id(f), k] = factor_power(packed[id(f)], k)
     # arguments equal as packed arrays share one list of powers
     lists = {}  # packed bytes -> powers 0..deg of the polynomial
     built = []

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import itertools
 import random
 
@@ -25,6 +26,7 @@ from finpolylog import (
     tau,
 )
 from finpolylog import SizeExceeded, finlog, poly, verify_strong
+from finpolylog.catalog import STRONG_SUITE
 from finpolylog.cli import main
 from finpolylog.fields import build_extension, genocchi
 from finpolylog.finlog import (
@@ -36,6 +38,8 @@ from finpolylog.finlog import (
     recipe_prove_zero,
     twisted_numerators,
 )
+from finpolylog.poly import _mul_schoolbook
+from finpolylog.solver import polylog_vector
 
 
 PRIMES = (5, 7, 11, 13)
@@ -295,6 +299,72 @@ class TestTwistedNumerators:
         s = zero_argument_sum(p)
         only_zero = FormalSum(1, s.terms[:1], s.variables)
         assert lhat_apply(1, only_zero).is_zero()
+
+
+def doubled_first_coefficient(s):
+    """``s`` with its first coefficient doubled: a sum whose strong check
+    fails."""
+    (c, x), *rest = s.terms
+    return replace(s, terms=((c * 2, x), *rest))
+
+
+def polylog_numerator(s, deg):
+    """Denominator factors and numerator of the twisted sum read through
+    the polylog at degree ``deg`` >= p - 1, zero-padded past p - 1."""
+    factors, nums = twisted_numerators(s, deg, [polylog_vector(s.weight, s.domain.p, deg)])
+    (num,) = nums.polys(s.variables, s.domain)
+    return factors, num
+
+
+class TestFrobeniusDegree:
+    """lhat_apply reads a strong check at degree p, where the argument
+    denominators d^p = d(x^p) and every cofactor are Frobenius images, and
+    rebuilds at degree p-1 only when the check fails.  Each term's
+    numerator gains a factor d at degree p, so the degree-p numerator is
+    N * L, N the degree-(p-1) numerator and L = prod f^(M'_f - M_f) the
+    quotient of the two common denominators."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_zero_when_degree_p_minus_1_is(self, p):
+        # the failing sums below are nonzero at both degrees
+        for eq_id, params in STRONG_SUITE:
+            s = build(eq_id, p, **params)
+            assert polylog_numerator(s, p)[1].is_zero(), eq_id
+            assert polylog_numerator(s, p - 1)[1].is_zero(), eq_id
+
+    @pytest.mark.parametrize("p", (5, 7, 11))
+    def test_failing_numerator_is_n_times_l(self, p):
+        # not through exact_divide: its step guard gives up on a quotient
+        # much larger than the dividend (five_term_v1 at p=11: N has
+        # 208,960 terms, N * L 4,200)
+        for eq_id, params in STRONG_SUITE:
+            s = doubled_first_coefficient(build(eq_id, p, **params))
+            factors, want = polylog_numerator(s, p)
+            lower, num = polylog_numerator(s, p - 1)
+            assert not num.is_zero(), eq_id
+            lower = {f.serialize(): k for f, k in lower}
+            # schoolbook products, one factor of L at a time
+            for f, k in factors:
+                extra = k - lower.pop(f.serialize(), 0)
+                assert extra >= 0, eq_id
+                for _ in range(extra):
+                    num = _mul_schoolbook(num, f)
+            assert not lower, eq_id
+            assert num == want, eq_id
+
+    def test_failing_check_keeps_the_degree_p_minus_1_bytes(self):
+        s = doubled_first_coefficient(build("five_term_v1", 7))
+        image = lhat_apply(s.weight, s)
+        factors, num = polylog_numerator(s, 6)
+        assert len(image.num.terms) == 22120
+        assert image.serialize() == RatFunc(num, factors, reduce=False).serialize()
+        assert verify_strong(s).residual_terms == 22120
+
+    @pytest.mark.parametrize("eq_id, p", (("five_term_v1", 29), ("cathelineau_J", 61)))
+    def test_reach(self, eq_id, p):
+        # at degree p-1, five_term_v1 at p=29 is refused once a product
+        # with a dense cofactor passes the term cap
+        assert verify_strong(build(eq_id, p)).holds
 
 
 class TestPowerSizeGuard:

@@ -265,6 +265,18 @@ def homogenized_cases(draw):
     return terms, deg, vectors + [(0,) * (deg + 1)]
 
 
+@st.composite
+def factor_powers(draw):
+    """An odd prime p (GF(2) is not a supported domain), a polynomial over
+    GF(p) with 1-4 terms in 1-3 variables, and an exponent k in [0, 3p]:
+    k >= p takes Frobenius images, and k = 9 at p = 3 an image of one."""
+    p = draw(st.sampled_from((3, 5, 7, 11)))
+    variables = VARS3[: draw(st.integers(1, 3))]
+    exps = st.tuples(*(st.integers(0, 3) for _ in variables))
+    terms = draw(st.dictionaries(exps, st.integers(1, p - 1), min_size=1, max_size=4))
+    return SparsePoly(variables, PrimeDomain(p), terms), draw(st.integers(0, 3 * p))
+
+
 def homogenized_reference(terms, deg, w, variables, domain):
     """Sum over terms of sum_j w_j n^j d^(deg-j) * prod f^k, from
     schoolbook products and SparsePoly addition."""
@@ -452,6 +464,21 @@ class TestPackedKernel:
         (got,) = homogenized_sums(terms, 2, [(0, 0, 1)], VARS3, DOM11).polys(VARS3, DOM11)
         assert got == _mul_schoolbook(_mul_schoolbook(f, f), _mul_schoolbook(g, g))
         assert (14, 6, 14) in got.terms and (6, 14, 6) in got.terms
+
+    @given(factor_powers())
+    @example((SparsePoly(("x",), PrimeDomain(3), {(1,): 1, (0,): 1}), 8))
+    @example((SparsePoly(VARS3, PrimeDomain(3), {(3, 3, 3): 2, (0, 1, 0): 1}), 9))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_factor_powers_match_schoolbook(self, case):
+        # f^(pq+r) is built as f^r times the Frobenius image f^q(x^p), whose
+        # packed keys are those of f^q times p
+        f, k = case
+        one = SparsePoly.const(f.vars, f.domain, 1)
+        sums = homogenized_sums([(one, one, ((f, k),))], 0, [[1]], f.vars, f.domain)
+        want = one
+        for _ in range(k):
+            want = _mul_schoolbook(want, f)
+        assert sums.polys(f.vars, f.domain) == [want]
 
 
 DENSE_PRIMES = (2, 3, 11, (1 << 31) - 1)
