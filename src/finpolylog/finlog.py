@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BadParams, DepthExceeded, DomainMismatch, IndexOutOfRange
+from .errors import BadParams, DepthExceeded, DomainMismatch, IndexOutOfRange, SizeExceeded
 from .fields import (
     FieldDescriptor,
     FieldElement,
@@ -24,7 +24,8 @@ from .fields import (
     genocchi,
 )
 from .formal import FormalSum
-from .poly import _PACKED_P_LIMIT, PrimeDomain, RatFunc, SparsePoly, homogenized_sums
+from .poly import _PACKED_P_LIMIT, DEFAULT_TERM_CAP, PrimeDomain, RatFunc, SparsePoly
+from .poly import homogenized_sums
 
 
 @lru_cache(maxsize=None)
@@ -53,7 +54,12 @@ def l1_via_witt(p: int, var: str = "T") -> SparsePoly:
 
 @lru_cache(maxsize=None)
 def _inv_power_table(m: int, p: int):
-    """Tuple of k^(-m) mod p for k = 1..p-1 (index k-1)."""
+    """Tuple of k^(-m) mod p for k = 1..p-1 (index k-1); SizeExceeded, before
+    any entry is computed, when p-1 entries pass ``DEFAULT_TERM_CAP``."""
+    if p - 1 > DEFAULT_TERM_CAP:
+        raise SizeExceeded(
+            f"the {p - 1} polylog coefficients of GF({p}) exceed {DEFAULT_TERM_CAP} entries"
+        )
     e = (-m) % (p - 1)
     return tuple(pow(k, e, p) for k in range(1, p))
 
@@ -74,15 +80,20 @@ def _ltilde_prime_table(m: int, p: int):
 
 
 def ltilde(m: int, x: FieldElement) -> FieldElement:
-    """Pointwise finite polylog value at a field element (any GF(p^e))."""
+    """Pointwise finite polylog value at a field element (any GF(p^e)), by
+    Horner's rule over :func:`_inv_power_table`: p - 1 steps, in ints over
+    GF(p), so one value never builds the table of all p values."""
     field = x.field
     p = field.p
-    if field.e == 1:
-        return field.element(_ltilde_prime_table(m, p)[x.coords[0]])
     coeffs = _inv_power_table(m, p)
+    if field.e == 1:
+        t, acc = x.coords[0], 0
+        for c in reversed(coeffs):
+            acc = (acc + c) * t % p
+        return field.element(acc)
     acc = field.zero()
-    for k in range(p - 1, 0, -1):
-        acc = (acc + coeffs[k - 1]) * x
+    for c in reversed(coeffs):
+        acc = (acc + c) * x
     return acc
 
 
@@ -280,70 +291,51 @@ def clear_denominators(s: FormalSum, deg: int):
     return tuple((fac, mult) for fac, mult in need.values()), terms
 
 
-def twisted_numerators(s: FormalSum, deg: int, vectors):
+def twisted_numerators(s: FormalSum, vectors):
     """Cleared numerators of sum_i c_i^p * P_w(x_i), one per coefficient
-    vector w = (w_0, ..., w_deg) in ``vectors``, where P_w(T) = sum_j w_j T^j.
+    vector w = (w_0, ..., w_p) in ``vectors``, where P_w(T) = sum_j w_j T^j
+    and p is the characteristic of ``s``.
 
     Returns ``(factors, numerators)``: ``factors`` is the common denominator
-    of :func:`clear_denominators` at degree ``deg``, shared by every vector,
-    and ``numerators`` the :class:`~finpolylog.poly.Coordinates` of the
+    of :func:`clear_denominators` at degree p, shared by every vector, and
+    ``numerators`` the :class:`~finpolylog.poly.Coordinates` of the
     numerators, indexed by vector, so that RatFunc(numerator, factors) is
-    the sum read through P_w.  Term
-    c[x] with x = n/d contributes c^p * (sum_j w_j n^j d^(deg-j)) times its
-    cofactors; a constant argument v has n = v and d = 1, so it contributes
-    c^p * P_w(v).  The numerators are the
-    :func:`~finpolylog.poly.homogenized_sums` of the terms
+    the sum read through P_w.  Term c[x] with x = n/d contributes
+    c^p * (sum_j w_j n^j d^(p-j)) times its cofactors; a constant argument
+    v has n = v and d = 1, so it contributes c^p * P_w(v).  The numerators
+    are the :func:`~finpolylog.poly.homogenized_sums` of the terms
     (n, d, ((c^p numerator, 1), *cofactors)), with its domain and size
-    guards; ``vectors`` is read only after the guards.  That builder
-    takes a cofactor f^(pq+r) as f^r * f^q(x^p), the Frobenius image
-    having the packed keys of f^q times p, so at deg = p, where every
-    cofactor exponent of an argument factor is a multiple of p, the
-    cofactors are as sparse as the powers f^q.
+    guards; ``vectors`` is read only after the guards.  Every cofactor
+    exponent of an argument factor is a multiple of p, and the
+    denominators of c^p are Frobenius images, so every cofactor is built
+    as a Frobenius image f^q(x^p), whose packed keys are those of f^q
+    times p.
     """
-    factors, terms = clear_denominators(s, deg)
+    p = s.domain.p
+    factors, terms = clear_denominators(s, p)
     terms = [(x.num, x.den, ((cfn, 1), *cofactors)) for cfn, x, cofactors in terms]
-    return factors, homogenized_sums(terms, deg, vectors, s.variables, s.domain)
+    return factors, homogenized_sums(terms, p, vectors, s.variables, s.domain)
 
 
 def lhat_apply(m: int, s: FormalSum) -> RatFunc:
     """Twisted symbolic evaluation of a formal sum as one rational function.
 
     Terms with argument 0 vanish (the polylog has no constant term) and are
-    dropped; the rest go through :func:`twisted_numerators` with deg = p
-    and the polylog's coefficient vector (0, 1^(-m), ..., (p-1)^(-m), 0),
-    which is built only once the builder's guards have passed.
-
-    At deg = p an argument n/d has denominator d^p = d(x^p), the
-    coefficients' denominators are Frobenius images as well, and every
-    cofactor of an argument factor is f^(pq) = f^q(x^p), whose packed keys
-    are those of f^q times p: no dense power such as f^(p-1) is formed.
-    Each term's homogenized part there is d times its part at deg = p-1,
-    so the numerator is N * L, N the numerator at deg = p-1 and
-    L = prod f^(M'_f - M_f) the quotient of the two common denominators;
-    L is nonzero, so the numerator vanishes exactly when N does.  A zero
-    numerator gives the zero function, as at deg = p-1.  A nonzero one,
-    a failed check, is rebuilt at deg = p-1 with (0, 1^(-m), ...,
-    (p-1)^(-m)), and that N over its common denominator is returned, so
-    the result never depends on which degree decided the check.
+    dropped; the rest go through :func:`twisted_numerators` with the
+    polylog's coefficient vector (0, 1^(-m), ..., (p-1)^(-m), 0), which is
+    built only once the builder's guards have passed.  The result is that
+    numerator over the common denominator, unreduced; a zero numerator
+    gives the zero function.
     """
     dom = s.domain
     if dom.kind != "prime":
         raise BadParams("symbolic evaluation requires a GF(p) domain")
     p = dom.p
     nonzero = replace(s, terms=tuple(t for t in s.terms if not t[1].is_zero()))
-    zero = RatFunc(SparsePoly.zero(s.variables, dom))
     if not nonzero.terms:
-        return zero
-
-    def numerators(deg):
-        # the polylog's coefficients, padded with zeros up to degree deg
-        pad = (0,) * (deg - p + 1)
-        vector = ((0, *_inv_power_table(m, p), *pad) for _ in range(1))
-        return twisted_numerators(nonzero, deg, vector)
-
-    if not len(numerators(p)[1].keys):
-        return zero
-    factors, nums = numerators(p - 1)
+        return RatFunc(SparsePoly.zero(s.variables, dom))
+    vector = ((0, *_inv_power_table(m, p), 0) for _ in range(1))
+    factors, nums = twisted_numerators(nonzero, vector)
     (num,) = nums.polys(s.variables, dom)
     return RatFunc(num, factors, reduce=False)
 
@@ -365,12 +357,12 @@ def _unit_power_sums(p: int):
     indexed by n: sum_k k^(-n) and sum_k (-1)^k k^(-n) mod p, k = 1..p-1.
 
     One int64 vector of k^(-n) is carried from n to n + 1 by one product
-    with the inverses; residues stay below 2^31, so products and sums stay
-    inside int64.
+    with the inverses of :func:`_inv_power_table`; residues stay below
+    2^31, so products and sums stay inside int64.
     """
     if p >= _PACKED_P_LIMIT:
         raise BadParams(f"special values need p < 2^31, got {p}")
-    inverses = np.array([pow(k, p - 2, p) for k in range(1, p)], dtype=np.int64)
+    inverses = np.array(_inv_power_table(1, p), dtype=np.int64)
     power = np.ones(p - 1, dtype=np.int64)  # k^(-n) at index k - 1
     at_one, at_minus_one = [], []
     for _n in range(p):

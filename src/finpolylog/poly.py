@@ -27,9 +27,9 @@ leave int64, so the kernel is exact; larger primes use the schoolbook
 product, and so do single products whose packed keys would not fit in
 int64.  Besides single products, the
 kernel has one more entry point, :func:`homogenized_sums`, which builds the
-cleared numerators of the twisted evaluator and of the solver's columns:
-its inputs are packed once, and powers, products and sums stay packed
-until they are returned.  All coefficient vectors are stacked in one
+cleared numerators of the twisted evaluator and of the solver's columns,
+both read at degree p: its inputs are packed once, and powers, products
+and sums stay packed until they are returned.  All coefficient vectors are stacked in one
 block, each vector under one more Kronecker digit, so one pass over the
 terms serves every vector; a block that would pass the term cap is
 refused, not split.  Terms that share a factor power are summed before it
@@ -37,7 +37,7 @@ is multiplied on, so each shared power meets one product per group of
 terms, not one per term and vector.  A factor power f^(pq+r) is f^r
 times the Frobenius image f^q(x^p), whose keys are those of f^q times
 p, so a p-th power is a scaling of keys and has no more terms than its
-base.  The sums come back
+base; at degree p every cofactor is such an image.  The sums come back
 in coordinate form (:class:`Coordinates`: packed monomial keys with their
 radices, a polynomial index, values); the solver ranks its matrix rows by
 the keys directly, and exponent rows are unpacked only for a caller that

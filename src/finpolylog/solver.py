@@ -30,20 +30,20 @@ def equation_columns(s: FormalSum, p: int, deg: int | None = None) -> Coordinate
     P(T) = sum a_j T^j into every term of ``s`` and clearing all
     denominators globally: the numerator that
     :func:`~finpolylog.finlog.twisted_numerators`, the builder behind
-    ``lhat_apply``, gives for the unit vector P = T^j (coefficients are
-    raised to the p-th power, matching the twisted evaluation convention).
-    Terms with argument 0 are kept: there P(0) = a_0.  The unit vectors
-    go through one stacked build, and the columns come back in
-    coordinate form (packed monomial keys, column index j, values), as
-    :func:`columns_matrix` reads them.
+    ``lhat_apply``, gives for the unit vector P = T^j, padded with zeros to
+    degree p (coefficients are raised to the p-th power, matching the
+    twisted evaluation convention).  Terms with argument 0 are kept: there
+    P(0) = a_0.  The unit vectors go through one stacked build, and the
+    columns come back in coordinate form (packed monomial keys, column
+    index j, values), as :func:`columns_matrix` reads them.
     """
     if deg is None:
         deg = p - 1
     dom = s.domain
     if dom.kind != "prime" or dom.p != p:
         raise BadParams("template must live over GF(p)")
-    units = ([0] * j + [1] + [0] * (deg - j) for j in range(deg + 1))
-    return twisted_numerators(s, deg, units)[1]
+    units = ([0] * j + [1] + [0] * (p - j) for j in range(deg + 1))
+    return twisted_numerators(s, units)[1]
 
 
 def columns_matrix(cols: Coordinates, p: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from finpolylog.catalog import (
 )
 from finpolylog.errors import InadmissiblePoint
 from finpolylog.fields import FieldElement, build_extension
-from finpolylog.finlog import lhat_eval, lhat_eval_grid
+from finpolylog.finlog import _ltilde_prime_table, lhat_eval, lhat_eval_grid
 from finpolylog.poly import PrimeDomain
 
 
@@ -249,6 +249,14 @@ class TestBatchedWeakCheck:
         got = verify_weak(mutated, 7)
         assert len(calls) == 1
         assert {v: int(x) for v, x in calls[0].items()} == got.counterexample
+
+    def test_sampled_counterexample_builds_no_polylog_table(self):
+        # 10 sampled points of GF(1009): neither the grid nor the pointwise
+        # re-check of the counterexample takes the table of all p values
+        _ltilde_prime_table.cache_clear()
+        got = verify_weak(build("three_term_classical", 1009), 1009, budget=10)
+        assert not got.holds and got.counterexample
+        assert _ltilde_prime_table.cache_info().currsize == 0
 
     def test_characteristic_mismatch_raises(self):
         with pytest.raises(DomainMismatch):

@@ -166,6 +166,9 @@ class TestReports:
              "--derivation", "a:(a*b+a+2)**123456789", "--verify", "7"],
             ["verify", "--eq", "two_term", "--p", "2147483659", "--mode", "weak",
              "--budget", "10"],
+            ["verify", "--eq", "two_term", "--p", "2147483647", "--mode", "weak",
+             "--budget", "10"],
+            ["tables", "--p", "2147483647"],
         ),
     )
     def test_malformed_input_exits_2_without_traceback(self, argv, capsys):

@@ -33,12 +33,13 @@ from finpolylog.finlog import (
     _inv_power_table,
     _ltilde_prime_table,
     _unit_power_sums,
+    clear_denominators,
     finite_polylog,
     recipe_decompose,
     recipe_prove_zero,
     twisted_numerators,
 )
-from finpolylog.poly import _mul_schoolbook
+from finpolylog.poly import _mul_schoolbook, homogenized_sums
 from finpolylog.solver import polylog_vector
 
 
@@ -183,6 +184,12 @@ class TestSpecialValues:
         with pytest.raises(BadParams):
             _unit_power_sums(2147483659)
 
+    def test_coefficient_table_refused_past_the_cap(self):
+        # 10000019 - 1 entries pass DEFAULT_TERM_CAP
+        for table in (lambda p: _inv_power_table(1, p), _unit_power_sums):
+            with pytest.raises(SizeExceeded):
+                table(10000019)
+
     @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101))
     def test_values_at_one_and_minus_one_match_the_table(self, p):
         for n in range(1, p):
@@ -264,13 +271,15 @@ class TestTwistedNumerators:
         ),
     )
     def test_matches_pointwise_reference(self, eq_id, deg):
+        # vectors of degree <= deg, padded with zeros to degree p
         p = 7
         s = zero_argument_sum(p) if eq_id == "zero_argument" else build(eq_id, p)
         rng = random.Random(deg)
         vectors = [[0] * (deg + 1), [3] + [0] * deg]
         for _ in range(3):
             vectors.append([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(deg)])
-        factors, nums = twisted_numerators(s, deg, vectors)
+        vectors = [w + [0] * (p - deg) for w in vectors]
+        factors, nums = twisted_numerators(s, vectors)
         nums = nums.polys(s.variables, s.domain)
         assert len(nums) == len(vectors)
         field = FieldDescriptor(p)
@@ -310,19 +319,23 @@ def doubled_first_coefficient(s):
 
 def polylog_numerator(s, deg):
     """Denominator factors and numerator of the twisted sum read through
-    the polylog at degree ``deg`` >= p - 1, zero-padded past p - 1."""
-    factors, nums = twisted_numerators(s, deg, [polylog_vector(s.weight, s.domain.p, deg)])
+    the polylog at degree ``deg`` >= p - 1, zero-padded past p - 1, built
+    through clear_denominators and homogenized_sums at that degree."""
+    factors, terms = clear_denominators(s, deg)
+    terms = [(x.num, x.den, ((cfn, 1), *cofactors)) for cfn, x, cofactors in terms]
+    vector = polylog_vector(s.weight, s.domain.p, deg)
+    nums = homogenized_sums(terms, deg, [vector], s.variables, s.domain)
     (num,) = nums.polys(s.variables, s.domain)
     return factors, num
 
 
 class TestFrobeniusDegree:
     """lhat_apply reads a strong check at degree p, where the argument
-    denominators d^p = d(x^p) and every cofactor are Frobenius images, and
-    rebuilds at degree p-1 only when the check fails.  Each term's
-    numerator gains a factor d at degree p, so the degree-p numerator is
-    N * L, N the degree-(p-1) numerator and L = prod f^(M'_f - M_f) the
-    quotient of the two common denominators."""
+    denominators d^p = d(x^p) and every cofactor are Frobenius images.
+    Each term's numerator gains a factor d at degree p, so the degree-p
+    numerator is N * L, N the degree-(p-1) numerator and
+    L = prod f^(M'_f - M_f) the quotient of the two common denominators:
+    both readings are the same rational function."""
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_zero_when_degree_p_minus_1_is(self, p):
@@ -352,13 +365,29 @@ class TestFrobeniusDegree:
             assert not lower, eq_id
             assert num == want, eq_id
 
-    def test_failing_check_keeps_the_degree_p_minus_1_bytes(self):
+    def test_failing_residual_is_the_degree_p_minus_1_function(self):
         s = doubled_first_coefficient(build("five_term_v1", 7))
         image = lhat_apply(s.weight, s)
         factors, num = polylog_numerator(s, 6)
-        assert len(image.num.terms) == 22120
-        assert image.serialize() == RatFunc(num, factors, reduce=False).serialize()
-        assert verify_strong(s).residual_terms == 22120
+        assert len(num.terms) == 22120
+        assert image == RatFunc(num, factors, reduce=False)  # by cross-multiplication
+        assert verify_strong(s).residual_terms == len(image.num.terms)
+
+    @pytest.mark.parametrize("double", (False, True))
+    def test_one_build_per_strong_check(self, double, monkeypatch):
+        calls = []
+        numerators = finlog.twisted_numerators
+
+        def counting(s, vectors):
+            calls.append(1)
+            return numerators(s, vectors)
+
+        monkeypatch.setattr(finlog, "twisted_numerators", counting)
+        s = build("five_term_v1", 7)
+        if double:
+            s = doubled_first_coefficient(s)
+        assert verify_strong(s).holds is not double
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("eq_id, p", (("five_term_v1", 29), ("cathelineau_J", 61)))
     def test_reach(self, eq_id, p):

@@ -670,7 +670,7 @@ class TestSortedPath:
         assert sum(merged) < 40 * 1000
 
     @staticmethod
-    def lower_the_cap(monkeypatch, cap=5000):
+    def lower_the_cap(monkeypatch, cap=6000):
         """The line array off, chunks of one row of J's stacked products at
         p=11, and a cap of ``cap`` terms."""
         monkeypatch.setattr(poly, "_DENSE_MIN_PAIRS", 1 << 62)
@@ -681,8 +681,9 @@ class TestSortedPath:
         # under this cap the stacked parts of J's columns pass it at the
         # ninth vector, before any product of their stacked sum, and the
         # solve exits 2 (under a cap of 8000, test_a_refused_stack_is_not_retried
-        # refuses a stacked product chunk by chunk instead).  No merge on
-        # the way holds more than the cap plus one chunk
+        # refuses a stacked product chunk by chunk instead, and under 5000
+        # the power guard refuses first).  No merge on the way holds more
+        # than the cap plus one chunk
         from finpolylog.cli import main
 
         merged = []
@@ -697,21 +698,23 @@ class TestSortedPath:
         assert main(["solve", "--preset", "J", "--p", "11"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-        assert max(merged) < 2 * 5000
+        assert max(merged) < 2 * 6000
 
     @pytest.mark.parametrize(
         "cap, refused",
         (
-            (5000, "the parts of the first 9 vectors exceed 5000 terms"),
+            (5000, "powers up to degree 11 would exceed 5000 terms"),
+            (6000, "the parts of the first 9 vectors exceed 6000 terms"),
             (8000, "a product over the 11 stacked vectors exceeds 8000 terms"),
         ),
     )
     def test_a_refused_stack_is_not_retried(self, cap, refused, monkeypatch, capsys):
-        # the stacked vectors are summed at most once: stacked parts or a
-        # stacked product past the cap refuse the call, with no second try
-        # on fewer vectors.  A stacked product merges its chunks into their
-        # running sum (at most the cap) one chunk at a time; merging all
-        # chunks at once would hold about 11 rows of up to 6,390 terms
+        # the stacked vectors are summed at most once: powers, stacked
+        # parts or a stacked product past the cap refuse the call, with no
+        # second try on fewer vectors.  The refused stacked product under
+        # 8000 is 7,636 terms times a two-term Frobenius image, one row per
+        # chunk; test_refusal_before_the_chunks_are_concatenated checks
+        # the running merge of many rows
         from finpolylog.cli import main
 
         merged = []

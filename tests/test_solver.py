@@ -278,12 +278,13 @@ def assert_same_matrix(got, want):
 
 
 def per_vector_columns(s, p, deg):
-    """The columns one unit vector at a time: one call of the numerator
-    builder per column, each unpacked into a SparsePoly."""
+    """The columns one unit vector at a time, each padded with zeros to
+    degree p: one call of the numerator builder per column, each unpacked
+    into a SparsePoly."""
     cols = []
     for j in range(deg + 1):
-        unit = [int(i == j) for i in range(deg + 1)]
-        (col,) = twisted_numerators(s, deg, [unit])[1].polys(s.variables, s.domain)
+        unit = [int(i == j) for i in range(p + 1)]
+        (col,) = twisted_numerators(s, [unit])[1].polys(s.variables, s.domain)
         cols.append(col)
     return cols
 
@@ -348,7 +349,7 @@ class TestColumnsMatrix:
                 mp.setattr(
                     solver,
                     "twisted_numerators",
-                    lambda s, deg, vectors: numerators(s, deg, lowered(vectors)),
+                    lambda s, vectors: numerators(s, lowered(vectors)),
                 )
                 try:
                     got = columns_matrix(equation_columns(s, p, deg), p)
@@ -386,10 +387,10 @@ class TestColumnsMatrix:
 
 class TestSharedDenominatorClearing:
     """lhat_apply and equation_columns clear denominators with the same
-    routine; reading the columns at the polylog's coefficient vector must
-    give exactly the numerator of the twisted evaluation.  The numerator
-    goes into the matrix as one more column, so both sides are read on the
-    same rows."""
+    routine, both at degree p; reading the columns at the polylog's
+    coefficient vector must give exactly the numerator of the twisted
+    evaluation.  The numerator goes into the matrix as one more column, so
+    both sides are read on the same rows."""
 
     @pytest.mark.parametrize(
         "eq_id, p, weight, residual_terms",
@@ -397,10 +398,10 @@ class TestSharedDenominatorClearing:
             ("feit", 7, 1, 0),
             ("kummer_spence", 7, 2, 0),
             ("three_term", 7, 2, 0),
-            ("feit", 7, 2, 36),
-            ("cathelineau_J", 5, 1, 448),
-            ("five_term_v1", 5, 2, 9398),
-            ("five_term_v2", 7, 3, 45506),
+            ("feit", 7, 2, 50),
+            ("cathelineau_J", 5, 1, 256),
+            ("five_term_v1", 5, 2, 14404),
+            ("five_term_v2", 7, 3, 38647),
         ),
     )
     def test_columns_at_polylog_equal_twisted_numerator(
@@ -426,7 +427,7 @@ class TestSharedDenominatorClearing:
 
 class TestColumnSizeGuard:
     """The columns are refused once their stacked parts, a product of
-    their stacked sum, or the sum itself passes the cap: FEIT has 317,720
+    their stacked sum, or the sum itself passes the cap: FEIT has 322,818
     column terms at p=97."""
 
     def test_cli_exits_2_without_traceback(self, monkeypatch, capsys):
@@ -447,14 +448,14 @@ class TestColumnSizeGuard:
         assert err.startswith("error: ") and "Traceback" not in err
 
     def test_refused_before_the_last_block(self, monkeypatch, capsys):
-        # FEIT's stacked parts at p=97 (157,140 terms) pass this cap before
+        # FEIT's stacked parts at p=97 (161,797 terms) pass this cap before
         # the 97th unit vector is read
         monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", 10**5)
         read = []
         numerators = solver.twisted_numerators
 
-        def counting(s, deg, vectors):
-            return numerators(s, deg, (read.append(deg) or w for w in vectors))
+        def counting(s, vectors):
+            return numerators(s, (read.append(len(w)) or w for w in vectors))
 
         monkeypatch.setattr(solver, "twisted_numerators", counting)
         assert main(["solve", "--preset", "FEIT", "--p", "97"]) == 2
@@ -531,6 +532,10 @@ class TestPresets:
 
     def test_distinct_kernels_detected(self):
         assert not kernels_equal("FEIT", "KS", 7)
+
+    def test_reach(self):
+        r = characterize("J", 31)
+        assert r.dimension == 1 and r.proportional_to_target
 
 
 class TestTauFamily:
