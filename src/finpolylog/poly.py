@@ -21,7 +21,11 @@ sorted and distinct, and scales its residues, which stay nonzero.  A
 large product with no more cells in a dense line array over its keys than
 pairs of terms accumulates there, one scatter-add per term of the short
 operand; the others are outer sums of keys and products of residues, whose
-equal keys merge through a stable argsort and an int64 ``np.add.reduceat``.  Below 2^31 a product of
+equal keys merge through a stable argsort and an int64 ``np.add.reduceat``.
+A sum of packed polynomials inserts the shorter ones into the longest at
+the places ``np.searchsorted`` finds, so a long sum is never sorted
+again, and each step frees its unsorted inputs once their sorted copies
+exist.  Below 2^31 a product of
 two residues is below 2^62, and sums are reduced mod p before they could
 leave int64, so the kernel is exact; larger primes use the schoolbook
 product, and so do single products whose packed keys would not fit in
@@ -67,6 +71,8 @@ _FAST_MUL_THRESHOLD = 4096
 _FAST_CHUNK_PAIRS = 24_000_000
 # smaller products stay on the sorted merge: they take milliseconds either way
 _DENSE_MIN_PAIRS = 1 << 16
+# shorter sums are merged by one sort, whose few numpy calls cost less there
+_INSERT_MIN_TERMS = 1 << 16
 # Residue products stay below 2^62, and their sums inside int64.
 _PACKED_P_LIMIT = 1 << 31
 
@@ -539,30 +545,64 @@ def _packed_merge(keys, vals, p: int):
     Inputs made of sorted runs (the rows of an outer sum, or packed
     operands laid end to end) sort in near-linear time under the stable
     sort.  The values of one key must sum inside int64.  Returns sorted
-    distinct keys.
+    distinct keys.  The inputs are read once, into their sorted copies:
+    a caller that passes its only references lets each be freed then,
+    and the sums are reduced in place.
     """
     if not len(keys):
         return keys, vals
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     vals = vals[order]
+    del order
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    sums = np.add.reduceat(vals, starts) % p
-    keep = sums != 0
-    return keys[starts][keep], sums[keep]
+    keys = keys[starts]
+    vals = np.add.reduceat(vals, starts)
+    del starts
+    vals %= p
+    if np.count_nonzero(vals) == len(vals):
+        return keys, vals  # a late copy of a long sum leaves holes in the heap
+    keep = vals != 0
+    return keys[keep], vals[keep]
 
 
 def _packed_add(parts, p: int):
-    """Sum of packed polynomials, merged in one pass."""
+    """Sum of packed polynomials.  Unless the longest part has at least
+    ``_INSERT_MIN_TERMS`` terms, all are merged in one pass.  Otherwise
+    the others are, and their sum is inserted into the longest at the
+    places ``np.searchsorted`` finds, so a long sorted part is copied once
+    and never sorted again."""
     if len(parts) == 1:
         return parts[0]
     if not parts:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return _packed_merge(
-        np.concatenate([k for k, _ in parts]),
-        np.concatenate([v for _, v in parts]),
-        p,
-    )
+    big = max(range(len(parts)), key=lambda i: len(parts[i][0]))
+    if len(parts[big][0]) < _INSERT_MIN_TERMS:
+        return _packed_merge(
+            np.concatenate([k for k, _ in parts]),
+            np.concatenate([v for _, v in parts]),
+            p,
+        )
+    (kl, vl), rest = parts[big], parts[:big] + parts[big + 1 :]
+    ks, vs = _packed_add(rest, p)
+    del rest
+    pos = np.searchsorted(kl, ks)
+    hit = kl[np.minimum(pos, len(kl) - 1)] == ks
+    fresh = ~hit
+    at = pos[fresh]
+    # an old term i moves past the new keys inserted at or before it
+    idx = pos[hit] + np.searchsorted(at, pos[hit], side="right")
+    sums = (vl[pos[hit]] + vs[hit]) % p
+    gone = idx[sums == 0]
+    # one array at a time, so at most one copy of the sum is unfinished
+    keys = np.insert(kl, at, ks[fresh])
+    if len(gone):
+        keys = np.delete(keys, gone)
+    vals = np.insert(vl, at, vs[fresh])
+    vals[idx] = sums
+    if len(gone):
+        vals = np.delete(vals, gone)
+    return keys, vals
 
 
 def _dense_mul(ka, va, kb, vb, p: int):
@@ -650,7 +690,9 @@ def _packed_mul(a, b, p: int):
         # nonzero residues mod a prime is nonzero: nothing to merge
         if len(kb) > DEFAULT_TERM_CAP:
             raise SizeExceeded("fast multiply result exceeds term cap")
-        return kb + ka, vb * va % p
+        vals = vb * va
+        vals %= p
+        return kb + ka, vals
     if len(ka) >= 3 and len(ka) * len(kb) >= _DENSE_MIN_PAIRS:
         product = _dense_mul(ka, va, kb, vb, p)
         if product is not None:
@@ -661,15 +703,27 @@ def _packed_mul(a, b, p: int):
     lazy = min(chunk, len(ka)) * (p - 1) ** 2 < 1 << 63
     keys = vals = None
     for start in range(0, len(ka), chunk):
-        ks = ka[start : start + chunk]
-        prods = (va[start : start + chunk, None] * vb[None, :]).ravel()
+        rows = slice(start, start + chunk)
+        # the outer sums and products go straight into the merge, which
+        # frees each once it is sorted
         part = _packed_merge(
-            (ks[:, None] + kb[None, :]).ravel(), prods if lazy else prods % p, p
+            np.add.outer(ka[rows], kb).ravel(),
+            _outer_products(va[rows], vb, None if lazy else p),
+            p,
         )
         keys, vals = part if keys is None else _packed_add([(keys, vals), part], p)
+        del part
         if len(keys) > DEFAULT_TERM_CAP:
             raise SizeExceeded("fast multiply result exceeds term cap")
     return keys, vals
+
+
+def _outer_products(va, vb, p):
+    """The products va_i·vb_j, row by row, reduced mod p unless p is None."""
+    prods = np.multiply.outer(va, vb).ravel()
+    if p is not None:
+        prods %= p
+    return prods
 
 
 def _mul_prime_fast(f: SparsePoly, g: SparsePoly) -> SparsePoly:
@@ -698,8 +752,9 @@ def _grouped_sum(items, powers, p: int):
     summed recursively.  A one-term polynomial keeps its own products,
     which only shift keys (see :func:`_packed_mul`), and a one-term power
     is never picked, as multiplying it onto a sum costs what it costs on
-    the items.  Items left ungrouped multiply their powers in their given
-    order.
+    the items.  Items left ungrouped multiply their one-term powers first,
+    so a key shift copies the item and never a larger product, and then
+    the others in their given order.
     """
     counts = {}
     for acc, keys in items:
@@ -713,7 +768,7 @@ def _grouped_sum(items, powers, p: int):
     if best is None or counts[best] < 2:
         parts = []
         for acc, keys in items:
-            for key in keys:
+            for key in sorted(keys, key=lambda key: len(powers[key][0]) > 1):
                 acc = _packed_mul(acc, powers[key], p)
             parts.append(acc)
         return _packed_add(parts, p)
@@ -899,18 +954,26 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
                     f"the parts of the first {count} vectors exceed {DEFAULT_TERM_CAP} terms"
                 )
             term_parts.append((keys + shift if shift else keys, vals))
-    items = [(_stack(parts), fkeys) for parts, (*_pows, fkeys) in zip(stacked, built)]
+    items = []
+    for parts, (*_pows, fkeys) in zip(stacked, built):
+        items.append((_stack(parts), fkeys))
+        parts.clear()  # the stacked copy replaces them
+    del built, lists  # the power lists are done
     try:
         keys, vals = _grouped_sum(items, powers, p)
     except SizeExceeded as exc:
         raise SizeExceeded(
             f"a product over the {count} stacked vectors exceeds {DEFAULT_TERM_CAP} terms"
         ) from exc
+    del items
     if len(keys) > DEFAULT_TERM_CAP:
         raise SizeExceeded(
             f"the sums over the {count} vectors exceed {DEFAULT_TERM_CAP} terms"
         )
-    index, keys = np.divmod(keys, kron.span)
+    # every array here was made by this call, so the keys can drop their
+    # z digit in place
+    index = keys // kron.span
+    keys %= kron.span
     return Coordinates(keys, index, vals, count, kron.radices)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,22 +48,54 @@ def equation_columns(s: FormalSum, p: int, deg: int | None = None) -> Coordinate
 
 
 def columns_matrix(cols: Coordinates, p: int) -> np.ndarray:
-    """The dense (monomials x columns) matrix of columns in coordinate form.
+    """The dense (monomials x columns) matrix of columns in coordinate form:
+    the rows of :class:`MatrixRows` stacked in one block.  No result of
+    the solver depends on the row order: the RREF of the rows is unique.
+    """
+    rows = MatrixRows(cols, p)
+    if not rows.shape[0]:
+        return np.zeros(rows.shape, dtype=np.int64)
+    (mat,) = rows.blocks(rows.shape[0])
+    return mat
+
+
+class MatrixRows:
+    """The rows of the columns matrix of ``cols``, built block by block.
 
     Rows are the distinct monomials of all columns in ascending order of
-    their packed keys, ranked by one int64 argsort; the entries are the
-    values mod p, placed with one store.  No result of the solver depends
-    on the row order: the RREF of the rows is unique.
+    their packed keys, ranked once by one int64 argsort; the entries are
+    the values mod p.  :func:`_rref` takes the rows in blocks, so the
+    whole matrix is never held.  ``shape`` is the matrix's.
     """
-    order = np.argsort(cols.keys)
-    ranked = cols.keys[order]
-    new_row = np.ones(len(order), dtype=bool)
-    new_row[1:] = ranked[1:] != ranked[:-1]
-    rows = np.empty_like(order)
-    rows[order] = np.cumsum(new_row) - 1
-    mat = np.zeros((int(new_row.sum()), cols.count), dtype=np.int64)
-    mat[rows, cols.index] = cols.vals % p
-    return mat
+
+    def __init__(self, cols: Coordinates, p: int):
+        order = np.argsort(cols.keys)
+        ranked = cols.keys[order]
+        new_row = np.empty(len(order), dtype=bool)
+        new_row[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=new_row[1:])
+        del ranked
+        self.cols, self.p, self.order = cols, p, order
+        # row r holds the terms order[bounds[r]:bounds[r + 1]]
+        self.bounds = np.append(np.flatnonzero(new_row), len(order))
+        self.shape = (len(self.bounds) - 1, cols.count)
+
+    def blocks(self, size: int):
+        """The rows ``size`` at a time, as int64 blocks with entries in
+        [0, p), each filled with one store when it is asked for."""
+        cols, bounds = self.cols, self.bounds
+        for start in range(0, self.shape[0], size):
+            stop = min(start + size, self.shape[0])
+            terms = self.order[bounds[start] : bounds[stop]]
+            rows = np.repeat(np.arange(stop - start), np.diff(bounds[start : stop + 1]))
+            block = np.zeros((stop - start, cols.count), dtype=np.int64)
+            block[rows, cols.index[terms]] = cols.vals[terms] % self.p
+            yield block
+
+    def rows_within(self, ncols: int) -> int:
+        """The number of rows with a term among the first ``ncols`` columns."""
+        within = self.cols.index[self.order] < ncols
+        return int(np.logical_or.reduceat(within, self.bounds[:-1]).sum())
 
 
 def substitute_into_columns(mat: np.ndarray, vec, p: int) -> np.ndarray:
@@ -209,27 +242,42 @@ def _gauss_jordan(m: np.ndarray, p: int):
     return pivot_cols, rank
 
 
-def _rref(mat: np.ndarray, p: int):
-    """Reduced row echelon form over GF(p).
+def _rref(mat, p: int):
+    """Reduced row echelon form over GF(p) of a matrix, or of the rows of
+    a :class:`MatrixRows`: :func:`_rref_blocks` over its rows in blocks
+    of ``_RREF_BLOCK``, a matrix's each reduced mod p as it is taken, so
+    the matrix is neither changed nor copied whole.  Returns (pivot_cols,
+    pivot_rows) where pivot_rows[i] is the normalized row with leading
+    column pivot_cols[i].
+    """
+    if isinstance(mat, MatrixRows):
+        return _rref_blocks(mat.blocks(_RREF_BLOCK), mat.shape[1], p)
+    mat = np.asarray(mat, dtype=np.int64)
+    nrows, ncols = mat.shape
+    blocks = (mat[start : start + _RREF_BLOCK] % p for start in range(0, nrows, _RREF_BLOCK))
+    return _rref_blocks(blocks, ncols, p)
+
+
+def _rref_blocks(blocks, ncols: int, p: int):
+    """The RREF over GF(p) of the rows of ``blocks``, int64 arrays of
+    ``ncols`` columns with entries in [0, p), taken one at a time.
 
     The RREF of the row space is unique, so the result does not depend
-    on the elimination order.  Rows are taken in blocks of
-    ``_RREF_BLOCK``: each block is reduced against the current RREF R
-    with one product ``B - B[:, piv] @ R``, its zero rows are dropped,
-    and ``[R; B]`` goes through a column-by-column Gauss-Jordan
-    elimination.  The product runs in float64, where it is exact while
-    ncols * (p-1)^2 < 2^53; past that bound the whole matrix is one
-    block, so no product is taken.  Stops once every column is a pivot.
-    Returns (pivot_cols, pivot_rows) where pivot_rows[i] is the
-    normalized row with leading column pivot_cols[i].
+    on the blocks or the elimination order.  Each block is reduced against
+    the current RREF R with one product ``B - B[:, piv] @ R``, its zero
+    rows are dropped, and ``[R; B]`` goes through a column-by-column
+    Gauss-Jordan elimination.  The product runs in float64, where it is
+    exact while ncols * (p-1)^2 < 2^53; past that bound the blocks are
+    gathered into one, so no product is taken.  Once every column is a
+    pivot no further block is asked for.  Returns (pivot_cols,
+    pivot_rows) as :func:`_rref` does.
     """
-    mat = np.asarray(mat, dtype=np.int64) % p
-    nrows, ncols = mat.shape
-    step = _RREF_BLOCK if ncols * (p - 1) ** 2 < 2**53 else max(nrows, 1)
-    reduced = mat[:0]
+    if ncols * (p - 1) ** 2 >= 2**53:
+        gathered = list(blocks)
+        blocks = [np.concatenate(gathered)] if gathered else []
+    reduced = np.zeros((0, ncols), dtype=np.int64)
     pivot_cols = []
-    for start in range(0, nrows, step):
-        block = mat[start : start + step]
+    for block in blocks:
         if pivot_cols:
             prod = block[:, pivot_cols].astype(np.float64) @ reduced.astype(np.float64)
             block = (block - prod.astype(np.int64)) % p
@@ -352,30 +400,59 @@ class KernelReport:
         }
 
 
-def _reduced_constraint(eq_id: str, params: dict, p: int, deg: int):
-    """The RREF of one constraint's columns matrix, as its pivot columns
-    and its rows (read-only), and the matrix's row count.  The matrix is
-    dropped once it is reduced."""
+class Reduction(NamedTuple):
+    """One constraint's columns matrix at one degree, reduced."""
+
+    pivots: tuple  # the RREF's pivot columns
+    reduced: np.ndarray  # its rows, read-only
+    rows: int  # the matrix's row count
+    # for a build at degree p, the row count of its first p columns, which
+    # are the columns at degree p-1; None otherwise
+    head_rows: int | None
+
+
+def _reduced_constraint(eq_id: str, params: dict, p: int, deg: int) -> Reduction:
+    """The reduction of one constraint's columns matrix, whose rows go to
+    :func:`_rref` as :class:`MatrixRows`: the matrix is never held."""
     s = _catalog.build(eq_id, p, **params)
-    mat = columns_matrix(equation_columns(s, p, deg), p)
-    cols, rows = _rref(mat, p)
-    reduced = np.array(rows, dtype=np.int64).reshape(len(rows), deg + 1)
+    rows = MatrixRows(equation_columns(s, p, deg), p)
+    pivots, reduced = _rref(rows, p)
+    reduced = np.array(reduced, dtype=np.int64).reshape(len(reduced), deg + 1)
     reduced.flags.writeable = False
-    return tuple(cols), reduced, mat.shape[0]
+    head_rows = rows.rows_within(deg) if deg == p else None
+    return Reduction(tuple(pivots), reduced, rows.shape[0], head_rows)
+
+
+def _narrowed(wide: Reduction) -> Reduction:
+    """The reduction at degree p-1 read off the one at degree p.
+
+    The columns at degree p-1 are the first p at degree p (both pad each
+    unit vector to degree p), so their row space is the projection of the
+    wider one's: the first p columns of its RREF rows.  Those rows stay
+    reduced, and the one row whose pivot is the last column, if any,
+    becomes zero and goes.
+    """
+    ncols = wide.reduced.shape[1] - 1
+    keep = sum(c < ncols for c in wide.pivots)
+    reduced = wide.reduced[:keep, :ncols].copy()
+    reduced.flags.writeable = False
+    return Reduction(wide.pivots[:keep], reduced, wide.head_rows, None)
 
 
 def characterize(preset: str, p: int, reductions: dict | None = None) -> KernelReport:
     """The solution space of ``preset`` at p.
 
-    Each constraint's matrix is reduced as soon as it is built, and only
-    its RREF (at most (deg+1)^2 residues) and its row count are kept.  The
-    kernel is read off the RREF of a constraint that stands alone, and is
-    otherwise that of the reduced rows and the side conditions stacked,
-    which is the kernel of the full matrices stacked, as each RREF spans
-    its matrix's rows.  ``reductions`` maps (equation, params,
-    p, degree) to a reduction; a caller that passes one dict to several
-    calls shares the reductions of the constraints they have in common.
-    ``rows`` counts the rows of the full matrices.
+    Each constraint's matrix is reduced as it is built, and only its RREF
+    (at most (deg+1)^2 residues) and its row count are kept.  The kernel is
+    read off the RREF of a constraint that stands alone, and is otherwise
+    that of the reduced rows and the side conditions stacked, which is the
+    kernel of the full matrices stacked, as each RREF spans its matrix's
+    rows.  ``reductions`` maps (equation, params, p, degree) to a
+    :class:`Reduction`; a caller that passes one dict to several calls
+    shares the reductions of the constraints they have in common, and a
+    reduction at degree p-1 is read off one at degree p that the dict
+    holds (see :func:`_narrowed`).  ``rows`` counts the rows of the full
+    matrices.
     """
     if preset not in PRESETS:
         raise UnknownId(f"unknown preset {preset!r}")
@@ -387,8 +464,12 @@ def characterize(preset: str, p: int, reductions: dict | None = None) -> KernelR
     for eq_id, params in info["constraints"]:
         key = (eq_id, tuple(sorted(params.items())), p, deg)
         if key not in reductions:
-            reductions[key] = _reduced_constraint(eq_id, params, p, deg)
-        pivots, reduced, count = reductions[key]
+            wide = reductions.get(key[:3] + (p,))
+            if deg == p - 1 and wide is not None:
+                reductions[key] = _narrowed(wide)
+            else:
+                reductions[key] = _reduced_constraint(eq_id, params, p, deg)
+        pivots, reduced, count, _head = reductions[key]
         parts.append(reduced)
         nrows += count
     for side in info["side"]:

@@ -22,6 +22,7 @@ PRIVATE = {
     "_degree_bound",
     "_grouped_sum",
     "_stack",
+    "_outer_products",
 }
 
 

@@ -839,3 +839,111 @@ class TestPackingOverflow:
         assert got == n.scale(3) + one.scale(2)
         with pytest.raises(SizeExceeded, match="overflow the packed keys"):
             homogenized_sums([(n, one, ())], 1, [(2, 3), (1, 0)], x, DOM7)
+
+
+@st.composite
+def packed_parts(draw):
+    """(parts, p): packed polynomials (sorted distinct keys, residues in
+    [1, p)), often one long part among short ones, whose keys overlap so
+    that some sums cancel."""
+    p = draw(st.sampled_from((2, 3, 11, (1 << 31) - 1)))
+    span = draw(st.integers(1, 400))
+    parts = []
+    for size in draw(st.lists(st.integers(0, 300), min_size=1, max_size=5)):
+        keys = draw(st.lists(st.integers(0, span), max_size=size, unique=True))
+        vals = draw(st.lists(st.integers(1, p - 1), min_size=len(keys), max_size=len(keys)))
+        order = np.argsort(np.array(keys, dtype=np.int64))
+        parts.append(
+            (
+                np.array(keys, dtype=np.int64).reshape(-1)[order],
+                np.array(vals, dtype=np.int64).reshape(-1)[order],
+            )
+        )
+    return parts, p
+
+
+class TestPackedAdd:
+    """The sum that inserts the short parts into the longest, and the one
+    that sorts them all, against a sum of dicts."""
+
+    @given(packed_parts(), st.booleans(), st.sampled_from((1, 100, 1 << 16)))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_dict_sum(self, case, negate, insert_min):
+        parts, p = case
+        if negate:  # the negated longest part cancels it term by term
+            keys, vals = max(parts, key=lambda part: len(part[0]))
+            parts = parts + [(keys.copy(), (p - vals) % p)]
+        want = {}
+        for keys, vals in parts:
+            for k, v in zip(keys.tolist(), vals.tolist()):
+                want[k] = (want.get(k, 0) + v) % p
+        want = {k: v for k, v in sorted(want.items()) if v}
+        before = [(k.copy(), v.copy()) for k, v in parts]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "_INSERT_MIN_TERMS", insert_min)
+            keys, vals = poly._packed_add(parts, p)
+        assert keys.dtype == vals.dtype == np.int64
+        assert dict(zip(keys.tolist(), vals.tolist())) == want
+        assert keys.tolist() == list(want)
+        for (k, v), (k0, v0) in zip(parts, before):
+            assert np.array_equal(k, k0) and np.array_equal(v, v0)
+
+    def test_the_longest_part_is_not_sorted_again(self, monkeypatch):
+        # only the two short parts are merged by sorting
+        n = poly._INSERT_MIN_TERMS
+        merged = []
+        merge = poly._packed_merge
+
+        def counting(keys, vals, p):
+            merged.append(len(keys))
+            return merge(keys, vals, p)
+
+        monkeypatch.setattr(poly, "_packed_merge", counting)
+        ones = np.ones(n, dtype=np.int64)
+        big = (np.arange(n, dtype=np.int64) * 2, ones)
+        small = [(np.array([1, 4]), ones[:2]), (np.array([4, 5, 2 * n]), ones[:3])]
+        keys, vals = poly._packed_add([small[0], big, small[1]], 11)
+        assert merged == [5]
+        assert len(keys) == n + 3  # 1, 5 and 2n are new
+        assert vals[np.searchsorted(keys, 4)] == 3
+
+
+class TestMemoryPeaks:
+    """Peaks under tracemalloc, which counts numpy's buffers."""
+
+    def test_two_term_product_holds_one_sorted_copy(self):
+        # 2 x 150,000 pairs on the sorted path: the outer sums and products
+        # are freed once sorted, so the peak stays within 3x the output
+        rng = np.random.default_rng(5)
+        kb = np.unique(rng.integers(0, 10**12, 150_000))
+        vb = rng.integers(1, 97, len(kb))
+        ka, va = np.array([0, 7], dtype=np.int64), np.array([1, 5], dtype=np.int64)
+        tracemalloc.start()
+        try:
+            keys, vals = poly._packed_mul((ka, va), (kb, vb), 97)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(keys) > 2 * len(kb) - 100
+        assert peak <= 3 * (keys.nbytes + vals.nbytes), peak
+
+    def test_a_shift_comes_before_a_longer_product(self, monkeypatch):
+        # the item times a two-term and a one-term power: the one-term
+        # power shifts the item's 1000 terms, not the 2000-term product
+        mul = poly._packed_mul
+        calls = []
+
+        def counting(a, b, p):
+            calls.append(sorted((len(a[0]), len(b[0]))))
+            return mul(a, b, p)
+
+        monkeypatch.setattr(poly, "_packed_mul", counting)
+        item = (np.arange(1000, dtype=np.int64) * 4, np.ones(1000, dtype=np.int64))
+        powers = {"two": (np.array([0, 1]), np.array([1, 2])), "one": (np.array([3]), np.array([5]))}
+        keys, vals = poly._grouped_sum([(item, ["two", "one"])], powers, 11)
+        assert calls == [[1, 1000], [2, 1000]]
+        want = {}
+        for k in range(1000):
+            for shift, c in ((3, 5), (4, 10)):
+                want[4 * k + shift] = c
+        assert dict(zip(keys.tolist(), vals.tolist())) == want

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -128,6 +129,84 @@ class TestBlockedRref:
         assert pivot_cols == want_cols
         assert [[int(v) for v in row] for row in pivot_rows] == want_rows
         assert np.array_equal(mat, before)
+
+
+def tall_matrix(rng, nrows, ncols, rank, p):
+    """A random (nrows x ncols) matrix of rank at most ``rank`` mod p, with
+    entries in [0, 3p) and some zero rows."""
+    mat = rng.integers(0, p, (nrows, rank)) @ rng.integers(0, p, (rank, ncols)) % p
+    mat[rng.random(nrows) < 0.1] = 0
+    return mat + p * rng.integers(0, 3, mat.shape)
+
+
+class TestStreamedRref:
+    """_rref takes its rows block by block; the RREF must be that of one
+    Gauss-Jordan elimination over the whole matrix."""
+
+    @pytest.mark.parametrize("block", (1, 7, 64, solver._RREF_BLOCK, 5000))
+    @pytest.mark.parametrize("p", (5, 97))
+    def test_tall_matrices_match_the_dense_elimination(self, p, block, monkeypatch):
+        monkeypatch.setattr(solver, "_RREF_BLOCK", block)
+        rng = np.random.default_rng(p * block)
+        for nrows, ncols, rank in ((2000, 20, 13), (1500, 31, 31), (700, 12, 1)):
+            mat = tall_matrix(rng, nrows, ncols, rank, p)
+            dense = mat % p
+            want_cols, want_rank = solver._gauss_jordan(dense, p)
+            pivot_cols, pivot_rows = _rref(mat, p)
+            assert pivot_cols == want_cols
+            assert np.array_equal(np.array(pivot_rows).reshape(-1, ncols), dense[:want_rank])
+
+    def test_past_the_float_bound_the_blocks_are_gathered(self, monkeypatch):
+        # 3 (p-1)^2 >= 2^53: one elimination over all 50 rows, where blocks
+        # of 4 would take eight, as the first rows span one dimension only
+        p = 2**31 - 1
+        rng = np.random.default_rng(3)
+        mat = np.outer(rng.integers(0, p, 50), [1, 2, 3]) % p
+        mat[-2:] = [[0, 1, 5], [7, 0, 0]]
+        eliminations = []
+        gauss_jordan = solver._gauss_jordan
+
+        def counting(m, q):
+            eliminations.append(m.shape[0])
+            return gauss_jordan(m, q)
+
+        monkeypatch.setattr(solver, "_gauss_jordan", counting)
+        monkeypatch.setattr(solver, "_RREF_BLOCK", 4)
+        pivot_cols, pivot_rows = _rref(mat, p)
+        want_cols, want_rows = rref_oracle(mat.tolist(), 3, p)
+        assert pivot_cols == want_cols == [0, 1, 2]
+        assert [[int(v) for v in row] for row in pivot_rows] == want_rows
+        assert eliminations == [int(mat.any(axis=1).sum())]
+
+    def test_no_block_is_built_once_every_column_is_a_pivot(self):
+        pulled = []
+
+        def blocks():
+            for i in range(5):
+                pulled.append(i)
+                yield np.eye(3, dtype=np.int64) * (i + 1)
+
+        pivot_cols, pivot_rows = solver._rref_blocks(blocks(), 3, 7)
+        assert pivot_cols == [0, 1, 2] and pulled == [0]
+        assert np.array_equal(np.array(pivot_rows), np.eye(3, dtype=np.int64))
+
+    def test_row_blocks_are_built_when_asked_for(self):
+        # columns x^j + 2x^(j+3): the first block of three rows holds every
+        # pivot, and the rows x^3..x^5 are never placed into a block
+        dom = PrimeDomain(7)
+        rows = solver.MatrixRows(
+            coordinates([SparsePoly(("x",), dom, {(j,): 1, (j + 3,): 2}) for j in range(3)]), 7
+        )
+        assert rows.shape == (6, 3)
+        built = []
+
+        def blocks():
+            for block in rows.blocks(3):
+                built.append(block.tolist())
+                yield block
+
+        pivot_cols, _rows = solver._rref_blocks(blocks(), 3, 7)
+        assert pivot_cols == [0, 1, 2] and built == [np.eye(3, dtype=int).tolist()]
 
 
 @st.composite
@@ -385,6 +464,66 @@ class TestColumnsMatrix:
         assert coordinates(cols).polys((), dom) == cols
 
 
+SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def reduction_by_matrix(eq_id, params, p, deg):
+    """pivots, RREF rows and row count of the whole columns matrix."""
+    mat = columns_matrix(equation_columns(build(eq_id, p, **params), p, deg), p)
+    pivots, rows = _rref(mat, p)
+    return tuple(pivots), [[int(v) for v in row] for row in rows], mat.shape[0]
+
+
+def reduction_parts(reduction):
+    return reduction.pivots, reduction.reduced.tolist(), reduction.rows
+
+
+class TestReducedConstraint:
+    """_reduced_constraint streams its rows into the RREF without the
+    matrix; the reduction must be that of the matrix."""
+
+    @pytest.mark.parametrize(
+        "preset, eq_id, params, p",
+        [(*case, p) for case in PRESET_CONSTRAINTS for p in SMALL_PRIMES]
+        + [("FEIT", "feit", {}, 97)],
+    )
+    def test_matches_the_matrix(self, preset, eq_id, params, p):
+        deg = preset_degree(preset, p)
+        got = solver._reduced_constraint(eq_id, params, p, deg)
+        assert reduction_parts(got) == reduction_by_matrix(eq_id, params, p, deg)
+
+    @pytest.mark.parametrize(
+        "eq_id, params",
+        (
+            ("three_term", {}),
+            ("feit", {}),
+            ("two_term", {}),
+            ("inversion", {"n": 1}),
+            ("distribution", {"n": 1, "m": 2}),
+            ("distribution", {"n": 2, "m": 2}),
+        ),
+    )
+    def test_degree_p_minus_1_read_off_degree_p(self, eq_id, params):
+        for p in SMALL_PRIMES + ((97,) if eq_id == "three_term" else ()):
+            wide = solver._reduced_constraint(eq_id, params, p, p)
+            direct = solver._reduced_constraint(eq_id, params, p, p - 1)
+            narrow = solver._narrowed(wide)
+            assert reduction_parts(narrow) == reduction_parts(direct)
+            assert not narrow.reduced.flags.writeable
+
+    def test_feit_at_97_peak(self):
+        # the coordinates (322,818 terms, 7.7 MB) are ranked once and their
+        # rows reduced in blocks; no 9,504 x 97 matrix or copy of it is held
+        tracemalloc.start()
+        try:
+            reduction = solver._reduced_constraint("feit", {}, 97, 96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reduction.rows == 9504 and len(reduction.pivots) == 96
+        assert peak <= 17 * 10**6, peak
+
+
 class TestSharedDenominatorClearing:
     """lhat_apply and equation_columns clear denominators with the same
     routine, both at degree p; reading the columns at the polylog's
@@ -501,13 +640,42 @@ class TestSharedReductions:
         want = [v.tolist() for v in kernel_basis(mat, p)]
         assert [v.tolist() for v in characterize(preset, p).basis] == want
 
+    BENCHMARK_CALL = ["solve", "--preset", "FEIT,L1_TRIPLE,THREE_TERM,L2_PAIR,THM423"]
+
+    def test_benchmark_call_builds_six_columns_per_prime(self, monkeypatch, capsys):
+        # FEIT, two_term, inversion, distribution (n=1), three_term at
+        # degree p and distribution (n=2): three_term at degree p-1 for
+        # L2_PAIR and THM423 is read off its degree-p reduction
+        built = []
+        columns = solver.equation_columns
+
+        def counting(s, p, deg=None):
+            built.append(p)
+            return columns(s, p, deg)
+
+        monkeypatch.setattr(solver, "equation_columns", counting)
+        assert main(self.BENCHMARK_CALL + ["--p", "5..31,97"]) == 0
+        capsys.readouterr()
+        assert Counter(built) == {p: 6 for p in SMALL_PRIMES + (97,)}
+
+    def test_narrowed_reductions_keep_the_records(self, capsys):
+        def records(argv):
+            assert main(argv) == 0
+            return json.loads(capsys.readouterr().out)["records"]
+
+        alone = []
+        for preset in ("L2_PAIR", "THM423", "THREE_TERM"):
+            alone += records(["solve", "--preset", preset, "--p", "5..13"])
+        both = records(["solve", "--preset", "THREE_TERM,L2_PAIR,THM423", "--p", "5..13"])
+        assert sorted(both, key=json.dumps) == sorted(alone, key=json.dumps)
+
     def test_reductions_are_read_only(self):
         reductions = {}
         characterize("L2_PAIR", 7, reductions)
         assert len(reductions) == 2
-        for _pivots, reduced, _rows in reductions.values():
+        for reduction in reductions.values():
             with pytest.raises(ValueError):
-                reduced[0, 0] = 0
+                reduction.reduced[0, 0] = 0
 
 
 class TestPresets:

@@ -31,7 +31,9 @@ import finpolylog.cli
 tracer = tracing.Tracer()
 main = tracing.install(tracer, finpolylog.cli)
 code = main(["solve", "--preset", "FEIT", "--p", "7"])
-sys.stderr.write(json.dumps(tracer.span_counts()))
+sys.stderr.write(
+    json.dumps({{"spans": tracer.span_counts(), "rref_rows": tracer.counts["solver.rref_rows"]}})
+)
 sys.exit(code)
 """
 
@@ -56,10 +58,16 @@ def test_tracer_installs_on_the_package():
 
 
 def test_tracer_sees_the_solver_column_path():
-    # the solver must call the column builder and the matrix builder by
-    # the module names the tracer patches
+    # the solver must call the column builder and the row reduction by the
+    # module names the tracer patches, and every reduction must show its
+    # row count: FEIT's 54 matrix rows, which reach the RREF in blocks with
+    # no dense matrix built, then its 6 RREF rows with the side
+    # condition's one, then the one basis vector
     proc = run_traced(SOLVE_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert '"holds": true' in proc.stdout
-    counts = json.loads(proc.stderr)
-    assert counts["solver.columns"] == counts["solver.matrix"] == 1
+    traced = json.loads(proc.stderr)
+    assert traced["spans"]["solver.columns"] == 1
+    assert traced["spans"]["solver.rref"] == 3
+    assert traced["spans"]["solver.matrix"] == 0
+    assert traced["rref_rows"] == 54 + 7 + 1
