@@ -22,10 +22,10 @@ large product with no more cells in a dense line array over its keys than
 pairs of terms accumulates there, one scatter-add per term of the short
 operand; the others are outer sums of keys and products of residues, whose
 equal keys merge through a stable argsort and an int64 ``np.add.reduceat``.
-A sum of packed polynomials inserts the shorter ones into the longest at
-the places ``np.searchsorted`` finds, so a long sum is never sorted
-again, and each step frees its unsorted inputs once their sorted copies
-exist.  Below 2^31 a product of
+A sum of packed polynomials whose longest part holds most of its terms
+inserts the others into it at the places ``np.searchsorted`` finds, so
+that part is not sorted again, and each step frees its unsorted inputs
+once their sorted copies exist.  Below 2^31 a product of
 two residues is below 2^62, and sums are reduced mod p before they could
 leave int64, so the kernel is exact; larger primes use the schoolbook
 product, and so do single products whose packed keys would not fit in
@@ -71,8 +71,12 @@ _FAST_MUL_THRESHOLD = 4096
 _FAST_CHUNK_PAIRS = 24_000_000
 # smaller products stay on the sorted merge: they take milliseconds either way
 _DENSE_MIN_PAIRS = 1 << 16
-# shorter sums are merged by one sort, whose few numpy calls cost less there
-_INSERT_MIN_TERMS = 1 << 16
+# A sum inserts its short parts into its longest when that holds this many
+# times their terms.  Inserting takes less memory while they hold under half
+# the long one's terms, but one sort of all the terms is faster once they
+# pass 1/10 to 1/5 of it (measured for long parts of 4k to 1M terms; below
+# 4k both take microseconds).
+_INSERT_RATIO = 8
 # Residue products stay below 2^62, and their sums inside int64.
 _PACKED_P_LIMIT = 1 << 31
 
@@ -568,16 +572,17 @@ def _packed_merge(keys, vals, p: int):
 
 def _packed_add(parts, p: int):
     """Sum of packed polynomials.  Unless the longest part has at least
-    ``_INSERT_MIN_TERMS`` terms, all are merged in one pass.  Otherwise
-    the others are, and their sum is inserted into the longest at the
-    places ``np.searchsorted`` finds, so a long sorted part is copied once
-    and never sorted again."""
+    ``_INSERT_RATIO`` times the terms of the others, all are merged in one
+    pass.  Otherwise the others are, and their sum is inserted into the
+    longest at the places ``np.searchsorted`` finds, so the long sorted
+    part is copied once and never sorted again."""
     if len(parts) == 1:
         return parts[0]
     if not parts:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     big = max(range(len(parts)), key=lambda i: len(parts[i][0]))
-    if len(parts[big][0]) < _INSERT_MIN_TERMS:
+    rest_terms = sum(len(k) for k, _ in parts) - len(parts[big][0])
+    if _INSERT_RATIO * rest_terms > len(parts[big][0]):
         return _packed_merge(
             np.concatenate([k for k, _ in parts]),
             np.concatenate([v for _, v in parts]),
@@ -704,11 +709,13 @@ def _packed_mul(a, b, p: int):
     keys = vals = None
     for start in range(0, len(ka), chunk):
         rows = slice(start, start + chunk)
-        # the outer sums and products go straight into the merge, which
-        # frees each once it is sorted
+        # the merge holds the only references to the outer sums and
+        # products, so it frees each once it is sorted
         part = _packed_merge(
             np.add.outer(ka[rows], kb).ravel(),
-            _outer_products(va[rows], vb, None if lazy else p),
+            np.multiply.outer(va[rows], vb).ravel()
+            if lazy
+            else np.multiply.outer(va[rows], vb).ravel() % p,
             p,
         )
         keys, vals = part if keys is None else _packed_add([(keys, vals), part], p)
@@ -716,14 +723,6 @@ def _packed_mul(a, b, p: int):
         if len(keys) > DEFAULT_TERM_CAP:
             raise SizeExceeded("fast multiply result exceeds term cap")
     return keys, vals
-
-
-def _outer_products(va, vb, p):
-    """The products va_i·vb_j, row by row, reduced mod p unless p is None."""
-    prods = np.multiply.outer(va, vb).ravel()
-    if p is not None:
-        prods %= p
-    return prods
 
 
 def _mul_prime_fast(f: SparsePoly, g: SparsePoly) -> SparsePoly:

@@ -65,7 +65,7 @@ class MatrixRows:
     Rows are the distinct monomials of all columns in ascending order of
     their packed keys, ranked once by one int64 argsort; the entries are
     the values mod p.  :func:`_rref` takes the rows in blocks, so the
-    whole matrix is never held.  ``shape`` is the matrix's.
+    whole matrix need not be held.  ``shape`` is the matrix's.
     """
 
     def __init__(self, cols: Coordinates, p: int):
@@ -244,17 +244,21 @@ def _gauss_jordan(m: np.ndarray, p: int):
 
 def _rref(mat, p: int):
     """Reduced row echelon form over GF(p) of a matrix, or of the rows of
-    a :class:`MatrixRows`: :func:`_rref_blocks` over its rows in blocks
-    of ``_RREF_BLOCK``, a matrix's each reduced mod p as it is taken, so
-    the matrix is neither changed nor copied whole.  Returns (pivot_cols,
-    pivot_rows) where pivot_rows[i] is the normalized row with leading
-    column pivot_cols[i].
+    a :class:`MatrixRows`: :func:`_rref_blocks` over the rows in blocks of
+    ``_RREF_BLOCK``, or in one block past the float64 bound.  A matrix is
+    not changed: each block is reduced mod p as it is taken, so below the
+    bound the matrix is not copied whole.  Every reduction of the solver
+    comes through here, where the benchmark's tracer counts its rows.
+    Returns (pivot_cols, pivot_rows) where pivot_rows[i] is the normalized
+    row with leading column pivot_cols[i].
     """
-    if isinstance(mat, MatrixRows):
-        return _rref_blocks(mat.blocks(_RREF_BLOCK), mat.shape[1], p)
-    mat = np.asarray(mat, dtype=np.int64)
+    if not isinstance(mat, MatrixRows):
+        mat = np.asarray(mat, dtype=np.int64)
     nrows, ncols = mat.shape
-    blocks = (mat[start : start + _RREF_BLOCK] % p for start in range(0, nrows, _RREF_BLOCK))
+    step = _RREF_BLOCK if ncols * (p - 1) ** 2 < 2**53 else max(nrows, 1)
+    if isinstance(mat, MatrixRows):
+        return _rref_blocks(mat.blocks(step), ncols, p)
+    blocks = (mat[start : start + step] % p for start in range(0, nrows, step))
     return _rref_blocks(blocks, ncols, p)
 
 
@@ -268,13 +272,14 @@ def _rref_blocks(blocks, ncols: int, p: int):
     rows are dropped, and ``[R; B]`` goes through a column-by-column
     Gauss-Jordan elimination.  The product runs in float64, where it is
     exact while ncols * (p-1)^2 < 2^53; past that bound the blocks are
-    gathered into one, so no product is taken.  Once every column is a
-    pivot no further block is asked for.  Returns (pivot_cols,
-    pivot_rows) as :func:`_rref` does.
+    gathered into one (:func:`_rref` hands over one), so no product is
+    taken.  Once every column is a pivot no further block is asked for.
+    Returns (pivot_cols, pivot_rows) as :func:`_rref` does.
     """
     if ncols * (p - 1) ** 2 >= 2**53:
-        gathered = list(blocks)
-        blocks = [np.concatenate(gathered)] if gathered else []
+        blocks = list(blocks)
+        if len(blocks) > 1:
+            blocks = [np.concatenate(blocks)]
     reduced = np.zeros((0, ncols), dtype=np.int64)
     pivot_cols = []
     for block in blocks:
@@ -413,7 +418,8 @@ class Reduction(NamedTuple):
 
 def _reduced_constraint(eq_id: str, params: dict, p: int, deg: int) -> Reduction:
     """The reduction of one constraint's columns matrix, whose rows go to
-    :func:`_rref` as :class:`MatrixRows`: the matrix is never held."""
+    :func:`_rref` as :class:`MatrixRows`: below the float64 bound the
+    whole matrix is never held."""
     s = _catalog.build(eq_id, p, **params)
     rows = MatrixRows(equation_columns(s, p, deg), p)
     pivots, reduced = _rref(rows, p)

@@ -22,7 +22,6 @@ PRIVATE = {
     "_degree_bound",
     "_grouped_sum",
     "_stack",
-    "_outer_products",
 }
 
 

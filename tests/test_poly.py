@@ -866,9 +866,9 @@ class TestPackedAdd:
     """The sum that inserts the short parts into the longest, and the one
     that sorts them all, against a sum of dicts."""
 
-    @given(packed_parts(), st.booleans(), st.sampled_from((1, 100, 1 << 16)))
+    @given(packed_parts(), st.booleans(), st.sampled_from((0, 1, 8, 1 << 40)))
     @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_matches_dict_sum(self, case, negate, insert_min):
+    def test_matches_dict_sum(self, case, negate, ratio):
         parts, p = case
         if negate:  # the negated longest part cancels it term by term
             keys, vals = max(parts, key=lambda part: len(part[0]))
@@ -880,7 +880,7 @@ class TestPackedAdd:
         want = {k: v for k, v in sorted(want.items()) if v}
         before = [(k.copy(), v.copy()) for k, v in parts]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(poly, "_INSERT_MIN_TERMS", insert_min)
+            mp.setattr(poly, "_INSERT_RATIO", ratio)
             keys, vals = poly._packed_add(parts, p)
         assert keys.dtype == vals.dtype == np.int64
         assert dict(zip(keys.tolist(), vals.tolist())) == want
@@ -890,7 +890,7 @@ class TestPackedAdd:
 
     def test_the_longest_part_is_not_sorted_again(self, monkeypatch):
         # only the two short parts are merged by sorting
-        n = poly._INSERT_MIN_TERMS
+        n = 5 * poly._INSERT_RATIO
         merged = []
         merge = poly._packed_merge
 

@@ -172,11 +172,15 @@ class TestStreamedRref:
 
         monkeypatch.setattr(solver, "_gauss_jordan", counting)
         monkeypatch.setattr(solver, "_RREF_BLOCK", 4)
-        pivot_cols, pivot_rows = _rref(mat, p)
         want_cols, want_rows = rref_oracle(mat.tolist(), 3, p)
-        assert pivot_cols == want_cols == [0, 1, 2]
-        assert [[int(v) for v in row] for row in pivot_rows] == want_rows
-        assert eliminations == [int(mat.any(axis=1).sum())]
+        # a matrix is taken as one block, and blocks handed over are joined
+        for pivot_cols, pivot_rows in (
+            _rref(mat, p),
+            solver._rref_blocks((mat[i : i + 4] for i in range(0, 50, 4)), 3, p),
+        ):
+            assert pivot_cols == want_cols == [0, 1, 2]
+            assert [[int(v) for v in row] for row in pivot_rows] == want_rows
+        assert eliminations == 2 * [int(mat.any(axis=1).sum())]
 
     def test_no_block_is_built_once_every_column_is_a_pivot(self):
         pulled = []
@@ -207,6 +211,27 @@ class TestStreamedRref:
 
         pivot_cols, _rows = solver._rref_blocks(blocks(), 3, 7)
         assert pivot_cols == [0, 1, 2] and built == [np.eye(3, dtype=int).tolist()]
+
+    def test_rows_past_the_float_bound_are_one_block(self, monkeypatch):
+        # 4 (p-1)^2 >= 2^53: the rows x^0..x^5 of columns x^j + 5x^(j+2)
+        # are placed in one block, not in blocks of 2 to be gathered
+        p = 2**31 - 1
+        dom = PrimeDomain(p)
+        rows = solver.MatrixRows(
+            coordinates([SparsePoly(("x",), dom, {(j,): 1, (j + 2,): 5}) for j in range(4)]), p
+        )
+        sizes = []
+        blocks = rows.blocks
+
+        def counting(size):
+            sizes.append(size)
+            return blocks(size)
+
+        monkeypatch.setattr(rows, "blocks", counting)
+        monkeypatch.setattr(solver, "_RREF_BLOCK", 2)
+        pivot_cols, pivot_rows = _rref(rows, p)
+        assert sizes == [6] and pivot_cols == [0, 1, 2, 3]
+        assert np.array_equal(np.array(pivot_rows), np.eye(4, dtype=np.int64))
 
 
 @st.composite
