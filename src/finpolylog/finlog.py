@@ -143,8 +143,10 @@ def lhat_eval_grid(m: int, s: FormalSum, cols, fld, points: int | None = None):
     (0 where ``mask`` is False); ``values`` has the shape of one
     variable's coordinates, (e, n) or (n,).
 
-    A batch of elements is an (e, k) array, one row per coordinate, and
-    every product goes through :func:`~finpolylog.fields._poly_mul_mod`.
+    A batch of elements is an (e, k) array, one row per coordinate.  Over
+    GF(p) a product is ``a * b % p`` on int64, exact as residues below
+    2^31 multiply below 2^62; for e > 1 every product goes through
+    :func:`~finpolylog.fields._poly_mul_mod`.
     Every distinct polynomial (numerator or denominator factor) is
     evaluated once per batch from a cache of monomials, each the product of
     a cached monomial in the variables before its last one and a power of
@@ -176,6 +178,8 @@ def lhat_eval_grid(m: int, s: FormalSum, cols, fld, points: int | None = None):
     one[0] = 1
 
     def mul(a, b):
+        if e == 1:  # residues below 2^31 multiply below 2^62
+            return a * b % p
         return np.array(_poly_mul_mod(a, b, modulus, p))
 
     monomials = {(0,) * len(cols): one}

@@ -33,7 +33,10 @@ int64.  Besides single products, the
 kernel has one more entry point, :func:`homogenized_sums`, which builds the
 cleared numerators of the twisted evaluator and of the solver's columns,
 both read at degree p: its inputs are packed once, and powers, products
-and sums stay packed until they are returned.  All coefficient vectors are stacked in one
+and sums stay packed until they are returned.  The powers of a one- or
+two-term argument are written down in closed form, with binomials mod p,
+and many small products n^j d^(deg-j) share one pass of outer sums and
+one merge.  All coefficient vectors are stacked in one
 block, each vector under one more Kronecker digit, so one pass over the
 terms serves every vector; a block that would pass the term cap is
 refused, not split.  Terms that share a factor power are summed before it
@@ -50,7 +53,9 @@ small, and pointwise evaluation walks the terms.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 import heapq
+from itertools import accumulate, repeat
 import operator
 from typing import NamedTuple
 
@@ -71,6 +76,11 @@ _FAST_MUL_THRESHOLD = 4096
 _FAST_CHUNK_PAIRS = 24_000_000
 # smaller products stay on the sorted merge: they take milliseconds either way
 _DENSE_MIN_PAIRS = 1 << 16
+# homogenized_sums forms products of fewer pairs in batched passes of about
+# this many pairs.  Past it a pass's gathers cost more per pair than the
+# outer sums of a single product, and larger passes leave more of the heap
+# behind them.
+_PASS_PAIRS = 1 << 14
 # A sum inserts its short parts into its longest when that holds this many
 # times their terms.  Inserting takes less memory while they hold under half
 # the long one's terms, but one sort of all the terms is faster once they
@@ -823,6 +833,87 @@ def _stack(parts):
     return np.concatenate(keys), np.concatenate(vals)
 
 
+@lru_cache(maxsize=8)
+def _factorials(p: int, n: int):
+    """k! and 1/k! mod p for k = 0..n, n < p, as read-only int64 arrays."""
+    fact = list(accumulate(range(1, n + 1), lambda a, b: a * b % p, initial=1))
+    inv = [pow(fact[-1], p - 2, p)]
+    for k in range(n, 0, -1):
+        inv.append(inv[-1] * k % p)
+    tables = np.array(fact, dtype=np.int64), np.array(inv[::-1], dtype=np.int64)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=256)
+def _residue_powers(v: int, n: int, p: int):
+    """v^0..v^n mod p as a read-only int64 array."""
+    out = np.array(list(accumulate(repeat(v, n), lambda a, b: a * b % p, initial=1)))
+    out.flags.writeable = False
+    return out
+
+
+def _binomial_powers(base, deg: int, p: int):
+    """Powers 0..deg of a packed polynomial of one term, or of two terms
+    with deg <= p, in closed form: one flat list (keys, vals, starts),
+    power j holding the terms starts[j]:starts[j + 1].
+
+    With keys k0 < k1 and values v0, v1, power j has the term
+    C(j, i) v0^j (v1/v0)^i at the key j*k0 + i*(k1 - k0), i = 0..j, sorted
+    by i and distinct; a one-term base has i = 0 only.  For j < p the
+    binomial is j!/(i!(j-i)!) mod p, which is not zero; by Lucas' theorem
+    C(p, i) = C(0, i mod p) is zero for 0 < i < p, and those terms are
+    dropped.  The list is the one a chain of products would give.
+    """
+    keys, vals = base
+    top = len(keys) - 1  # the largest i of power 1
+    rows = np.arange(deg + 1)
+    sizes = rows * top + 1
+    j = np.repeat(rows, sizes)
+    i = np.arange(len(j)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    v0 = int(vals[0])
+    ratio = int(vals[-1]) * pow(v0, p - 2, p) % p
+    out = _residue_powers(v0, deg, p)[j] * _residue_powers(ratio, deg, p)[i] % p
+    if top:
+        fact, inv = _factorials(p, min(deg, p - 1))
+        jr, ir = j % p, i % p
+        binom = fact[jr] * inv[ir] % p * inv[np.maximum(jr - ir, 0)] % p
+        out = np.where(ir <= jr, out * binom % p, 0)
+        keep = out != 0
+        j, i, out = j[keep], i[keep], out[keep]
+    starts = np.zeros(deg + 2, dtype=np.int64)
+    np.cumsum(np.bincount(j, minlength=deg + 1), out=starts[1:])
+    return j * keys[0] + i * (keys[-1] - keys[0]), out, starts
+
+
+def _power_of(flat, j: int):
+    """Power j of a flat list of powers, as a packed polynomial (views)."""
+    keys, vals, starts = flat
+    return keys[starts[j] : starts[j + 1]], vals[starts[j] : starts[j + 1]]
+
+
+def _pair_products(a, ja, b, jb, shifts, coeffs, p: int):
+    """Sum over t of coeffs[t] times power ja[t] of the flat list ``a``
+    times power jb[t] of ``b`` (lists as :func:`_binomial_powers` gives
+    them), each product's keys raised by shifts[t]: the outer sums and
+    products of every pair in one pass, and one merge.  Each row (a term
+    of a power of ``a``) is scaled and shifted once, then repeated over
+    the terms of its power of ``b``."""
+    (ka, va, sa), (kb, vb, sb) = a, b
+    rows_of = sa[ja + 1] - sa[ja]
+    pair = np.repeat(np.arange(len(ja)), rows_of)
+    row = np.arange(len(pair)) - np.repeat(np.cumsum(rows_of) - rows_of, rows_of) + sa[ja][pair]
+    width = (sb[jb + 1] - sb[jb])[pair]
+    first = np.cumsum(width) - width  # each row's first entry
+    cols = np.arange(first[-1] + width[-1] if len(width) else 0)
+    cols -= np.repeat(first - sb[jb][pair], width)
+    keys = np.repeat(ka[row] + shifts[pair], width) + kb[cols]
+    vals = np.repeat(va[row] * coeffs[pair] % p, width) * vb[cols] % p
+    del pair, row, width, first, cols
+    return _packed_merge(keys, vals, p)
+
+
 def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates:
     """Sums over ``terms`` of homogenized polynomials times factor powers,
     one per coefficient vector, over GF(p) with p < 2^31 (BadParams
@@ -847,15 +938,32 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
     the terms of f^q, and its packed keys are those of f^q times p, whose
     digits p * q * deg f <= k * deg f stay below the radices.
 
+    The power list of an n or d of one term, or of two terms with
+    deg <= p, is written down in closed form (:func:`_binomial_powers`);
+    longer ones are chains of products.  The parts n^j d^(deg-j) of
+    fewer than ``_PASS_PAIRS`` pairs are formed in batched passes of about
+    that many pairs, each one set of outer sums and one merge
+    (:func:`_pair_products`), across the coefficients of a vector and
+    across vectors; larger parts are single :func:`_packed_mul` products.
+    Passes and products whose keys lie above all before them (those of
+    later vectors) are stacked; the others (one vector's) are merged in
+    once they outnumber the terms of their sum so far, so memory stays
+    near the size of the sum.
+
     SizeExceeded is raised when the packed keys would not fit in int64,
     and before the products building the powers of n, d and f (each
-    counted at |a| * |b| terms; the powers of a nonzero n or d count at
-    least deg) would pass ``DEFAULT_TERM_CAP`` terms.  Only then is
-    ``vectors`` read, one vector at a time.  The block is never split:
-    SizeExceeded is raised, naming the number of vectors read, as soon as
-    the vectors would overflow the packed keys under their z digits, the
-    stacked parts pass ``DEFAULT_TERM_CAP`` terms, a product of the
-    stacked sum passes it (see :func:`_packed_mul`), or the sums do.
+    counted at |a| * |b| terms, a closed-form list at what its chain would
+    count; the powers of a nonzero n or d count at least deg) would pass
+    ``DEFAULT_TERM_CAP`` terms.  Only then is ``vectors`` read, one vector
+    at a time.  The block is never split: SizeExceeded is raised, naming
+    the number of vectors read, as soon as the vectors would overflow the
+    packed keys under their z digits, the stacked parts pass
+    ``DEFAULT_TERM_CAP`` terms, a product of the stacked sum passes it
+    (see :func:`_packed_mul`), or the sums do.  Parts are built for a
+    chunk of vectors at a time, while the pairs of their products keep
+    the chunk below the cap; a vector that may pass the cap is built
+    alone, so the refusal names the same vector as building each vector
+    when it is read would.
     """
     if domain.kind != "prime" or domain.p >= _PACKED_P_LIMIT:
         raise BadParams(f"packed sums need GF(p) with p < 2^31, not {domain!r}")
@@ -880,11 +988,14 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
     packed = {key: kron.pack(*ev) for key, ev in arrays.items()}
     kept = 0  # bound on the terms of the powers built so far
 
-    def grow(a, b):
+    def charge(terms):
         nonlocal kept
-        kept += len(a[0]) * len(b[0])
+        kept += terms
         if kept > DEFAULT_TERM_CAP:
             raise SizeExceeded(too_big)
+
+    def grow(a, b):
+        charge(len(a[0]) * len(b[0]))
         return _packed_mul(a, b, p)
 
     one = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
@@ -897,6 +1008,20 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
         keys, vals = factor_power(base, q)
         return grow(_power(base, r, grow, one), (keys * p, vals))
 
+    def power_list(base):
+        # powers 0..deg as one flat list, charged what the chain of
+        # products pows[j] = pows[j-1] * base is charged: |pows[j-1]| * |base|
+        # for j = 1..deg, where |pows[j-1]| = j below p
+        size = len(base[0])
+        if size == 1 or (size == 2 and deg <= p):
+            charge(deg if size == 1 else deg * (deg + 1))
+            return _binomial_powers(base, deg, p)
+        pows = [one]
+        for _ in range(deg):
+            pows.append(grow(pows[-1], base))
+        keys, vals = zip(*pows)
+        return np.concatenate(keys), np.concatenate(vals), np.cumsum([0, *map(len, keys)])
+
     # factor powers first: square-and-multiply reaches a refusal in a few
     # products, where the power lists take deg of them per term
     powers = {}  # (id, exponent) -> packed factor power
@@ -905,26 +1030,99 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
             if (id(f), k) not in powers:
                 powers[id(f), k] = factor_power(packed[id(f)], k)
     # arguments equal as packed arrays share one list of powers
-    lists = {}  # packed bytes -> powers 0..deg of the polynomial
+    lists = {}  # packed bytes -> flat list of the powers 0..deg
     built = []
     for n, d, factors in terms:
-        bases = [packed[id(n)], packed[id(d)]]
-        pow_lists = [
-            lists.setdefault((keys.tobytes(), vals.tobytes()), [one])
-            for keys, vals in bases
-        ]
-        for _ in range(deg):
-            for pows, base in zip(pow_lists, bases):
-                if len(pows) <= deg:
-                    pows.append(grow(pows[-1], base))
-        n_pows, d_pows = pow_lists
-        built.append((n_pows, d_pows[::-1], [(id(f), k) for f, k in factors]))
+        pow_lists = []
+        for base in (packed[id(n)], packed[id(d)]):
+            key = base[0].tobytes(), base[1].tobytes()
+            if key not in lists:
+                lists[key] = power_list(base)
+            pow_lists.append(lists[key])
+        n_list, d_list = pow_lists
+        # pairs[j]: the pairs of terms of n^j * d^(deg-j)
+        pairs = (np.diff(n_list[2]) * np.diff(d_list[2])[::-1]).tolist()
+        built.append((n_list, d_list, pairs, [(id(f), k) for f, k in factors]))
+    # a vector's parts have at most the pairs of their products as terms
+    most = [sum(col) for col in zip(*(pairs for *_lists, pairs, _fkeys in built))]
+    most = most or [0] * (deg + 1)
+
+    def part(n_list, d_list, pairs, triples):
+        # sum over (shift, j, c) of c * n^j * d^(deg-j), keys raised by
+        # shift: products of fewer than _PASS_PAIRS pairs are taken in
+        # batched passes of about that many pairs, larger ones one by one
+        def products():
+            batch, batch_pairs = [], 0
+            for shift, j, c in triples:
+                if pairs[j] >= _PASS_PAIRS:
+                    keys, vals = _packed_mul(
+                        _power_of(n_list, j), _power_of(d_list, deg - j), p
+                    )
+                    # the scaled values first: with the shifted keys first,
+                    # glibc leaves the freed product's blocks unused, and
+                    # a refused FEIT solve at p=503 peaked at 263 MB, not
+                    # 190 MB (whole process)
+                    vals = vals * c % p
+                    yield keys + shift, vals
+                    continue
+                batch.append((shift, j, c))
+                batch_pairs += pairs[j]
+                if batch_pairs >= _PASS_PAIRS:
+                    yield batched(batch)
+                    batch, batch_pairs = [], 0
+            if batch:
+                yield batched(batch)
+
+        def batched(batch):
+            shifts, js, coeffs = (np.array(col, dtype=np.int64) for col in zip(*batch))
+            return _pair_products(n_list, js, d_list, deg - js, shifts, coeffs, p)
+
+        # a product whose keys lie above all before it starts a new run,
+        # and the runs, sorted and in increasing key ranges, are returned
+        # to be stacked once; within a run (one vector's products) the
+        # products are merged in once they outnumber the sum's terms, so
+        # memory stays near the size of the sum, not of all products
+        runs, acc, pending, pending_size, top = [], None, [], 0, -1
+        for keys, vals in products():
+            if not len(keys):
+                continue
+            if keys[0] > top:
+                if acc is not None:
+                    runs.append(_packed_add([acc, *pending], p))
+                acc, pending, pending_size = (keys, vals), [], 0
+            else:
+                pending.append((keys, vals))
+                pending_size += len(keys)
+                if pending_size > len(acc[0]):
+                    acc, pending, pending_size = _packed_add([acc, *pending], p), [], 0
+            top = max(top, int(keys[-1]))
+        if acc is not None:
+            runs.append(_packed_add([acc, *pending], p))
+        return runs
+
+    def build(chunk):
+        # the parts of the vectors of ``chunk``, appended to each term's runs
+        nonlocal size
+        triples = [(shift, j, c) for shift, nonzero in chunk for j, c in nonzero]
+        for term_parts, (n_list, d_list, pairs, _fkeys) in zip(stacked, built):
+            runs = part(n_list, d_list, pairs, triples)
+            size += sum(len(keys) for keys, _vals in runs)
+            if size > DEFAULT_TERM_CAP:
+                raise SizeExceeded(
+                    f"the parts of the first {count} vectors exceed {DEFAULT_TERM_CAP} terms"
+                )
+            term_parts.extend(runs)
+
     # the z digit sits above the variables' digits: the keys of `widest`
     # stacked vectors stay below 2^62
     widest = ((1 << 62) - 1) // kron.span
     stacked = [[] for _ in built]  # per term, the stacked parts in z order
     count = size = 0
-    empty = np.zeros(0, dtype=np.int64)
+    # Vectors are built a chunk at a time.  A chunk whose parts are bounded
+    # below the cap by their pairs cannot be refused; a vector that may
+    # pass it is built alone, so a refusal names the vector whose parts
+    # pass the cap, as if every vector were built as it is read.
+    chunk, chunk_bound = [], 0
     for count, w in enumerate(vectors, 1):
         if len(w) != deg + 1:
             raise BadParams(f"need {deg + 1} coefficients, got {len(w)}")
@@ -932,27 +1130,17 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
             raise SizeExceeded(f"more than {widest} vectors overflow the packed keys")
         # zero coefficients cost one truth test each
         nonzero = [(j, c) for j, wj in enumerate(w) if wj and (c := int(wj) % p)]
-        shift = (count - 1) * kron.span
-        for term_parts, (n_pows, d_pows, _fkeys) in zip(stacked, built):
-            # the parts are merged in once they outnumber the sum's terms,
-            # so memory stays near the size of the sum, not of all parts
-            acc, pending, pending_size = None, [], 0
-            for j, wj in nonzero:
-                keys, vals = _packed_mul(n_pows[j], d_pows[j], p)
-                if acc is None:  # the first product needs no merge
-                    acc = keys, vals * wj % p
-                    continue
-                pending.append((keys, vals * wj % p))
-                pending_size += len(keys)
-                if pending_size > len(acc[0]):
-                    acc, pending, pending_size = _packed_add([acc, *pending], p), [], 0
-            keys, vals = _packed_add([acc or (empty, empty), *pending], p)
-            size += len(keys)
-            if size > DEFAULT_TERM_CAP:
-                raise SizeExceeded(
-                    f"the parts of the first {count} vectors exceed {DEFAULT_TERM_CAP} terms"
-                )
-            term_parts.append((keys + shift if shift else keys, vals))
+        bound = sum(most[j] for j, _c in nonzero)
+        if chunk and size + chunk_bound + bound > DEFAULT_TERM_CAP:
+            build(chunk)
+            chunk, chunk_bound = [], 0
+        chunk.append(((count - 1) * kron.span, nonzero))
+        chunk_bound += bound
+        if size + chunk_bound > DEFAULT_TERM_CAP:
+            build(chunk)
+            chunk, chunk_bound = [], 0
+    if chunk:
+        build(chunk)
     items = []
     for parts, (*_pows, fkeys) in zip(stacked, built):
         items.append((_stack(parts), fkeys))

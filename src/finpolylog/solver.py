@@ -59,17 +59,25 @@ def columns_matrix(cols: Coordinates, p: int) -> np.ndarray:
     return mat
 
 
+def _row_cuts(nrows: int, size: int, first: int | None = None):
+    """(start, stop) of blocks of ``size`` rows, the first of ``first``."""
+    cuts = [0, *range(size if first is None else first, nrows, size), nrows]
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
 class MatrixRows:
     """The rows of the columns matrix of ``cols``, built block by block.
 
     Rows are the distinct monomials of all columns in ascending order of
-    their packed keys, ranked once by one int64 argsort; the entries are
+    their packed keys, ranked once by one stable int64 argsort, which
+    merges the sorted runs the keys arrive in (one per column); the
+    order within a key does not change a row.  The entries are
     the values mod p.  :func:`_rref` takes the rows in blocks, so the
     whole matrix need not be held.  ``shape`` is the matrix's.
     """
 
     def __init__(self, cols: Coordinates, p: int):
-        order = np.argsort(cols.keys)
+        order = np.argsort(cols.keys, kind="stable")
         ranked = cols.keys[order]
         new_row = np.empty(len(order), dtype=bool)
         new_row[:1] = True
@@ -80,12 +88,12 @@ class MatrixRows:
         self.bounds = np.append(np.flatnonzero(new_row), len(order))
         self.shape = (len(self.bounds) - 1, cols.count)
 
-    def blocks(self, size: int):
-        """The rows ``size`` at a time, as int64 blocks with entries in
-        [0, p), each filled with one store when it is asked for."""
+    def blocks(self, size: int, first: int | None = None):
+        """The rows ``size`` at a time, the first block ``first`` rows if
+        given, as int64 blocks with entries in [0, p), each filled with
+        one store when it is asked for."""
         cols, bounds = self.cols, self.bounds
-        for start in range(0, self.shape[0], size):
-            stop = min(start + size, self.shape[0])
+        for start, stop in _row_cuts(self.shape[0], size, first):
             terms = self.order[bounds[start] : bounds[stop]]
             rows = np.repeat(np.arange(stop - start), np.diff(bounds[start : stop + 1]))
             block = np.zeros((stop - start, cols.count), dtype=np.int64)
@@ -242,57 +250,79 @@ def _gauss_jordan(m: np.ndarray, p: int):
     return pivot_cols, rank
 
 
-def _rref(mat, p: int):
+def _rref(mat, p: int, start=None):
     """Reduced row echelon form over GF(p) of a matrix, or of the rows of
-    a :class:`MatrixRows`: :func:`_rref_blocks` over the rows in blocks of
-    ``_RREF_BLOCK``, or in one block past the float64 bound.  A matrix is
-    not changed: each block is reduced mod p as it is taken, so below the
-    bound the matrix is not copied whole.  Every reduction of the solver
-    comes through here, where the benchmark's tracer counts its rows.
-    Returns (pivot_cols, pivot_rows) where pivot_rows[i] is the normalized
-    row with leading column pivot_cols[i].
+    a :class:`MatrixRows`, stacked under the rows of ``start``, an RREF
+    (pivot_cols, pivot_rows) of the same columns as :func:`_rref` returns
+    it, whose rows are not eliminated again.  The rows go to
+    :func:`_rref_blocks` in blocks: a first one of ``ncols + 32`` rows,
+    which usually holds the rank, then blocks of ``_RREF_BLOCK``, or one
+    block past the float64 bound.  A matrix is not changed: each block is
+    reduced mod p as it is taken, so below the bound the matrix is not
+    copied whole.  Every reduction of the solver comes through here, where
+    the benchmark's tracer counts its rows.  Returns (pivot_cols,
+    pivot_rows) where pivot_rows[i] is the normalized row with leading
+    column pivot_cols[i].
     """
     if not isinstance(mat, MatrixRows):
         mat = np.asarray(mat, dtype=np.int64)
     nrows, ncols = mat.shape
-    step = _RREF_BLOCK if ncols * (p - 1) ** 2 < 2**53 else max(nrows, 1)
+    if ncols * (p - 1) ** 2 >= 2**53:
+        sizes = (max(nrows, 1),)
+    else:
+        sizes = (_RREF_BLOCK, min(_RREF_BLOCK, ncols + 32))
     if isinstance(mat, MatrixRows):
-        return _rref_blocks(mat.blocks(step), ncols, p)
-    blocks = (mat[start : start + step] % p for start in range(0, nrows, step))
-    return _rref_blocks(blocks, ncols, p)
+        blocks = mat.blocks(*sizes)
+    else:
+        blocks = (mat[a:b] % p for a, b in _row_cuts(nrows, *sizes))
+    return _rref_blocks(blocks, ncols, p, start)
 
 
-def _rref_blocks(blocks, ncols: int, p: int):
-    """The RREF over GF(p) of the rows of ``blocks``, int64 arrays of
+def _rref_blocks(blocks, ncols: int, p: int, start=None):
+    """The RREF over GF(p) of the rows of ``start`` (an RREF as
+    :func:`_rref` returns it, or None) and of ``blocks``, int64 arrays of
     ``ncols`` columns with entries in [0, p), taken one at a time.
 
     The RREF of the row space is unique, so the result does not depend
-    on the blocks or the elimination order.  Each block is reduced against
-    the current RREF R with one product ``B - B[:, piv] @ R``, its zero
-    rows are dropped, and ``[R; B]`` goes through a column-by-column
-    Gauss-Jordan elimination.  The product runs in float64, where it is
-    exact while ncols * (p-1)^2 < 2^53; past that bound the blocks are
+    on the blocks or the elimination order.  Each block B is reduced
+    against the current RREF R with one product ``B - B[:, piv] @ R``, and
+    only its nonzero residual rows go through a column-by-column
+    Gauss-Jordan elimination, whose new pivots are then cleared from R
+    with one more product ``R - R[:, new] @ N``; R and N are merged by
+    pivot column.  The products run in float64, where they are exact while
+    ncols * (p-1)^2 < 2^53; past that bound ``start`` and the blocks are
     gathered into one (:func:`_rref` hands over one), so no product is
     taken.  Once every column is a pivot no further block is asked for.
     Returns (pivot_cols, pivot_rows) as :func:`_rref` does.
     """
-    if ncols * (p - 1) ** 2 >= 2**53:
-        blocks = list(blocks)
-        if len(blocks) > 1:
-            blocks = [np.concatenate(blocks)]
     reduced = np.zeros((0, ncols), dtype=np.int64)
     pivot_cols = []
-    for block in blocks:
+    if start is not None:
+        pivot_cols = list(start[0])
+        reduced = np.array(start[1], dtype=np.int64).reshape(len(pivot_cols), ncols)
+    if ncols * (p - 1) ** 2 >= 2**53:
+        blocks = [np.concatenate([reduced, *blocks])]
+        reduced, pivot_cols = reduced[:0], []
+    blocks = iter(blocks)
+    while len(pivot_cols) < ncols:
+        block = next(blocks, None)
+        if block is None:
+            break
         if pivot_cols:
             prod = block[:, pivot_cols].astype(np.float64) @ reduced.astype(np.float64)
             block = (block - prod.astype(np.int64)) % p
         block = block[block.any(axis=1)]
-        if block.shape[0]:
-            stacked = np.vstack([reduced, block])
-            pivot_cols, rank = _gauss_jordan(stacked, p)
-            reduced = stacked[:rank]
-        if len(pivot_cols) == ncols:
-            break
+        if not block.shape[0]:
+            continue
+        new_cols, rank = _gauss_jordan(block, p)
+        new = block[:rank]
+        if pivot_cols:
+            prod = reduced[:, new_cols].astype(np.float64) @ new.astype(np.float64)
+            reduced = (reduced - prod.astype(np.int64)) % p
+        pivot_cols += new_cols
+        order = np.argsort(pivot_cols, kind="stable")
+        reduced = np.vstack([reduced, new])[order]
+        pivot_cols = [pivot_cols[i] for i in order]
     return pivot_cols, list(reduced)
 
 
@@ -453,7 +483,9 @@ def characterize(preset: str, p: int, reductions: dict | None = None) -> KernelR
     read off the RREF of a constraint that stands alone, and is otherwise
     that of the reduced rows and the side conditions stacked, which is the
     kernel of the full matrices stacked, as each RREF spans its matrix's
-    rows.  ``reductions`` maps (equation, params, p, degree) to a
+    rows.  The stack's RREF starts from the first constraint's, which is
+    not eliminated again: only the other rows go through :func:`_rref`.
+    ``reductions`` maps (equation, params, p, degree) to a
     :class:`Reduction`; a caller that passes one dict to several calls
     shares the reductions of the constraints they have in common, and a
     reduction at degree p-1 is read off one at degree p that the dict
@@ -475,18 +507,20 @@ def characterize(preset: str, p: int, reductions: dict | None = None) -> KernelR
                 reductions[key] = _narrowed(wide)
             else:
                 reductions[key] = _reduced_constraint(eq_id, params, p, deg)
-        pivots, reduced, count, _head = reductions[key]
-        parts.append(reduced)
-        nrows += count
+        parts.append(reductions[key])
+        nrows += reductions[key].rows
+    first, *rest = parts
+    rest = [reduction.reduced for reduction in rest]
     for side in info["side"]:
         mat = _SIDE_CONDITIONS[side](p, deg)
-        parts.append(mat)
+        rest.append(mat)
         nrows += mat.shape[0]
-    if len(info["constraints"]) == 1 and not info["side"]:
-        # a constraint alone: its reduction is already the stack's RREF
-        basis = _free_column_basis(pivots, reduced, deg + 1, p)
-    else:
-        basis = kernel_basis(np.vstack(parts), p)
+    pivots, reduced = first.pivots, first.reduced
+    if rest:
+        # the first constraint's RREF starts the stack's, and is not
+        # eliminated again
+        pivots, reduced = _rref(np.vstack(rest), p, start=(pivots, reduced))
+    basis = _free_column_basis(pivots, reduced, deg + 1, p)
     target = polylog_vector(info["target"], p, deg)
     contains = in_span(basis, target, p)
     report = KernelReport(

@@ -22,6 +22,11 @@ PRIVATE = {
     "_degree_bound",
     "_grouped_sum",
     "_stack",
+    "_binomial_powers",
+    "_factorials",
+    "_residue_powers",
+    "_power_of",
+    "_pair_products",
 }
 
 

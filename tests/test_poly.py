@@ -481,6 +481,170 @@ class TestPackedKernel:
         assert sums.polys(f.vars, f.domain) == [want]
 
 
+def packed_chain(base, deg, p):
+    """Powers 0..deg of a packed polynomial as a chain of products."""
+    pows = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
+    for _ in range(deg):
+        pows.append(poly._packed_mul(pows[-1], base, p))
+    return pows
+
+
+def flat_list(pows):
+    """Packed polynomials laid end to end, with their start offsets."""
+    starts = np.cumsum([0] + [len(keys) for keys, _vals in pows])
+    return (
+        np.concatenate([keys for keys, _vals in pows]),
+        np.concatenate([vals for _keys, vals in pows]),
+        starts,
+    )
+
+
+@st.composite
+def short_bases(draw):
+    """(base, deg, p): a packed polynomial of one or two terms, and a
+    degree p - 1 or p, where C(p, i) vanishes for 0 < i < p."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13, 97)))
+    keys = sorted(draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=2)))
+    vals = [draw(st.integers(1, p - 1)) for _ in keys]
+    deg = draw(st.sampled_from((p - 1, p)))
+    return (np.array(keys, dtype=np.int64), np.array(vals, dtype=np.int64)), deg, p
+
+
+class TestClosedFormKernels:
+    """The closed-form power lists and the batched pair products against
+    chains and single products of _packed_mul."""
+
+    @given(short_bases())
+    @example(((np.array([0, 1]), np.array([1, 1])), 5, 5))
+    @example(((np.array([3, 8]), np.array([2, 6])), 7, 7))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_power_lists_match_the_product_chain(self, case):
+        base, deg, p = case
+        keys, vals, starts = poly._binomial_powers(base, deg, p)
+        chain = packed_chain(base, deg, p)
+        assert len(starts) == deg + 2
+        for j, (ck, cv) in enumerate(chain):
+            assert keys[starts[j] : starts[j + 1]].tolist() == ck.tolist()
+            assert vals[starts[j] : starts[j + 1]].tolist() == cv.tolist()
+        if len(base[0]) == 2 and deg == p:
+            # C(p, i) = 0 for 0 < i < p: (a + b)^p = a^p + b^p
+            assert starts[-1] - starts[-2] == 2
+
+    def test_power_lists_at_the_largest_allowed_prime(self):
+        p = (1 << 31) - 1
+        base = (np.array([2, 9]), np.array([p - 1, p - 2]))
+        got = poly._binomial_powers(base, 40, p)
+        want = flat_list(packed_chain(base, 40, p))
+        for got_array, want_array in zip(got, want):
+            assert np.array_equal(got_array, want_array)
+
+    @pytest.mark.parametrize("p", (3, 5, 11))
+    def test_power_guard_charges_what_the_chain_would(self, p, monkeypatch):
+        # a closed-form list counts |pows[j-1]| * |base| for j = 1..deg, as
+        # the chain of products does: at that total the powers are built,
+        # one term below it they are refused
+        dom = PrimeDomain(p)
+        x, y = (SparsePoly.variable(v, ("x", "y"), dom) for v in ("x", "y"))
+        n, d = x + y.scale(2), x * y
+        chain = 0
+        for f in (n, d):
+            base = poly._Kronecker([2 * p + 2] * 2).pack(*poly._term_arrays(f))
+            pows = packed_chain(base, p, p)
+            chain += sum(len(pw[0]) * len(base[0]) for pw in pows[:-1])
+        for cap, refused in ((chain, False), (chain - 1, True)):
+            monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", cap)
+            try:
+                homogenized_sums([(n, d, ())], p, [(0,) * (p + 1)], ("x", "y"), dom)
+            except SizeExceeded as exc:
+                assert refused and str(exc) == f"powers up to degree {p} would exceed {cap} terms"
+            else:
+                assert not refused
+
+    @given(
+        st.lists(
+            st.one_of(prime_polys(max_terms=6, max_exp=2), one_term_polys(2)),
+            min_size=2,
+            max_size=2,
+        ),
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.integers(1, 10)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_pair_products_match_single_products(self, bases, pairs):
+        # powers 0..3 of two polynomials; pairs (ja, jb, shift digit, c)
+        # whose shifts repeat, so that products of one shift merge
+        p = 11
+        kron = poly._Kronecker([13, 13, 13])
+        a, b = (
+            flat_list(packed_chain(kron.pack(*poly._term_arrays(f)), 3, p)) for f in bases
+        )
+        span = kron.span
+        ja, jb, digit, coeffs = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+        keys, vals = poly._pair_products(a, ja, b, jb, digit * span, coeffs, p)
+        want = {}
+        for i, j, z, c in pairs:
+            pk, pv = poly._packed_mul(poly._power_of(a, i), poly._power_of(b, j), p)
+            for k, v in zip((pk + z * span).tolist(), pv.tolist()):
+                want[k] = (want.get(k, 0) + c * v) % p
+        want = {k: v for k, v in sorted(want.items()) if v}
+        assert keys.tolist() == list(want)
+        assert vals.tolist() == list(want.values())
+
+    @given(homogenized_cases(), st.sampled_from((1, 3, 20)), st.sampled_from((1, 5, 1 << 14)))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_parts_in_passes_and_single_products(self, case, dense_min, pass_pairs):
+        # under lowered pair thresholds the parts take single products,
+        # batched passes cut short and the merges between them
+        terms, deg, vectors = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "_DENSE_MIN_PAIRS", dense_min)
+            mp.setattr(poly, "_PASS_PAIRS", pass_pairs)
+            sums = homogenized_sums(terms, deg, vectors, VARS3, DOM11)
+        for w, sum_w in zip(vectors, sums.polys(VARS3, DOM11)):
+            assert sum_w == homogenized_reference(terms, deg, w, VARS3, DOM11)
+
+    @given(homogenized_cases(), st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_a_refusal_names_the_vector_whose_parts_pass_the_cap(self, case, data):
+        # vectors are built in chunks, yet the refusal names the first
+        # vector at which the parts, counted vector by vector, pass the cap
+        terms, deg, vectors = case
+        one = SparsePoly.const(VARS3, DOM11, 1)
+        terms = [(n, d, ()) for n, d, _fs in terms] or [(one, one, ())]
+        totals = np.cumsum(
+            [
+                sum(
+                    len(homogenized_reference([term], deg, w, VARS3, DOM11).terms)
+                    for term in terms
+                )
+                for w in vectors
+            ]
+        ).tolist()
+        cap = data.draw(st.integers(1, totals[-1] + 1))
+        refused = next((i for i, total in enumerate(totals, 1) if total > cap), None)
+
+        def lowered(vectors):
+            for w in vectors:
+                poly.DEFAULT_TERM_CAP = cap
+                yield w
+
+        message = None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "DEFAULT_TERM_CAP", poly.DEFAULT_TERM_CAP)
+            try:
+                homogenized_sums(terms, deg, lowered(vectors), VARS3, DOM11)
+            except SizeExceeded as exc:
+                message = str(exc)
+        # with no factor powers, the sums never have more terms than the parts
+        if refused is None:
+            assert message is None
+        else:
+            assert message == f"the parts of the first {refused} vectors exceed {cap} terms"
+
+
 DENSE_PRIMES = (2, 3, 11, (1 << 31) - 1)
 TOP_PRIME = (1 << 31) - 1
 

@@ -283,6 +283,98 @@ class TestStackedReductions:
         assert [v.tolist() for v in kernel_basis(reduced, p)] == want
 
 
+class TestIncrementalRref:
+    """_rref_blocks eliminates only each block's residual rows, and a stack
+    may start from a given RREF; both against one Gauss-Jordan elimination
+    over Python ints of every row."""
+
+    @staticmethod
+    def with_side_conditions(parts, p, sides):
+        ncols = parts[0].shape[1]
+        if sides:
+            parts = parts + [
+                solver.constant_term_matrix(p, ncols - 1),
+                solver.h_two_term_matrix(p, ncols - 1),
+            ]
+        return parts
+
+    @pytest.mark.parametrize("block", (1, 3, solver._RREF_BLOCK))
+    @given(stacked_parts(), st.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_blocks_match_the_oracle(self, block, case, sides):
+        parts, _perm, p = case
+        parts = self.with_side_conditions(parts, p, sides)
+        stacked = np.vstack(parts)
+        ncols = stacked.shape[1]
+        want_cols, want_rows = rref_oracle(stacked.tolist(), ncols, p)
+        blocks = [part[i : i + block] % p for part in parts for i in range(0, len(part), block)]
+        pivot_cols, pivot_rows = solver._rref_blocks(iter(blocks), ncols, p)
+        assert pivot_cols == want_cols
+        assert [[int(v) for v in row] for row in pivot_rows] == want_rows
+
+    @pytest.mark.parametrize("block", (1, 3, solver._RREF_BLOCK))
+    @given(stacked_parts(), st.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_a_stack_started_from_an_rref(self, block, case, sides):
+        # the first part's RREF starts the stack of the others, as
+        # characterize stacks a preset's constraints and side conditions;
+        # the started rows are never eliminated again
+        parts, _perm, p = case
+        parts = self.with_side_conditions(parts, p, sides)
+        first, rest = parts[0], np.vstack(parts[1:] or [parts[0][:0]])
+        ncols = first.shape[1]
+        want_cols, want_rows = rref_oracle(np.vstack(parts).tolist(), ncols, p)
+        start = _rref(first, p)
+        eliminated = []
+        gauss_jordan = solver._gauss_jordan
+
+        def counting(m, q):
+            eliminated.append(m.shape[0])
+            return gauss_jordan(m, q)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_RREF_BLOCK", block)
+            mp.setattr(solver, "_gauss_jordan", counting)
+            pivot_cols, pivot_rows = _rref(rest, p, start=start)
+        assert pivot_cols == want_cols
+        assert [[int(v) for v in row] for row in pivot_rows] == want_rows
+        if ncols * (p - 1) ** 2 < 2**53:
+            assert sum(eliminated) <= len(rest)
+        basis = solver._free_column_basis(pivot_cols, pivot_rows, ncols, p)
+        assert [v.tolist() for v in basis] == [v.tolist() for v in kernel_basis(np.vstack(parts), p)]
+
+    def test_a_full_rank_start_asks_for_no_block(self):
+        pulled = []
+
+        def blocks():
+            pulled.append(0)
+            yield np.ones((1, 3), dtype=np.int64)
+
+        start = ([0, 1, 2], list(np.eye(3, dtype=np.int64)))
+        pivot_cols, pivot_rows = solver._rref_blocks(blocks(), 3, 7, start)
+        assert pivot_cols == [0, 1, 2] and pulled == []
+
+    def test_the_first_block_holds_the_columns_and_32_rows(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        mat = rng.integers(0, 97, (1000, 20))
+        sizes = []
+        rref_blocks = solver._rref_blocks
+
+        def counting(blocks, ncols, p, start=None):
+            def spy():
+                for block in blocks:
+                    sizes.append(len(block))
+                    yield block
+
+            return rref_blocks(spy(), ncols, p, start)
+
+        monkeypatch.setattr(solver, "_rref_blocks", counting)
+        _rref(np.zeros((1000, 20), dtype=np.int64), 97)
+        assert sizes == [52, 512, 436]
+        sizes.clear()
+        assert _rref(mat, 97)[0] == list(range(20)) and sizes == [52]
+
+
 class TestHTwoTermMatrix:
     @pytest.mark.parametrize("p", (5, 7, 11, 13, 17, 19, 23, 29, 31, 97))
     def test_running_powers_match_direct_powers(self, p):

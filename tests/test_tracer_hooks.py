@@ -30,7 +30,7 @@ import finpolylog.cli
 
 tracer = tracing.Tracer()
 main = tracing.install(tracer, finpolylog.cli)
-code = main(["solve", "--preset", "FEIT", "--p", "7"])
+code = main(["solve", "--preset", {preset!r}, "--p", "7"])
 sys.stderr.write(
     json.dumps({{"spans": tracer.span_counts(), "rref_rows": tracer.counts["solver.rref_rows"]}})
 )
@@ -38,12 +38,12 @@ sys.exit(code)
 """
 
 
-def run_traced(script):
+def run_traced(script, **fields):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-c", script.format(perfbench=str(ROOT / "perfbench"))],
+        [sys.executable, "-c", script.format(perfbench=str(ROOT / "perfbench"), **fields)],
         capture_output=True,
         text=True,
         env=env,
@@ -61,13 +61,28 @@ def test_tracer_sees_the_solver_column_path():
     # the solver must call the column builder and the row reduction by the
     # module names the tracer patches, and every reduction must show its
     # row count: FEIT's 54 matrix rows, which reach the RREF in blocks with
-    # no dense matrix built, then its 6 RREF rows with the side
-    # condition's one, then the one basis vector
-    proc = run_traced(SOLVE_SCRIPT)
+    # no dense matrix built, then the side condition's one row, stacked
+    # under FEIT's RREF, which is not eliminated again, then the one basis
+    # vector
+    proc = run_traced(SOLVE_SCRIPT, preset="FEIT")
     assert proc.returncode == 0, proc.stderr
     assert '"holds": true' in proc.stdout
     traced = json.loads(proc.stderr)
     assert traced["spans"]["solver.columns"] == 1
     assert traced["spans"]["solver.rref"] == 3
     assert traced["spans"]["solver.matrix"] == 0
-    assert traced["rref_rows"] == 54 + 7 + 1
+    assert traced["rref_rows"] == 54 + 1 + 1
+
+
+def test_tracer_counts_a_stacked_reduction():
+    # a preset of two constraints: the matrices of three_term (8 rows) and
+    # distribution (7 rows) are reduced, then distribution's 5 RREF rows
+    # are stacked under three_term's RREF in one more traced reduction,
+    # then the one basis vector
+    proc = run_traced(SOLVE_SCRIPT, preset="L2_PAIR")
+    assert proc.returncode == 0, proc.stderr
+    assert '"holds": true' in proc.stdout
+    traced = json.loads(proc.stderr)
+    assert traced["spans"]["solver.columns"] == 2
+    assert traced["spans"]["solver.rref"] == 2 + 1 + 1
+    assert traced["rref_rows"] == 8 + 7 + 5 + 1
