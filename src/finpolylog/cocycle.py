@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,12 +56,20 @@ def phi(x: int, y: int, p: int) -> int:
     return (s * H(x * pow(s, p - 2, p), p)) % p
 
 
+@lru_cache(maxsize=4)
 def phi_table(p: int) -> np.ndarray:
-    """The p x p table of phi over GF(p)."""
-    table = np.zeros((p, p), dtype=np.int64)
-    for x in range(p):
-        for y in range(p):
-            table[x, y] = phi(x, y, p)
+    """The p x p table of phi over GF(p), read-only and built once per p.
+
+    H is read off the Witt form once per residue (:func:`H`), and the
+    table t[x, y] = s H(x/s), s = x + y, in one array step; t = 0 where
+    s = 0.  Every int64 product is below p^2.
+    """
+    idx = np.arange(p, dtype=np.int64)
+    h = np.array([H(x, p) for x in range(p)], dtype=np.int64)
+    inv = np.array([pow(v, p - 2, p) for v in range(p)], dtype=np.int64)
+    s = (idx[:, None] + idx) % p
+    table = s * h[idx[:, None] * inv[s] % p] % p
+    table.flags.writeable = False
     return table
 
 

@@ -823,6 +823,15 @@ class Coordinates(NamedTuple):
         return [SparsePoly(variables, domain, t, copy=False) for t in terms]
 
 
+class SparseVector(NamedTuple):
+    """A coefficient vector of ``size`` entries, zero but for its
+    ``nonzero`` (index, value) pairs, as :func:`homogenized_sums` reads
+    it: a unit vector costs one pair, not a scan of its zeros."""
+
+    size: int
+    nonzero: tuple
+
+
 def _stack(parts):
     """Packed polynomials whose keys lie in increasing disjoint ranges,
     laid end to end: the keys stay sorted and distinct."""
@@ -921,13 +930,14 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
 
     ``terms`` holds triples ``(n, d, factors)``: SparsePoly n and d, and
     (SparsePoly f, exponent k) pairs.  For each w = (w_0, ..., w_deg) in
-    ``vectors``, the result is the sum over the terms of
-    (sum_j w_j n^j d^(deg-j)) * prod f^k.  Every polynomial is packed
-    once, with per-variable radix max(deg * max(deg n, deg d) +
-    sum k deg f) + 1 over the terms, and stays packed: the results keep
-    their keys and these radices.  The vectors are stacked in one block:
-    vector i gets one more Kronecker digit z^i, so a term's homogenized
-    part is sum_i z^i sum_j w_ij n^j d^(deg-j), and one
+    ``vectors``, a sequence or a :class:`SparseVector`, the result is the
+    sum over the terms of (sum_j w_j n^j d^(deg-j)) * prod f^k.  Every
+    polynomial is packed once, with per-variable radix
+    max(deg * max(deg n, deg d) + sum k deg f) + 1 over the terms, and
+    stays packed: the results keep their keys and these radices.  The
+    vectors are stacked in one block: vector i gets one more Kronecker
+    digit z^i, so a term's homogenized part is
+    sum_i z^i sum_j w_ij n^j d^(deg-j), and one
     :func:`_grouped_sum` covers every vector.  Factor powers have no z
     digit, so a factor power (the same f object with the same k) that
     several terms share is multiplied once, onto the sum of their parts;
@@ -1124,12 +1134,14 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
     # pass the cap, as if every vector were built as it is read.
     chunk, chunk_bound = [], 0
     for count, w in enumerate(vectors, 1):
-        if len(w) != deg + 1:
-            raise BadParams(f"need {deg + 1} coefficients, got {len(w)}")
+        sparse = isinstance(w, SparseVector)
+        length, entries = (w.size, w.nonzero) if sparse else (len(w), enumerate(w))
+        if length != deg + 1:
+            raise BadParams(f"need {deg + 1} coefficients, got {length}")
         if count > widest:
             raise SizeExceeded(f"more than {widest} vectors overflow the packed keys")
-        # zero coefficients cost one truth test each
-        nonzero = [(j, c) for j, wj in enumerate(w) if wj and (c := int(wj) % p)]
+        # zero coefficients of a dense vector cost one truth test each
+        nonzero = [(j, c) for j, wj in entries if wj and (c := int(wj) % p)]
         bound = sum(most[j] for j, _c in nonzero)
         if chunk and size + chunk_bound + bound > DEFAULT_TERM_CAP:
             build(chunk)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BadParams, UnknownId
 from .finlog import finite_polylog, tau, twisted_numerators
 from .formal import FormalSum
-from .poly import Coordinates, PrimeDomain, RatFunc, SparsePoly
+from .poly import Coordinates, PrimeDomain, RatFunc, SparsePoly, SparseVector
 from . import catalog as _catalog
 
 
@@ -34,16 +34,17 @@ def equation_columns(s: FormalSum, p: int, deg: int | None = None) -> Coordinate
     ``lhat_apply``, gives for the unit vector P = T^j, padded with zeros to
     degree p (coefficients are raised to the p-th power, matching the
     twisted evaluation convention).  Terms with argument 0 are kept: there
-    P(0) = a_0.  The unit vectors go through one stacked build, and the
-    columns come back in coordinate form (packed monomial keys, column
-    index j, values), as :func:`columns_matrix` reads them.
+    P(0) = a_0.  The unit vectors go through one stacked build as
+    :class:`~finpolylog.poly.SparseVector`, and the columns come back in
+    coordinate form (packed monomial keys, column index j, values), as
+    :func:`columns_matrix` reads them.
     """
     if deg is None:
         deg = p - 1
     dom = s.domain
     if dom.kind != "prime" or dom.p != p:
         raise BadParams("template must live over GF(p)")
-    units = ([0] * j + [1] + [0] * (p - j) for j in range(deg + 1))
+    units = (SparseVector(p + 1, ((j, 1),)) for j in range(deg + 1))
     return twisted_numerators(s, units)[1]
 
 
@@ -73,7 +74,8 @@ class MatrixRows:
     merges the sorted runs the keys arrive in (one per column); the
     order within a key does not change a row.  The entries are
     the values mod p.  :func:`_rref` takes the rows in blocks, so the
-    whole matrix need not be held.  ``shape`` is the matrix's.
+    whole matrix need not be held, and may leave out the rows that lie
+    in the span of the rows it has.  ``shape`` is the matrix's.
     """
 
     def __init__(self, cols: Coordinates, p: int):
@@ -90,15 +92,33 @@ class MatrixRows:
 
     def blocks(self, size: int, first: int | None = None):
         """The rows ``size`` at a time, the first block ``first`` rows if
-        given, as int64 blocks with entries in [0, p), each filled with
-        one store when it is asked for."""
-        cols, bounds = self.cols, self.bounds
+        given, each built when it is asked for (see :meth:`block`)."""
         for start, stop in _row_cuts(self.shape[0], size, first):
-            terms = self.order[bounds[start] : bounds[stop]]
-            rows = np.repeat(np.arange(stop - start), np.diff(bounds[start : stop + 1]))
-            block = np.zeros((stop - start, cols.count), dtype=np.int64)
-            block[rows, cols.index[terms]] = cols.vals[terms] % self.p
-            yield block
+            yield self.block(start, stop)
+
+    def block(self, start: int, stop: int, kernel: np.ndarray | None = None):
+        """Rows ``start``..``stop``-1 as an int64 block with entries in
+        [0, p), filled with one store.  Given ``kernel``, an int64 (ncols x
+        k) basis of the kernel of some rows R with entries in [0, p), only
+        the rows r with r @ kernel != 0 mod p go in: the others lie in the
+        row space of R.  The products are taken in coordinate form; a row
+        has at most ncols terms, so each sum is below ncols * (p-1)^2 and
+        exact in int64 below the float64 bound of :func:`_rref`.
+        """
+        cols, bounds, p = self.cols, self.bounds, self.p
+        terms = self.order[bounds[start] : bounds[stop]]
+        rows = np.repeat(np.arange(stop - start), np.diff(bounds[start : stop + 1]))
+        index, vals = cols.index[terms], cols.vals[terms] % p
+        if kernel is not None:
+            heads = bounds[start:stop] - bounds[start]
+            outside = (np.add.reduceat(vals[:, None] * kernel[index], heads) % p).any(axis=1)
+            keep = outside[rows]
+            rows = (np.cumsum(outside) - 1)[rows[keep]]
+            index, vals = index[keep], vals[keep]
+            stop = start + int(outside.sum())
+        block = np.zeros((stop - start, cols.count), dtype=np.int64)
+        block[rows, index] = vals
+        return block
 
     def rows_within(self, ncols: int) -> int:
         """The number of rows with a term among the first ``ncols`` columns."""
@@ -108,13 +128,13 @@ class MatrixRows:
 
 def substitute_into_columns(mat: np.ndarray, vec, p: int) -> np.ndarray:
     """Residual of each row of a columns matrix for a concrete coefficient
-    vector: ``mat @ vec`` mod p, exact for p < 2^31."""
-    acc = np.zeros(mat.shape[0], dtype=np.int64)
-    for j, q in enumerate(vec):
-        q = int(q) % p
-        if q:
-            acc = (acc + mat[:, j] * q) % p
-    return acc
+    vector: ``mat @ vec`` mod p, exact, in float64 while
+    ncols * (p-1)^2 < 2^53 and in Python ints past that."""
+    mat = np.asarray(mat, dtype=np.int64) % p
+    vec = np.array([int(q) % p for q in vec], dtype=np.int64)
+    if mat.shape[1] * (p - 1) ** 2 < 2**53:
+        return (mat.astype(np.float64) @ vec.astype(np.float64)).astype(np.int64) % p
+    return (mat.astype(object) @ vec.astype(object) % p).astype(np.int64)
 
 
 def h_two_term_matrix(p: int, deg: int) -> np.ndarray:
@@ -224,9 +244,10 @@ def _gauss_jordan(m: np.ndarray, p: int):
 
     One pivot per column, chosen as the first nonzero entry among the rows
     not yet used; the pivot row is normalized and its column cleared from
-    every other row that is nonzero there, in one array step.  Returns
-    (pivot_cols, rank); rows ``m[:rank]`` are the reduced pivot rows.
-    Every int64 product is below p^2.
+    every other row that is nonzero there, in one array step, taken only
+    if there is such a row.  The nonzero rows of a column are found once,
+    on a view of it.  Returns (pivot_cols, rank); rows ``m[:rank]`` are
+    the reduced pivot rows.  Every int64 product is below p^2.
     """
     nrows, ncols = m.shape
     pivot_cols = []
@@ -234,17 +255,22 @@ def _gauss_jordan(m: np.ndarray, p: int):
     for c in range(ncols):
         if rank == nrows:
             break
-        nz = np.flatnonzero(m[rank:, c])
-        if nz.size == 0:
+        col = m[:, c]
+        nz = col.nonzero()[0]
+        i = nz.searchsorted(rank)
+        if i == nz.size:
             continue
-        r = rank + int(nz[0])
-        if r != rank:
-            m[[rank, r]] = m[[r, rank]]
-        # columns left of c are zero in every row not yet used as a pivot
-        m[rank, c:] = m[rank, c:] * pow(int(m[rank, c]), p - 2, p) % p
-        rows = np.flatnonzero(m[:, c])
-        rows = rows[rows != rank]
-        m[rows, c:] = (m[rows, c:] - np.outer(m[rows, c], m[rank, c:])) % p
+        if nz[i] != rank:
+            # the row swapped down is zero in this column
+            m[[rank, nz[i]]] = m[[nz[i], rank]]
+        row = m[rank, c:]
+        if col[rank] != 1:
+            row *= pow(int(col[rank]), p - 2, p)
+            row %= p
+        if nz.size > 1:
+            # columns left of c are zero in every row not yet used as a pivot
+            others = nz[nz != nz[i]]
+            m[others, c:] = (m[others, c:] - col[others, None] * row) % p
         pivot_cols.append(c)
         rank += 1
     return pivot_cols, rank
@@ -254,76 +280,106 @@ def _rref(mat, p: int, start=None):
     """Reduced row echelon form over GF(p) of a matrix, or of the rows of
     a :class:`MatrixRows`, stacked under the rows of ``start``, an RREF
     (pivot_cols, pivot_rows) of the same columns as :func:`_rref` returns
-    it, whose rows are not eliminated again.  The rows go to
-    :func:`_rref_blocks` in blocks: a first one of ``ncols + 32`` rows,
-    which usually holds the rank, then blocks of ``_RREF_BLOCK``, or one
-    block past the float64 bound.  A matrix is not changed: each block is
-    reduced mod p as it is taken, so below the bound the matrix is not
-    copied whole.  Every reduction of the solver comes through here, where
-    the benchmark's tracer counts its rows.  Returns (pivot_cols,
+    it, whose rows are not eliminated again.  The rows are taken in
+    blocks: a first one of ``ncols + 32`` rows, which usually holds the
+    rank, then blocks of ``_RREF_BLOCK``, or one block past the float64
+    bound.  A matrix is not changed: each block is reduced mod p as it is
+    taken, so below the bound the matrix is not copied whole.
+
+    Below the bound, the rows of a :class:`MatrixRows` are tested against
+    a kernel basis K (k columns) of the RREF so far once testing the rows
+    left costs no more than building them: once k times their terms is
+    at most their number times ncols.  A row lies in the row space of the
+    RREF exactly when its product with K is 0 mod p, and only the rows
+    that fail go into the block (see :meth:`MatrixRows.block`), so rows
+    past a rank that has stopped growing are never laid out densely.
+    Every reduction of the solver comes through here, where the
+    benchmark's tracer counts its rows.  Returns (pivot_cols,
     pivot_rows) where pivot_rows[i] is the normalized row with leading
     column pivot_cols[i].
     """
-    if not isinstance(mat, MatrixRows):
+    streamed = isinstance(mat, MatrixRows)
+    if not streamed:
         mat = np.asarray(mat, dtype=np.int64)
     nrows, ncols = mat.shape
     if ncols * (p - 1) ** 2 >= 2**53:
-        sizes = (max(nrows, 1),)
-    else:
-        sizes = (_RREF_BLOCK, min(_RREF_BLOCK, ncols + 32))
-    if isinstance(mat, MatrixRows):
-        blocks = mat.blocks(*sizes)
-    else:
-        blocks = (mat[a:b] % p for a, b in _row_cuts(nrows, *sizes))
-    return _rref_blocks(blocks, ncols, p, start)
+        blocks = mat.blocks(max(nrows, 1)) if streamed else [mat % p]
+        return _rref_blocks(blocks, ncols, p, start)
+    cuts = _row_cuts(nrows, _RREF_BLOCK, min(_RREF_BLOCK, ncols + 32))
+    if not streamed:
+        return _rref_blocks((mat[a:b] % p for a, b in cuts), ncols, p, start)
+    pivot_cols, reduced = _started(start, ncols)
+    for a, b in cuts:
+        k = ncols - len(pivot_cols)
+        if not k:
+            break
+        kernel = None
+        if k * (mat.bounds[-1] - mat.bounds[a]) <= (nrows - a) * ncols:
+            kernel = np.stack(_free_column_basis(pivot_cols, reduced, ncols, p), axis=1)
+        pivot_cols, reduced = _absorb(pivot_cols, reduced, mat.block(a, b, kernel), p)
+    return pivot_cols, list(reduced)
+
+
+def _started(start, ncols: int):
+    """The (pivot_cols, reduced) of ``start``, an RREF as :func:`_rref`
+    returns it or None, with the rows as one int64 array."""
+    if start is None:
+        return [], np.zeros((0, ncols), dtype=np.int64)
+    pivot_cols = list(start[0])
+    return pivot_cols, np.array(start[1], dtype=np.int64).reshape(len(pivot_cols), ncols)
 
 
 def _rref_blocks(blocks, ncols: int, p: int, start=None):
     """The RREF over GF(p) of the rows of ``start`` (an RREF as
     :func:`_rref` returns it, or None) and of ``blocks``, int64 arrays of
-    ``ncols`` columns with entries in [0, p), taken one at a time.
-
-    The RREF of the row space is unique, so the result does not depend
-    on the blocks or the elimination order.  Each block B is reduced
-    against the current RREF R with one product ``B - B[:, piv] @ R``, and
-    only its nonzero residual rows go through a column-by-column
-    Gauss-Jordan elimination, whose new pivots are then cleared from R
-    with one more product ``R - R[:, new] @ N``; R and N are merged by
-    pivot column.  The products run in float64, where they are exact while
-    ncols * (p-1)^2 < 2^53; past that bound ``start`` and the blocks are
-    gathered into one (:func:`_rref` hands over one), so no product is
-    taken.  Once every column is a pivot no further block is asked for.
-    Returns (pivot_cols, pivot_rows) as :func:`_rref` does.
+    ``ncols`` columns with entries in [0, p), taken one at a time by
+    :func:`_absorb`.  Past the float64 bound ncols * (p-1)^2 >= 2^53,
+    ``start`` and the blocks are gathered into one (:func:`_rref` hands
+    over one), so no product is taken.  Once every column is a pivot no
+    further block is asked for.  Returns (pivot_cols, pivot_rows) as
+    :func:`_rref` does.
     """
-    reduced = np.zeros((0, ncols), dtype=np.int64)
-    pivot_cols = []
-    if start is not None:
-        pivot_cols = list(start[0])
-        reduced = np.array(start[1], dtype=np.int64).reshape(len(pivot_cols), ncols)
+    pivot_cols, reduced = _started(start, ncols)
     if ncols * (p - 1) ** 2 >= 2**53:
         blocks = [np.concatenate([reduced, *blocks])]
-        reduced, pivot_cols = reduced[:0], []
+        pivot_cols, reduced = [], reduced[:0]
     blocks = iter(blocks)
     while len(pivot_cols) < ncols:
         block = next(blocks, None)
         if block is None:
             break
-        if pivot_cols:
-            prod = block[:, pivot_cols].astype(np.float64) @ reduced.astype(np.float64)
-            block = (block - prod.astype(np.int64)) % p
-        block = block[block.any(axis=1)]
-        if not block.shape[0]:
-            continue
-        new_cols, rank = _gauss_jordan(block, p)
-        new = block[:rank]
-        if pivot_cols:
-            prod = reduced[:, new_cols].astype(np.float64) @ new.astype(np.float64)
-            reduced = (reduced - prod.astype(np.int64)) % p
-        pivot_cols += new_cols
-        order = np.argsort(pivot_cols, kind="stable")
-        reduced = np.vstack([reduced, new])[order]
-        pivot_cols = [pivot_cols[i] for i in order]
+        pivot_cols, reduced = _absorb(pivot_cols, reduced, block, p)
     return pivot_cols, list(reduced)
+
+
+def _absorb(pivot_cols: list, reduced: np.ndarray, block: np.ndarray, p: int):
+    """The RREF (pivot_cols, reduced) with the rows of ``block`` (int64,
+    entries in [0, p)) stacked under it, as a new list and array.
+
+    The RREF of the row space is unique, so the result does not depend
+    on the blocks or the elimination order.  The block B is reduced
+    against the RREF R with one product ``B - B[:, piv] @ R``, and only
+    its nonzero residual rows go through a column-by-column Gauss-Jordan
+    elimination, whose new pivots are then cleared from R with one more
+    product ``R - R[:, new] @ N``; R and N are merged by pivot column.
+    The products run in float64, where they are exact while
+    ncols * (p-1)^2 < 2^53; past that bound R is empty, as
+    :func:`_rref_blocks` gathers every row into one block.
+    """
+    if pivot_cols:
+        prod = block[:, pivot_cols].astype(np.float64) @ reduced.astype(np.float64)
+        block = (block - prod.astype(np.int64)) % p
+    block = block[block.any(axis=1)]
+    if not block.shape[0]:
+        return pivot_cols, reduced
+    new_cols, rank = _gauss_jordan(block, p)
+    new = block[:rank]
+    if pivot_cols:
+        prod = reduced[:, new_cols].astype(np.float64) @ new.astype(np.float64)
+        reduced = (reduced - prod.astype(np.int64)) % p
+    pivot_cols = pivot_cols + new_cols
+    order = np.argsort(pivot_cols, kind="stable")
+    return [pivot_cols[i] for i in order], np.vstack([reduced, new])[order]
 
 
 def kernel_basis(mat: np.ndarray, p: int):
@@ -337,16 +393,16 @@ def kernel_basis(mat: np.ndarray, p: int):
 
 def _free_column_basis(pivot_cols, pivot_rows, ncols: int, p: int):
     """The basis of :func:`kernel_basis` read off an RREF, given as
-    :func:`_rref` returns it."""
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        vec = np.zeros(ncols, dtype=np.int64)
-        vec[f] = 1
-        for c, row in zip(pivot_cols, pivot_rows):
-            vec[c] = (-int(row[f])) % p
-        basis.append(vec)
-    return basis
+    :func:`_rref` returns it: int64 vectors with entries in [0, p)."""
+    pivot_cols = list(pivot_cols)
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivot_cols] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    reduced = np.array(pivot_rows, dtype=np.int64).reshape(len(pivot_cols), ncols)
+    basis[:, pivot_cols] = (-reduced[:, free]).T % p
+    return list(basis)
 
 
 def in_span(basis, vec, p: int) -> bool:
@@ -436,27 +492,36 @@ class KernelReport:
 
 
 class Reduction(NamedTuple):
-    """One constraint's columns matrix at one degree, reduced."""
+    """One constraint's columns matrix at one degree, or the stack of
+    several constraints' matrices, reduced."""
 
     pivots: tuple  # the RREF's pivot columns
     reduced: np.ndarray  # its rows, read-only
-    rows: int  # the matrix's row count
+    rows: int  # the matrices' row count
     # for a build at degree p, the row count of its first p columns, which
     # are the columns at degree p-1; None otherwise
     head_rows: int | None
+
+
+def _frozen(pivots, reduced, ncols: int, rows: int, head_rows=None) -> Reduction:
+    """A :class:`Reduction` of an RREF as :func:`_rref` returns it."""
+    reduced = np.array(reduced, dtype=np.int64).reshape(len(reduced), ncols)
+    reduced.flags.writeable = False
+    return Reduction(tuple(pivots), reduced, rows, head_rows)
+
+
+def _matrix_rows(eq_id: str, params: dict, p: int, deg: int) -> MatrixRows:
+    s = _catalog.build(eq_id, p, **params)
+    return MatrixRows(equation_columns(s, p, deg), p)
 
 
 def _reduced_constraint(eq_id: str, params: dict, p: int, deg: int) -> Reduction:
     """The reduction of one constraint's columns matrix, whose rows go to
     :func:`_rref` as :class:`MatrixRows`: below the float64 bound the
     whole matrix is never held."""
-    s = _catalog.build(eq_id, p, **params)
-    rows = MatrixRows(equation_columns(s, p, deg), p)
-    pivots, reduced = _rref(rows, p)
-    reduced = np.array(reduced, dtype=np.int64).reshape(len(reduced), deg + 1)
-    reduced.flags.writeable = False
+    rows = _matrix_rows(eq_id, params, p, deg)
     head_rows = rows.rows_within(deg) if deg == p else None
-    return Reduction(tuple(pivots), reduced, rows.shape[0], head_rows)
+    return _frozen(*_rref(rows, p), deg + 1, rows.shape[0], head_rows)
 
 
 def _narrowed(wide: Reduction) -> Reduction:
@@ -470,27 +535,69 @@ def _narrowed(wide: Reduction) -> Reduction:
     """
     ncols = wide.reduced.shape[1] - 1
     keep = sum(c < ncols for c in wide.pivots)
-    reduced = wide.reduced[:keep, :ncols].copy()
-    reduced.flags.writeable = False
-    return Reduction(wide.pivots[:keep], reduced, wide.head_rows, None)
+    return _frozen(wide.pivots[:keep], wide.reduced[:keep, :ncols], ncols, wide.head_rows)
+
+
+def _held(key: tuple, reductions: dict) -> Reduction | None:
+    """The reduction of the constraint ``key`` = (equation, params, p,
+    degree) that ``reductions`` holds, or reads off one it holds at
+    degree p (see :func:`_narrowed`); None if neither."""
+    eq_id, params, p, deg = key
+    wide = reductions.get((eq_id, params, p, p))
+    if key not in reductions and deg == p - 1 and wide is not None:
+        reductions[key] = _narrowed(wide)
+    return reductions.get(key)
+
+
+def _stacked(keys: list, reductions: dict) -> Reduction:
+    """The reduction of the stacked matrices of the constraints ``keys``,
+    one elimination that finds each pivot once.
+
+    The first constraint's reduction starts the stack: a held one (see
+    :func:`_held`), or one reduced now and kept under its key.  Each
+    further constraint enters through :func:`_rref` with the stack so far
+    as its start: its RREF rows if one is held, otherwise the rows of its
+    matrix, which are never reduced alone.  The stack's reduction is kept
+    under the frozenset of the keys, so a preset with the same
+    constraints in another order reads it off.  ``rows`` counts the rows
+    of the full matrices.
+    """
+    whole = frozenset(keys)
+    if whole in reductions:
+        return reductions[whole]
+    (eq_id, params, p, deg), *rest = keys
+    stack = _held(keys[0], reductions)
+    if stack is None:
+        stack = reductions[keys[0]] = _reduced_constraint(eq_id, dict(params), p, deg)
+    for key in rest:
+        eq_id, params, p, deg = key
+        held = _held(key, reductions)
+        if held is None:
+            rows = _matrix_rows(eq_id, dict(params), p, deg)
+            nrows = rows.shape[0]
+        else:
+            rows, nrows = held.reduced, held.rows
+        rref = _rref(rows, p, start=(stack.pivots, stack.reduced))
+        stack = _frozen(*rref, deg + 1, stack.rows + nrows)
+    if rest:
+        reductions[whole] = stack
+    return stack
 
 
 def characterize(preset: str, p: int, reductions: dict | None = None) -> KernelReport:
     """The solution space of ``preset`` at p.
 
-    Each constraint's matrix is reduced as it is built, and only its RREF
-    (at most (deg+1)^2 residues) and its row count are kept.  The kernel is
-    read off the RREF of a constraint that stands alone, and is otherwise
-    that of the reduced rows and the side conditions stacked, which is the
-    kernel of the full matrices stacked, as each RREF spans its matrix's
-    rows.  The stack's RREF starts from the first constraint's, which is
-    not eliminated again: only the other rows go through :func:`_rref`.
-    ``reductions`` maps (equation, params, p, degree) to a
-    :class:`Reduction`; a caller that passes one dict to several calls
-    shares the reductions of the constraints they have in common, and a
-    reduction at degree p-1 is read off one at degree p that the dict
-    holds (see :func:`_narrowed`).  ``rows`` counts the rows of the full
-    matrices.
+    The constraints' matrices are reduced in one stacked elimination as
+    they are built (see :func:`_stacked`), and only RREFs (at most
+    (deg+1)^2 residues each) and row counts are kept.  The kernel is that
+    of the stack's RREF with the side conditions stacked under it, which
+    is the kernel of the full matrices stacked, as each RREF spans its
+    rows.  ``reductions`` maps a constraint's (equation, params, p,
+    degree), or the frozenset of a stack's, to a :class:`Reduction`; a
+    caller that passes one dict to several calls shares the reductions
+    they have in common.  ``rows`` counts the rows of the full matrices.
+    The target lies in the kernel exactly when the RREF's rows annihilate
+    it, which is tested with one exact product.
     """
     if preset not in PRESETS:
         raise UnknownId(f"unknown preset {preset!r}")
@@ -498,31 +605,17 @@ def characterize(preset: str, p: int, reductions: dict | None = None) -> KernelR
     deg = preset_degree(preset, p)
     if reductions is None:
         reductions = {}
-    parts, nrows = [], 0
-    for eq_id, params in info["constraints"]:
-        key = (eq_id, tuple(sorted(params.items())), p, deg)
-        if key not in reductions:
-            wide = reductions.get(key[:3] + (p,))
-            if deg == p - 1 and wide is not None:
-                reductions[key] = _narrowed(wide)
-            else:
-                reductions[key] = _reduced_constraint(eq_id, params, p, deg)
-        parts.append(reductions[key])
-        nrows += reductions[key].rows
-    first, *rest = parts
-    rest = [reduction.reduced for reduction in rest]
-    for side in info["side"]:
-        mat = _SIDE_CONDITIONS[side](p, deg)
-        rest.append(mat)
-        nrows += mat.shape[0]
-    pivots, reduced = first.pivots, first.reduced
-    if rest:
-        # the first constraint's RREF starts the stack's, and is not
-        # eliminated again
-        pivots, reduced = _rref(np.vstack(rest), p, start=(pivots, reduced))
+    keys = [(eq_id, tuple(sorted(ps.items())), p, deg) for eq_id, ps in info["constraints"]]
+    stack = _stacked(keys, reductions)
+    pivots, reduced, nrows = stack.pivots, stack.reduced, stack.rows
+    sides = [_SIDE_CONDITIONS[side](p, deg) for side in info["side"]]
+    if sides:
+        pivots, reduced = _rref(np.vstack(sides), p, start=(pivots, reduced))
+        nrows += sum(len(side) for side in sides)
     basis = _free_column_basis(pivots, reduced, deg + 1, p)
     target = polylog_vector(info["target"], p, deg)
-    contains = in_span(basis, target, p)
+    reduced = np.array(reduced, dtype=np.int64).reshape(len(pivots), deg + 1)
+    contains = not substitute_into_columns(reduced, target, p).any()
     report = KernelReport(
         preset=preset,
         p=p,

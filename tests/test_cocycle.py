@@ -55,6 +55,22 @@ class TestEntropyFunction:
             assert H(x, p) == int(poly.evaluate({"T": f.element(x)}))
 
 
+class TestPhiTable:
+    """The table is built in array steps from H on each residue; each entry
+    must be phi's, computed on its own."""
+
+    def test_matches_phi_entry_by_entry(self):
+        for p in (q for q in range(2, 102) if all(q % d for d in range(2, q))):
+            want = [[phi(x, y, p) for y in range(p)] for x in range(p)]
+            assert phi_table(p).tolist() == want, p
+
+    def test_built_once_per_prime_and_read_only(self):
+        table = phi_table(11)
+        assert phi_table(11) is table and phi_table(13) is not table
+        with pytest.raises(ValueError):
+            table[1, 2] = 0
+
+
 class TestCocycle:
     @pytest.mark.parametrize("p", (5, 7, 11, 13))
     def test_cocycle_and_symmetry(self, p):

@@ -39,7 +39,7 @@ from finpolylog.finlog import (
     recipe_prove_zero,
     twisted_numerators,
 )
-from finpolylog.poly import _mul_schoolbook, homogenized_sums
+from finpolylog.poly import SparseVector, _mul_schoolbook, homogenized_sums
 from finpolylog.solver import polylog_vector
 
 
@@ -308,6 +308,25 @@ class TestTwistedNumerators:
         s = zero_argument_sum(p)
         only_zero = FormalSum(1, s.terms[:1], s.variables)
         assert lhat_apply(1, only_zero).is_zero()
+
+    def test_sparse_vectors_match_their_dense_form(self):
+        p = 7
+        s = build("three_term", p)
+        rng = random.Random(5)
+        dense = [[0] * (p + 1), [int(j == 3) for j in range(p + 1)]]
+        dense += [[rng.randrange(p) * rng.randrange(2) for _ in range(p + 1)] for _ in range(3)]
+        sparse = [SparseVector(p + 1, tuple((j, c) for j, c in enumerate(w) if c)) for w in dense]
+        want = twisted_numerators(s, dense)[1].polys(s.variables, s.domain)
+        assert twisted_numerators(s, sparse)[1].polys(s.variables, s.domain) == want
+
+    @pytest.mark.parametrize("size", (7, 9))
+    def test_a_sparse_vector_of_the_wrong_size_is_refused(self, size):
+        p = 7
+        s = build("feit", p)
+        message = f"need {p + 1} coefficients, got {size}"
+        for w in ([0] * (size - 1) + [1], SparseVector(size, ((size - 1, 1),))):
+            with pytest.raises(BadParams, match=message):
+                twisted_numerators(s, [w])
 
 
 def doubled_first_coefficient(s):

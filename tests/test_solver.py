@@ -375,6 +375,97 @@ class TestIncrementalRref:
         assert _rref(mat, 97)[0] == list(range(20)) and sizes == [52]
 
 
+def sparse_low_rank(rng, nrows, ncols, rank, p):
+    """A (nrows x ncols) matrix whose rows are multiples of ``rank`` random
+    generators of 1 to 3 terms each, its nonzero entries raised by 0 or p:
+    rows of few terms in a row space of high rank, where _rref tests rows
+    against a kernel basis in place of building them."""
+    gens = np.zeros((rank, ncols), dtype=np.int64)
+    for gen in gens:
+        at = rng.choice(ncols, rng.integers(1, 4), replace=False)
+        gen[at] = rng.integers(1, p, len(at))
+    mat = gens[rng.integers(0, rank, nrows)] * rng.integers(1, p, (nrows, 1)) % p
+    return mat + p * rng.integers(0, 2, mat.shape) * (mat != 0)
+
+
+def matrix_rows(mat, p):
+    """The MatrixRows of a matrix: row i is the monomial of key i, and its
+    nonzero entries are the terms."""
+    i, j = np.nonzero(mat)
+    one = np.ones(1, dtype=np.int64)
+    return solver.MatrixRows(Coordinates(i.astype(np.int64), j, mat[i, j], mat.shape[1], one), p)
+
+
+class TestKernelTest:
+    """Below the float64 bound, _rref tests the rows of a MatrixRows
+    against a kernel basis of the RREF so far once that is cheaper than
+    building them, and builds only the rows outside its row space; the
+    RREF must be that of the dense matrix and of the oracle, and no row
+    outside the span may be skipped."""
+
+    @staticmethod
+    def spied_rref(rows, p, monkeypatch):
+        """_rref of ``rows``, with the (rows asked for, kernel columns or
+        None, rows built) of every block."""
+        calls = []
+        block = solver.MatrixRows.block
+
+        def spy(self, start, stop, kernel=None):
+            built = block(self, start, stop, kernel)
+            calls.append((stop - start, None if kernel is None else kernel.shape[1], len(built)))
+            return built
+
+        monkeypatch.setattr(solver.MatrixRows, "block", spy)
+        return _rref(rows, p), calls
+
+    @pytest.mark.parametrize("block", (1, 7, solver._RREF_BLOCK))
+    @pytest.mark.parametrize("p", (2, 3, 97, 65521))
+    def test_matches_the_dense_path_and_the_oracle(self, p, block, monkeypatch):
+        monkeypatch.setattr(solver, "_RREF_BLOCK", block)
+        rng = np.random.default_rng(p + block)
+        tested = 0
+        for nrows, ncols, rank in ((600, 12, 11), (300, 9, 9), (200, 6, 4), (40, 30, 28)):
+            mat = sparse_low_rank(rng, nrows, ncols, rank, p)
+            (pivot_cols, pivot_rows), calls = self.spied_rref(matrix_rows(mat, p), p, monkeypatch)
+            want_cols, want_rows = rref_oracle(mat.tolist(), ncols, p)
+            assert pivot_cols == want_cols
+            assert [[int(v) for v in row] for row in pivot_rows] == want_rows
+            dense_cols, dense_rows = _rref(mat, p)
+            assert dense_cols == pivot_cols and np.array_equal(dense_rows, pivot_rows)
+            tested += sum(k is not None for _n, k, _built in calls)
+        assert tested
+
+    def test_a_row_past_the_plateau_raises_the_rank(self, monkeypatch):
+        # 400 rows in a span of rank 10 of 12 columns, then one row outside
+        # it: every block after the first is tested against the kernel,
+        # and the last row must still be built and raise the rank
+        monkeypatch.setattr(solver, "_RREF_BLOCK", 16)
+        p = 97
+        rng = np.random.default_rng(7)
+        mat = sparse_low_rank(rng, 400, 12, 10, p)
+        rank = len(rref_oracle(mat.tolist(), 12, p)[0])
+        kernel = kernel_basis(mat, p)
+        outside = next(e for e in np.eye(12, dtype=np.int64) if any(e @ v % p for v in kernel))
+        mat = np.vstack([mat, 5 * outside])
+        (pivot_cols, pivot_rows), calls = self.spied_rref(matrix_rows(mat, p), p, monkeypatch)
+        assert len(pivot_cols) == rank + 1
+        assert (pivot_cols, [[int(v) for v in r] for r in pivot_rows]) == tuple(
+            rref_oracle(mat.tolist(), 12, p)
+        )
+        assert calls[-1][1] is not None and calls[-1][2] == 1
+        assert all(built == 0 for _n, k, built in calls[1:-1] if k is not None)
+
+    def test_past_the_float_bound_no_row_is_tested(self, monkeypatch):
+        p = 2**31 - 1
+        rng = np.random.default_rng(8)
+        mat = sparse_low_rank(rng, 300, 12, 9, p)
+        (pivot_cols, pivot_rows), calls = self.spied_rref(matrix_rows(mat, p), p, monkeypatch)
+        assert calls == [] or all(k is None for _n, k, _built in calls)
+        assert (pivot_cols, [[int(v) for v in r] for r in pivot_rows]) == tuple(
+            rref_oracle(mat.tolist(), 12, p)
+        )
+
+
 class TestHTwoTermMatrix:
     @pytest.mark.parametrize("p", (5, 7, 11, 13, 17, 19, 23, 29, 31, 97))
     def test_running_powers_match_direct_powers(self, p):
@@ -787,12 +878,91 @@ class TestSharedReductions:
         assert sorted(both, key=json.dumps) == sorted(alone, key=json.dumps)
 
     def test_reductions_are_read_only(self):
+        # three_term's own reduction starts the stack; distribution's rows
+        # enter the stack and are not reduced alone; the stack is kept
+        # under the set of both keys, which THM423 reads off
         reductions = {}
         characterize("L2_PAIR", 7, reductions)
-        assert len(reductions) == 2
+        keys = [
+            (eq_id, tuple(sorted(params.items())), 7, 6)
+            for eq_id, params in PRESETS["L2_PAIR"]["constraints"]
+        ]
+        assert set(reductions) == {keys[0], frozenset(keys)}
+        assert reductions[frozenset(keys)].rows == 8 + 7
         for reduction in reductions.values():
             with pytest.raises(ValueError):
                 reduction.reduced[0, 0] = 0
+        # THM423 builds no columns: it adds its side condition to the stack
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "equation_columns", None)
+            report = characterize("THM423", 7, reductions)
+        assert report.rows == 8 + 7 + len(solver.h_two_term_matrix(7, 6))
+        assert len(reductions) == 2
+
+
+def full_stack_oracle(preset, p):
+    """Kernel basis and target membership of a preset read off the whole
+    columns matrices of its constraints and its side conditions stacked,
+    through kernel_basis and in_span."""
+    info = PRESETS[preset]
+    deg = preset_degree(preset, p)
+    parts = [
+        columns_matrix(equation_columns(build(eq_id, p, **params), p, deg), p)
+        for eq_id, params in info["constraints"]
+    ]
+    parts += [solver._SIDE_CONDITIONS[side](p, deg) for side in info["side"]]
+    stacked = np.vstack(parts)
+    basis = kernel_basis(stacked, p)
+    return basis, in_span(basis, polylog_vector(info["target"], p, deg), p), len(stacked)
+
+
+class TestOneStackedElimination:
+    """characterize reduces each preset's constraints in one stacked
+    elimination, shares the stacks and single reductions through one
+    dict, and tests the target with one product; the report must be that
+    of the full stacked matrices."""
+
+    @pytest.mark.parametrize("shared", (False, True), ids=("fresh", "shared"))
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    def test_every_preset_matches_the_full_stacked_matrix(self, p, shared):
+        reductions = {}
+        for preset in (*PRESETS, *reversed(PRESETS)):
+            report = characterize(preset, p, reductions if shared else None)
+            basis, contains, rows = full_stack_oracle(preset, p)
+            assert [v.tolist() for v in report.basis] == [v.tolist() for v in basis]
+            assert report.dimension == len(basis) and report.rows == rows
+            assert report.contains_target == contains
+            assert report.proportional_to_target == (len(basis) == 1 and contains)
+            assert report.zero_constant_term == all(int(v[0]) == 0 for v in basis)
+
+    @pytest.mark.parametrize("preset", ("FEIT", "L1_TRIPLE", "KS"))
+    def test_a_target_outside_the_kernel(self, preset, monkeypatch):
+        # each preset with the target of another weight, which its kernel
+        # does not hold
+        info = dict(PRESETS[preset], target=3 - PRESETS[preset]["target"])
+        monkeypatch.setitem(PRESETS, "OTHER_WEIGHT", info)
+        for p in (7, 11):
+            report = characterize("OTHER_WEIGHT", p)
+            basis, contains, _rows = full_stack_oracle("OTHER_WEIGHT", p)
+            assert [v.tolist() for v in report.basis] == [v.tolist() for v in basis]
+            assert report.contains_target is contains is False
+
+    def test_exact_span_test_at_the_largest_packed_prime(self):
+        # R @ v mod p for an RREF R of 9 columns at p = 2^31 - 1, where
+        # float64 products are not exact: zero exactly on R's kernel
+        p = 2**31 - 1
+        rng = np.random.default_rng(9)
+        mat = rng.integers(0, p, (5, 9)) % p
+        pivot_cols, pivot_rows = _rref(mat, p)
+        reduced = np.array(pivot_rows, dtype=np.int64)
+        basis = solver._free_column_basis(pivot_cols, pivot_rows, 9, p)
+        combo = sum(int(c) * v.astype(object) for c, v in zip(rng.integers(0, p, 4), basis))
+        inside = np.array([int(v) % p for v in combo], dtype=np.int64)
+        for vec, want in ((inside, True), ((inside + 1) % p, False), (basis[-1], True)):
+            residual = substitute_into_columns(reduced, vec, p)
+            oracle = [sum(int(a) * int(b) for a, b in zip(row, vec)) % p for row in reduced]
+            assert residual.tolist() == oracle
+            assert (not residual.any()) == want == in_span(basis, vec, p)
 
 
 class TestPresets:

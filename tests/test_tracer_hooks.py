@@ -62,27 +62,26 @@ def test_tracer_sees_the_solver_column_path():
     # module names the tracer patches, and every reduction must show its
     # row count: FEIT's 54 matrix rows, which reach the RREF in blocks with
     # no dense matrix built, then the side condition's one row, stacked
-    # under FEIT's RREF, which is not eliminated again, then the one basis
-    # vector
+    # under FEIT's RREF, which is not eliminated again; the target is
+    # tested with one product against that RREF, not with a reduction
     proc = run_traced(SOLVE_SCRIPT, preset="FEIT")
     assert proc.returncode == 0, proc.stderr
     assert '"holds": true' in proc.stdout
     traced = json.loads(proc.stderr)
     assert traced["spans"]["solver.columns"] == 1
-    assert traced["spans"]["solver.rref"] == 3
+    assert traced["spans"]["solver.rref"] == 2
     assert traced["spans"]["solver.matrix"] == 0
-    assert traced["rref_rows"] == 54 + 1 + 1
+    assert traced["rref_rows"] == 54 + 1
 
 
 def test_tracer_counts_a_stacked_reduction():
-    # a preset of two constraints: the matrices of three_term (8 rows) and
-    # distribution (7 rows) are reduced, then distribution's 5 RREF rows
-    # are stacked under three_term's RREF in one more traced reduction,
-    # then the one basis vector
+    # a preset of two constraints: three_term's matrix (8 rows) is
+    # reduced, then distribution's matrix (7 rows) is stacked under that
+    # RREF in one more traced reduction, and is never reduced alone
     proc = run_traced(SOLVE_SCRIPT, preset="L2_PAIR")
     assert proc.returncode == 0, proc.stderr
     assert '"holds": true' in proc.stdout
     traced = json.loads(proc.stderr)
     assert traced["spans"]["solver.columns"] == 2
-    assert traced["spans"]["solver.rref"] == 2 + 1 + 1
-    assert traced["rref_rows"] == 8 + 7 + 5 + 1
+    assert traced["spans"]["solver.rref"] == 2
+    assert traced["rref_rows"] == 8 + 7
