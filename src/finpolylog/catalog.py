@@ -697,6 +697,10 @@ class Verdict:
     counterexample: dict | None = None
     points_checked: int = 0
     points_skipped: int = 0
+    # weak only: whether every point of the q^nvars grid was enumerated
+    # (else a sample of the budget), and q^nvars
+    exhaustive: bool = False
+    grid_size: int = 0
 
     def as_dict(self) -> dict:
         out = {
@@ -711,6 +715,8 @@ class Verdict:
         else:
             out["points_checked"] = self.points_checked
             out["points_skipped"] = self.points_skipped
+            out["exhaustive"] = self.exhaustive
+            out["grid_size"] = self.grid_size
             if self.counterexample is not None:
                 out["counterexample"] = self.counterexample
         return out
@@ -760,7 +766,7 @@ def _iter_grid_chunks(nvars: int, fld: FieldDescriptor, budget: int, seed: int):
         yield np.array(draws, dtype=np.int64).reshape(k, nvars, e).transpose(1, 2, 0)
 
 
-def _weak_verdict(m, checked, skipped, counterexample=None) -> Verdict:
+def _weak_verdict(m, grid_size, budget, checked, skipped, counterexample=None) -> Verdict:
     return Verdict(
         holds=counterexample is None and checked > 0,
         mode="weak",
@@ -768,6 +774,8 @@ def _weak_verdict(m, checked, skipped, counterexample=None) -> Verdict:
         counterexample=counterexample,
         points_checked=checked,
         points_skipped=skipped,
+        exhaustive=grid_size <= budget,
+        grid_size=grid_size,
     )
 
 
@@ -799,7 +807,8 @@ def verify_weak(
     counterexample (an int per variable over GF(p), a coordinate list over
     GF(p^e)), re-checked by :func:`~finpolylog.finlog.lhat_eval`;
     ``points_checked`` and ``points_skipped`` count the points up to and
-    including it.
+    including it.  The verdict reports the grid's size q^nvars and whether
+    it was ``exhaustive`` (enumerated whole) or sampled.
     """
     if budget <= 0:
         raise BadParams(f"weak check budget must be positive, got {budget}")
@@ -807,7 +816,8 @@ def verify_weak(
     m = s.weight if weight is None else weight
     checked = 0
     skipped = 0
-    points = min(fld.q ** len(s.variables), budget)
+    grid_size = fld.q ** len(s.variables)
+    points = min(grid_size, budget)
     for cols in _iter_grid_chunks(len(s.variables), fld, budget, seed):
         mask, values = lhat_eval_grid(m, s, cols, fld, points)
         failing = np.flatnonzero(values.any(axis=0))
@@ -822,12 +832,12 @@ def verify_weak(
                 v: c[0] if fld.e == 1 else c for v, c in zip(s.variables, coords)
             }
             return _weak_verdict(
-                m, checked + before + 1, skipped + j - before, counterexample
+                m, grid_size, budget, checked + before + 1, skipped + j - before, counterexample
             )
         admissible = int(np.count_nonzero(mask))
         checked += admissible
         skipped += mask.size - admissible
-    return _weak_verdict(m, checked, skipped)
+    return _weak_verdict(m, grid_size, budget, checked, skipped)
 
 
 def admissible_points(s: FormalSum, fld, budget: int = DEFAULT_WEAK_BUDGET):

@@ -183,7 +183,6 @@ def coboundary_solve(p: int, table: np.ndarray | None = None) -> dict:
         a[r, (x + y) % p] -= 1
         rhs[r] = t[x, y]
     rows, combos = solver._rref(a.T, p)
-    combos = np.array(combos, dtype=np.int64).reshape(len(rows), len(pairs))
     residual = (rhs - rhs[rows] @ combos) % p
     bad = np.flatnonzero(residual)
     if bad.size:

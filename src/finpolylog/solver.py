@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BadParams, UnknownId
 from .finlog import finite_polylog, tau, twisted_numerators
 from .formal import FormalSum
-from .poly import Coordinates, PrimeDomain, RatFunc, SparsePoly, SparseVector
+from .poly import _PACKED_P_LIMIT, Coordinates, PrimeDomain, RatFunc, SparsePoly, SparseVector
 from . import catalog as _catalog
 
 
@@ -54,16 +54,7 @@ def columns_matrix(cols: Coordinates, p: int) -> np.ndarray:
     the solver depends on the row order: the RREF of the rows is unique.
     """
     rows = MatrixRows(cols, p)
-    if not rows.shape[0]:
-        return np.zeros(rows.shape, dtype=np.int64)
-    (mat,) = rows.blocks(rows.shape[0])
-    return mat
-
-
-def _row_cuts(nrows: int, size: int, first: int | None = None):
-    """(start, stop) of blocks of ``size`` rows, the first of ``first``."""
-    cuts = [0, *range(size if first is None else first, nrows, size), nrows]
-    return [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+    return rows.block(0, rows.shape[0])
 
 
 class MatrixRows:
@@ -89,12 +80,6 @@ class MatrixRows:
         # row r holds the terms order[bounds[r]:bounds[r + 1]]
         self.bounds = np.append(np.flatnonzero(new_row), len(order))
         self.shape = (len(self.bounds) - 1, cols.count)
-
-    def blocks(self, size: int, first: int | None = None):
-        """The rows ``size`` at a time, the first block ``first`` rows if
-        given, each built when it is asked for (see :meth:`block`)."""
-        for start, stop in _row_cuts(self.shape[0], size, first):
-            yield self.block(start, stop)
 
     def block(self, start: int, stop: int, kernel: np.ndarray | None = None):
         """Rows ``start``..``stop``-1 as an int64 block with entries in
@@ -276,15 +261,28 @@ def _gauss_jordan(m: np.ndarray, p: int):
     return pivot_cols, rank
 
 
+def _check_prime(p: int):
+    """Refuse p >= 2^31, the packed kernels' limit: the int64 products of
+    :func:`_gauss_jordan`, below p^2, pass 2^63 from p ~ 3.04e9 on."""
+    if p >= _PACKED_P_LIMIT:
+        raise BadParams(f"GF(p) row reduction needs p < 2^31, got {p}")
+
+
 def _rref(mat, p: int, start=None):
-    """Reduced row echelon form over GF(p) of a matrix, or of the rows of
-    a :class:`MatrixRows`, stacked under the rows of ``start``, an RREF
-    (pivot_cols, pivot_rows) of the same columns as :func:`_rref` returns
-    it, whose rows are not eliminated again.  The rows are taken in
-    blocks: a first one of ``ncols + 32`` rows, which usually holds the
-    rank, then blocks of ``_RREF_BLOCK``, or one block past the float64
-    bound.  A matrix is not changed: each block is reduced mod p as it is
-    taken, so below the bound the matrix is not copied whole.
+    """Reduced row echelon form over GF(p), p < 2^31 (BadParams
+    otherwise), of an int64 matrix or of the rows of a
+    :class:`MatrixRows`, stacked under the rows of ``start``, an RREF
+    (pivot_cols, reduced) of the same columns as :func:`_rref` returns
+    it, whose rows are not eliminated again.
+
+    One loop takes the rows in cuts and hands each block to
+    :func:`_absorb`: a first cut of ``ncols + 32`` rows, which usually
+    holds the rank, then cuts of ``_RREF_BLOCK``; past the float64 bound
+    ncols * (p-1)^2 >= 2^53, one cut of every row, gathered with the rows
+    of ``start`` into one block, so no product is taken.  Once every
+    column is a pivot no further block is built.  A matrix is not
+    changed: each block is reduced mod p as it is taken, so the matrix
+    is not copied whole.
 
     Below the bound, the rows of a :class:`MatrixRows` are tested against
     a kernel basis K (k columns) of the RREF so far once testing the rows
@@ -294,62 +292,36 @@ def _rref(mat, p: int, start=None):
     that fail go into the block (see :meth:`MatrixRows.block`), so rows
     past a rank that has stopped growing are never laid out densely.
     Every reduction of the solver comes through here, where the
-    benchmark's tracer counts its rows.  Returns (pivot_cols,
-    pivot_rows) where pivot_rows[i] is the normalized row with leading
-    column pivot_cols[i].
+    benchmark's tracer counts its rows.  Returns (pivot_cols, reduced):
+    the ascending pivot columns and an int64 (rank x ncols) array whose
+    row i is the normalized row with leading column pivot_cols[i].
     """
+    _check_prime(p)
     streamed = isinstance(mat, MatrixRows)
     if not streamed:
         mat = np.asarray(mat, dtype=np.int64)
     nrows, ncols = mat.shape
-    if ncols * (p - 1) ** 2 >= 2**53:
-        blocks = mat.blocks(max(nrows, 1)) if streamed else [mat % p]
-        return _rref_blocks(blocks, ncols, p, start)
-    cuts = _row_cuts(nrows, _RREF_BLOCK, min(_RREF_BLOCK, ncols + 32))
-    if not streamed:
-        return _rref_blocks((mat[a:b] % p for a, b in cuts), ncols, p, start)
-    pivot_cols, reduced = _started(start, ncols)
-    for a, b in cuts:
+    if start is None:
+        pivot_cols, reduced = [], np.zeros((0, ncols), dtype=np.int64)
+    else:
+        pivot_cols, reduced = list(start[0]), start[1]
+    exact = ncols * (p - 1) ** 2 < 2**53
+    first = min(_RREF_BLOCK, ncols + 32) if exact else nrows
+    cuts = [0, *range(first, nrows, _RREF_BLOCK), nrows]
+    for a, b in zip(cuts, cuts[1:]):
         k = ncols - len(pivot_cols)
         if not k:
             break
-        kernel = None
-        if k * (mat.bounds[-1] - mat.bounds[a]) <= (nrows - a) * ncols:
-            kernel = np.stack(_free_column_basis(pivot_cols, reduced, ncols, p), axis=1)
-        pivot_cols, reduced = _absorb(pivot_cols, reduced, mat.block(a, b, kernel), p)
-    return pivot_cols, list(reduced)
-
-
-def _started(start, ncols: int):
-    """The (pivot_cols, reduced) of ``start``, an RREF as :func:`_rref`
-    returns it or None, with the rows as one int64 array."""
-    if start is None:
-        return [], np.zeros((0, ncols), dtype=np.int64)
-    pivot_cols = list(start[0])
-    return pivot_cols, np.array(start[1], dtype=np.int64).reshape(len(pivot_cols), ncols)
-
-
-def _rref_blocks(blocks, ncols: int, p: int, start=None):
-    """The RREF over GF(p) of the rows of ``start`` (an RREF as
-    :func:`_rref` returns it, or None) and of ``blocks``, int64 arrays of
-    ``ncols`` columns with entries in [0, p), taken one at a time by
-    :func:`_absorb`.  Past the float64 bound ncols * (p-1)^2 >= 2^53,
-    ``start`` and the blocks are gathered into one (:func:`_rref` hands
-    over one), so no product is taken.  Once every column is a pivot no
-    further block is asked for.  Returns (pivot_cols, pivot_rows) as
-    :func:`_rref` does.
-    """
-    pivot_cols, reduced = _started(start, ncols)
-    if ncols * (p - 1) ** 2 >= 2**53:
-        blocks = [np.concatenate([reduced, *blocks])]
-        pivot_cols, reduced = [], reduced[:0]
-    blocks = iter(blocks)
-    while len(pivot_cols) < ncols:
-        block = next(blocks, None)
-        if block is None:
-            break
+        if not streamed:
+            block = mat[a:b] % p
+        elif exact and k * (mat.bounds[-1] - mat.bounds[a]) <= (nrows - a) * ncols:
+            block = mat.block(a, b, _free_column_basis(pivot_cols, reduced, ncols, p).T)
+        else:
+            block = mat.block(a, b)
+        if not exact:
+            pivot_cols, block, reduced = [], np.concatenate([reduced, block]), reduced[:0]
         pivot_cols, reduced = _absorb(pivot_cols, reduced, block, p)
-    return pivot_cols, list(reduced)
+    return pivot_cols, reduced
 
 
 def _absorb(pivot_cols: list, reduced: np.ndarray, block: np.ndarray, p: int):
@@ -364,7 +336,7 @@ def _absorb(pivot_cols: list, reduced: np.ndarray, block: np.ndarray, p: int):
     product ``R - R[:, new] @ N``; R and N are merged by pivot column.
     The products run in float64, where they are exact while
     ncols * (p-1)^2 < 2^53; past that bound R is empty, as
-    :func:`_rref_blocks` gathers every row into one block.
+    :func:`_rref` gathers every row into one block.
     """
     if pivot_cols:
         prod = block[:, pivot_cols].astype(np.float64) @ reduced.astype(np.float64)
@@ -388,21 +360,21 @@ def kernel_basis(mat: np.ndarray, p: int):
     Each basis vector has a 1 in its own free column and 0 in every other
     free column, ordered by ascending free column index.
     """
-    return _free_column_basis(*_rref(mat, p), mat.shape[1], p)
+    return list(_free_column_basis(*_rref(mat, p), mat.shape[1], p))
 
 
-def _free_column_basis(pivot_cols, pivot_rows, ncols: int, p: int):
+def _free_column_basis(pivot_cols, reduced: np.ndarray, ncols: int, p: int) -> np.ndarray:
     """The basis of :func:`kernel_basis` read off an RREF, given as
-    :func:`_rref` returns it: int64 vectors with entries in [0, p)."""
+    :func:`_rref` returns it, as the rows of an int64 array with entries
+    in [0, p)."""
     pivot_cols = list(pivot_cols)
     is_free = np.ones(ncols, dtype=bool)
     is_free[pivot_cols] = False
     free = np.flatnonzero(is_free)
     basis = np.zeros((len(free), ncols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    reduced = np.array(pivot_rows, dtype=np.int64).reshape(len(pivot_cols), ncols)
     basis[:, pivot_cols] = (-reduced[:, free]).T % p
-    return list(basis)
+    return basis
 
 
 def in_span(basis, vec, p: int) -> bool:
@@ -457,6 +429,7 @@ def tau_satisfies_three_term(i: int, p: int) -> bool:
 
 def tau_family_rank(p: int) -> int:
     """Rank of {tau_i : 0 <= i <= (p-1)//3} inside polynomials of deg <= p."""
+    _check_prime(p)
     bound = (p - 1) // 3
     mat = np.stack([_coefficient_vector(tau(i, p), p, p) for i in range(bound + 1)])
     cols, _rows = _rref(mat, p)
@@ -503,9 +476,8 @@ class Reduction(NamedTuple):
     head_rows: int | None
 
 
-def _frozen(pivots, reduced, ncols: int, rows: int, head_rows=None) -> Reduction:
+def _frozen(pivots, reduced: np.ndarray, rows: int, head_rows=None) -> Reduction:
     """A :class:`Reduction` of an RREF as :func:`_rref` returns it."""
-    reduced = np.array(reduced, dtype=np.int64).reshape(len(reduced), ncols)
     reduced.flags.writeable = False
     return Reduction(tuple(pivots), reduced, rows, head_rows)
 
@@ -521,7 +493,7 @@ def _reduced_constraint(eq_id: str, params: dict, p: int, deg: int) -> Reduction
     whole matrix is never held."""
     rows = _matrix_rows(eq_id, params, p, deg)
     head_rows = rows.rows_within(deg) if deg == p else None
-    return _frozen(*_rref(rows, p), deg + 1, rows.shape[0], head_rows)
+    return _frozen(*_rref(rows, p), rows.shape[0], head_rows)
 
 
 def _narrowed(wide: Reduction) -> Reduction:
@@ -535,7 +507,7 @@ def _narrowed(wide: Reduction) -> Reduction:
     """
     ncols = wide.reduced.shape[1] - 1
     keep = sum(c < ncols for c in wide.pivots)
-    return _frozen(wide.pivots[:keep], wide.reduced[:keep, :ncols], ncols, wide.head_rows)
+    return _frozen(wide.pivots[:keep], wide.reduced[:keep, :ncols], wide.head_rows)
 
 
 def _held(key: tuple, reductions: dict) -> Reduction | None:
@@ -578,7 +550,7 @@ def _stacked(keys: list, reductions: dict) -> Reduction:
         else:
             rows, nrows = held.reduced, held.rows
         rref = _rref(rows, p, start=(stack.pivots, stack.reduced))
-        stack = _frozen(*rref, deg + 1, stack.rows + nrows)
+        stack = _frozen(*rref, stack.rows + nrows)
     if rest:
         reductions[whole] = stack
     return stack
@@ -612,9 +584,8 @@ def characterize(preset: str, p: int, reductions: dict | None = None) -> KernelR
     if sides:
         pivots, reduced = _rref(np.vstack(sides), p, start=(pivots, reduced))
         nrows += sum(len(side) for side in sides)
-    basis = _free_column_basis(pivots, reduced, deg + 1, p)
+    basis = list(_free_column_basis(pivots, reduced, deg + 1, p))
     target = polylog_vector(info["target"], p, deg)
-    reduced = np.array(reduced, dtype=np.int64).reshape(len(pivots), deg + 1)
     contains = not substitute_into_columns(reduced, target, p).any()
     report = KernelReport(
         preset=preset,
@@ -644,14 +615,12 @@ def basis_residuals(preset: str, p: int, basis) -> bool:
 
 
 def kernels_equal(preset_a: str, preset_b: str, p: int) -> bool:
-    """Whether two presets cut out the same subspace of GF(p)[T]_{<p}."""
+    """Whether two presets cut out the same subspace of GF(p)[T]_{<p}: a
+    subspace has one basis in free-column normal form, so the two bases
+    are compared as they are."""
     ba = characterize(preset_a, p).basis
     bb = characterize(preset_b, p).basis
-    if len(ba) != len(bb):
-        return False
-    return all(in_span(bb, v, p) for v in ba) and all(
-        in_span(ba, v, p) for v in bb
-    )
+    return len(ba) == len(bb) and all(map(np.array_equal, ba, bb))
 
 
 def lemma417_sequence(p: int, a1: int = 1) -> dict:

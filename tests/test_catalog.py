@@ -145,6 +145,8 @@ def per_point_verdict(s, fld, budget=10**6, seed=0):
     """The weak verdict by a plain lhat_eval loop, one point at a time."""
     if isinstance(fld, int):
         fld = FieldDescriptor(fld)
+    grid = {"grid_size": fld.q ** len(s.variables)}
+    grid["exhaustive"] = grid["grid_size"] <= budget
     checked = skipped = 0
     for point in iter_field_points(s.variables, fld, budget, seed):
         try:
@@ -164,6 +166,7 @@ def per_point_verdict(s, fld, budget=10**6, seed=0):
                 },
                 points_checked=checked,
                 points_skipped=skipped,
+                **grid,
             )
     return Verdict(
         holds=checked > 0,
@@ -171,6 +174,7 @@ def per_point_verdict(s, fld, budget=10**6, seed=0):
         weight=s.weight,
         points_checked=checked,
         points_skipped=skipped,
+        **grid,
     )
 
 

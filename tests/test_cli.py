@@ -132,6 +132,24 @@ class TestReports:
         assert code == 0
         assert report["records"][0]["weak"]["holds"]
 
+    def test_weak_records_say_whether_the_grid_was_sampled(self, capsys):
+        # feit has two variables: the grid at p = 31 holds 961 points
+        for budget, exhaustive, points in (("100", False, 100), ("1000", True, 961)):
+            code, report = run_json(
+                ["verify", "--eq", "feit", "--p", "31", "--mode", "weak", "--budget", budget],
+                capsys,
+            )
+            rec = report["records"][0]
+            assert code == 0 and rec["exhaustive"] is exhaustive and rec["grid_size"] == 961
+            assert rec["points_checked"] + rec["points_skipped"] == points
+        code, report = run_json(
+            ["derive", "--eq", "five_term_classical", "--verify", "11", "--budget", "100"],
+            capsys,
+        )
+        weak = report["records"][0]["weak"]
+        assert (weak["exhaustive"], weak["grid_size"]) == (False, 121)
+        assert "exhaustive" not in report["records"][0]["strong"]
+
     def test_padic_ranges(self, capsys):
         code, report = run_json(
             ["padic", "--clean", "2..4", "--recursion", "3..4"], capsys

@@ -20,6 +20,7 @@ from finpolylog.poly import (
     RationalDomain,
     _mul_prime_fast,
     _mul_schoolbook,
+    SparseVector,
     exact_divide,
     homogenized_sums,
 )
@@ -606,11 +607,14 @@ class TestClosedFormKernels:
         for w, sum_w in zip(vectors, sums.polys(VARS3, DOM11)):
             assert sum_w == homogenized_reference(terms, deg, w, VARS3, DOM11)
 
+    @pytest.mark.parametrize("sparse", (False, True), ids=("dense", "sparse"))
     @given(homogenized_cases(), st.data())
     @settings(max_examples=80, deadline=None, derandomize=True)
-    def test_a_refusal_names_the_vector_whose_parts_pass_the_cap(self, case, data):
+    def test_a_refusal_names_the_vector_whose_parts_pass_the_cap(self, sparse, case, data):
         # vectors are built in chunks, yet the refusal names the first
-        # vector at which the parts, counted vector by vector, pass the cap
+        # vector at which the parts, counted vector by vector, pass the
+        # cap; the running count is the same for dense and SparseVector
+        # vectors
         terms, deg, vectors = case
         one = SparsePoly.const(VARS3, DOM11, 1)
         terms = [(n, d, ()) for n, d, _fs in terms] or [(one, one, ())]
@@ -629,7 +633,7 @@ class TestClosedFormKernels:
         def lowered(vectors):
             for w in vectors:
                 poly.DEFAULT_TERM_CAP = cap
-                yield w
+                yield SparseVector(len(w), tuple((j, c) for j, c in enumerate(w) if c)) if sparse else w
 
         message = None
         with pytest.MonkeyPatch.context() as mp:
@@ -643,6 +647,24 @@ class TestClosedFormKernels:
             assert message is None
         else:
             assert message == f"the parts of the first {refused} vectors exceed {cap} terms"
+
+    @pytest.mark.parametrize("sparse", (False, True), ids=("dense", "sparse"))
+    def test_two_chunks_are_counted_before_the_refusal(self, sparse):
+        # the parts (x+y)^j x^(2-j) of one vector merge to 3 terms under a
+        # bound of 6, so at a cap of 8 the first two vectors are built as
+        # two chunks, and the third passes the cap
+        n = SparsePoly(VARS3, DOM11, {(1, 0, 0): 1, (0, 1, 0): 1})
+        d = SparsePoly(VARS3, DOM11, {(1, 0, 0): 1})
+
+        def lowered():
+            for _ in range(4):
+                poly.DEFAULT_TERM_CAP = 8
+                yield SparseVector(3, ((0, 1), (1, 1), (2, 1))) if sparse else (1, 1, 1)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "DEFAULT_TERM_CAP", poly.DEFAULT_TERM_CAP)
+            with pytest.raises(SizeExceeded, match="the parts of the first 3 vectors exceed 8"):
+                homogenized_sums([(n, d, ())], 2, lowered(), VARS3, DOM11)
 
 
 DENSE_PRIMES = (2, 3, 11, (1 << 31) - 1)

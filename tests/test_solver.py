@@ -10,7 +10,7 @@ from finpolylog import build, characterize, kernels_equal, lemma417_sequence, lh
 from finpolylog import poly, solver
 from finpolylog.cli import main
 from finpolylog.finlog import twisted_numerators
-from finpolylog.errors import SizeExceeded
+from finpolylog.errors import BadParams, SizeExceeded
 from finpolylog.poly import Coordinates, PrimeDomain, SparsePoly
 from finpolylog.solver import (
     PRESETS,
@@ -47,6 +47,21 @@ class TestLinearAlgebra:
         basis = [np.array([1, 0, 2]), np.array([0, 1, 3])]
         assert in_span(basis, np.array([1, 1, 5]), 7)
         assert not in_span(basis, np.array([0, 0, 1]), 7)
+
+    def test_a_prime_past_2_31_is_refused(self):
+        # at p = 4294967311 > 2^32 the products of an int64 elimination
+        # pass 2^63 and give a wrong kernel of these rows
+        p = 4294967311
+        mat = np.array([[p - 1, p - 2, 3], [5, p - 7, 11]])
+        calls = (
+            lambda: kernel_basis(mat, p),
+            lambda: in_span([np.array([1, 0, 2])], np.array([1, 1, 5]), p),
+            lambda: tau_family_rank(p),
+            lambda: _rref(mat, 2**31),
+        )
+        for call in calls:
+            with pytest.raises(BadParams, match=r"p < 2\^31"):
+                call()
 
 
 def rref_oracle(rows, ncols, p):
@@ -127,7 +142,8 @@ class TestBlockedRref:
             pivot_cols, pivot_rows = _rref(mat, p)
         want_cols, want_rows = rref_oracle(rows, ncols, p)
         assert pivot_cols == want_cols
-        assert [[int(v) for v in row] for row in pivot_rows] == want_rows
+        assert pivot_rows.dtype == np.int64 and pivot_rows.shape == (len(want_cols), ncols)
+        assert pivot_rows.tolist() == want_rows
         assert np.array_equal(mat, before)
 
 
@@ -137,6 +153,35 @@ def tall_matrix(rng, nrows, ncols, rank, p):
     mat = rng.integers(0, p, (nrows, rank)) @ rng.integers(0, p, (rank, ncols)) % p
     mat[rng.random(nrows) < 0.1] = 0
     return mat + p * rng.integers(0, 3, mat.shape)
+
+
+def spy_absorb(monkeypatch):
+    """The row counts of the blocks that _rref hands to _absorb, as a
+    list filled while the patch lasts."""
+    sizes = []
+    absorb = solver._absorb
+
+    def counting(pivot_cols, reduced, block, p):
+        sizes.append(len(block))
+        return absorb(pivot_cols, reduced, block, p)
+
+    monkeypatch.setattr(solver, "_absorb", counting)
+    return sizes
+
+
+def spy_blocks(monkeypatch):
+    """The (start, stop, rows built) of every MatrixRows.block call, as a
+    list filled while the patch lasts."""
+    built = []
+    block = solver.MatrixRows.block
+
+    def spy(self, start, stop, kernel=None):
+        rows = block(self, start, stop, kernel)
+        built.append((start, stop, rows.tolist()))
+        return rows
+
+    monkeypatch.setattr(solver.MatrixRows, "block", spy)
+    return built
 
 
 class TestStreamedRref:
@@ -154,7 +199,7 @@ class TestStreamedRref:
             want_cols, want_rank = solver._gauss_jordan(dense, p)
             pivot_cols, pivot_rows = _rref(mat, p)
             assert pivot_cols == want_cols
-            assert np.array_equal(np.array(pivot_rows).reshape(-1, ncols), dense[:want_rank])
+            assert np.array_equal(pivot_rows, dense[:want_rank])
 
     def test_past_the_float_bound_the_blocks_are_gathered(self, monkeypatch):
         # 3 (p-1)^2 >= 2^53: one elimination over all 50 rows, where blocks
@@ -173,28 +218,22 @@ class TestStreamedRref:
         monkeypatch.setattr(solver, "_gauss_jordan", counting)
         monkeypatch.setattr(solver, "_RREF_BLOCK", 4)
         want_cols, want_rows = rref_oracle(mat.tolist(), 3, p)
-        # a matrix is taken as one block, and blocks handed over are joined
-        for pivot_cols, pivot_rows in (
-            _rref(mat, p),
-            solver._rref_blocks((mat[i : i + 4] for i in range(0, 50, 4)), 3, p),
-        ):
-            assert pivot_cols == want_cols == [0, 1, 2]
-            assert [[int(v) for v in row] for row in pivot_rows] == want_rows
-        assert eliminations == 2 * [int(mat.any(axis=1).sum())]
+        # a matrix is taken as one block
+        pivot_cols, pivot_rows = _rref(mat, p)
+        assert pivot_cols == want_cols == [0, 1, 2]
+        assert pivot_rows.tolist() == want_rows
+        assert eliminations == [int(mat.any(axis=1).sum())]
 
-    def test_no_block_is_built_once_every_column_is_a_pivot(self):
-        pulled = []
+    def test_no_block_is_built_once_every_column_is_a_pivot(self, monkeypatch):
+        # five blocks of three rows, the first spanning every column
+        mat = np.vstack([np.eye(3, dtype=np.int64) * (i + 1) for i in range(5)])
+        absorbed = spy_absorb(monkeypatch)
+        monkeypatch.setattr(solver, "_RREF_BLOCK", 3)
+        pivot_cols, pivot_rows = _rref(mat, 7)
+        assert pivot_cols == [0, 1, 2] and absorbed == [3]
+        assert np.array_equal(pivot_rows, np.eye(3, dtype=np.int64))
 
-        def blocks():
-            for i in range(5):
-                pulled.append(i)
-                yield np.eye(3, dtype=np.int64) * (i + 1)
-
-        pivot_cols, pivot_rows = solver._rref_blocks(blocks(), 3, 7)
-        assert pivot_cols == [0, 1, 2] and pulled == [0]
-        assert np.array_equal(np.array(pivot_rows), np.eye(3, dtype=np.int64))
-
-    def test_row_blocks_are_built_when_asked_for(self):
+    def test_row_blocks_are_built_when_asked_for(self, monkeypatch):
         # columns x^j + 2x^(j+3): the first block of three rows holds every
         # pivot, and the rows x^3..x^5 are never placed into a block
         dom = PrimeDomain(7)
@@ -202,15 +241,10 @@ class TestStreamedRref:
             coordinates([SparsePoly(("x",), dom, {(j,): 1, (j + 3,): 2}) for j in range(3)]), 7
         )
         assert rows.shape == (6, 3)
-        built = []
-
-        def blocks():
-            for block in rows.blocks(3):
-                built.append(block.tolist())
-                yield block
-
-        pivot_cols, _rows = solver._rref_blocks(blocks(), 3, 7)
-        assert pivot_cols == [0, 1, 2] and built == [np.eye(3, dtype=int).tolist()]
+        built = spy_blocks(monkeypatch)
+        monkeypatch.setattr(solver, "_RREF_BLOCK", 3)
+        pivot_cols, _rows = _rref(rows, 7)
+        assert pivot_cols == [0, 1, 2] and built == [(0, 3, np.eye(3, dtype=int).tolist())]
 
     def test_rows_past_the_float_bound_are_one_block(self, monkeypatch):
         # 4 (p-1)^2 >= 2^53: the rows x^0..x^5 of columns x^j + 5x^(j+2)
@@ -220,18 +254,11 @@ class TestStreamedRref:
         rows = solver.MatrixRows(
             coordinates([SparsePoly(("x",), dom, {(j,): 1, (j + 2,): 5}) for j in range(4)]), p
         )
-        sizes = []
-        blocks = rows.blocks
-
-        def counting(size):
-            sizes.append(size)
-            return blocks(size)
-
-        monkeypatch.setattr(rows, "blocks", counting)
+        built = spy_blocks(monkeypatch)
         monkeypatch.setattr(solver, "_RREF_BLOCK", 2)
         pivot_cols, pivot_rows = _rref(rows, p)
-        assert sizes == [6] and pivot_cols == [0, 1, 2, 3]
-        assert np.array_equal(np.array(pivot_rows), np.eye(4, dtype=np.int64))
+        assert [(a, b) for a, b, _block in built] == [(0, 6)] and pivot_cols == [0, 1, 2, 3]
+        assert np.array_equal(pivot_rows, np.eye(4, dtype=np.int64))
 
 
 @st.composite
@@ -275,17 +302,15 @@ class TestStackedReductions:
         parts, perm, p = case
         stacked = np.vstack(parts)
         ncols = stacked.shape[1]
-        reduced = np.vstack(
-            [np.array(_rref(part, p)[1], dtype=np.int64).reshape(-1, ncols) for part in parts]
-        )
+        reduced = np.vstack([_rref(part, p)[1] for part in parts])
         want = [v.tolist() for v in kernel_basis(stacked, p)]
         assert [v.tolist() for v in kernel_basis(stacked[list(perm)], p)] == want
         assert [v.tolist() for v in kernel_basis(reduced, p)] == want
 
 
 class TestIncrementalRref:
-    """_rref_blocks eliminates only each block's residual rows, and a stack
-    may start from a given RREF; both against one Gauss-Jordan elimination
+    """_rref eliminates only each block's residual rows, and a stack may
+    start from a given RREF; both against one Gauss-Jordan elimination
     over Python ints of every row."""
 
     @staticmethod
@@ -302,15 +327,18 @@ class TestIncrementalRref:
     @given(stacked_parts(), st.booleans())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_blocks_match_the_oracle(self, block, case, sides):
+        # the stack as an array and as a MatrixRows, in blocks of ``block``
         parts, _perm, p = case
         parts = self.with_side_conditions(parts, p, sides)
         stacked = np.vstack(parts)
         ncols = stacked.shape[1]
         want_cols, want_rows = rref_oracle(stacked.tolist(), ncols, p)
-        blocks = [part[i : i + block] % p for part in parts for i in range(0, len(part), block)]
-        pivot_cols, pivot_rows = solver._rref_blocks(iter(blocks), ncols, p)
-        assert pivot_cols == want_cols
-        assert [[int(v) for v in row] for row in pivot_rows] == want_rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_RREF_BLOCK", block)
+            for rows in (stacked, matrix_rows(stacked, p)):
+                pivot_cols, pivot_rows = _rref(rows, p)
+                assert pivot_cols == want_cols
+                assert pivot_rows.tolist() == want_rows
 
     @pytest.mark.parametrize("block", (1, 3, solver._RREF_BLOCK))
     @given(stacked_parts(), st.booleans())
@@ -343,32 +371,21 @@ class TestIncrementalRref:
         basis = solver._free_column_basis(pivot_cols, pivot_rows, ncols, p)
         assert [v.tolist() for v in basis] == [v.tolist() for v in kernel_basis(np.vstack(parts), p)]
 
-    def test_a_full_rank_start_asks_for_no_block(self):
-        pulled = []
-
-        def blocks():
-            pulled.append(0)
-            yield np.ones((1, 3), dtype=np.int64)
-
-        start = ([0, 1, 2], list(np.eye(3, dtype=np.int64)))
-        pivot_cols, pivot_rows = solver._rref_blocks(blocks(), 3, 7, start)
-        assert pivot_cols == [0, 1, 2] and pulled == []
+    @pytest.mark.parametrize("p", (7, 2**31 - 1))
+    def test_a_full_rank_start_asks_for_no_block(self, p, monkeypatch):
+        absorbed, built = spy_absorb(monkeypatch), spy_blocks(monkeypatch)
+        start = ([0, 1, 2], np.eye(3, dtype=np.int64))
+        dom = PrimeDomain(p)
+        rows = solver.MatrixRows(coordinates([SparsePoly(("x",), dom, {(0,): 1})] * 3), p)
+        for mat in (np.ones((1, 3), dtype=np.int64), rows):
+            pivot_cols, pivot_rows = _rref(mat, p, start)
+            assert pivot_cols == [0, 1, 2] and np.array_equal(pivot_rows, start[1])
+        assert absorbed == [] and built == []
 
     def test_the_first_block_holds_the_columns_and_32_rows(self, monkeypatch):
         rng = np.random.default_rng(4)
         mat = rng.integers(0, 97, (1000, 20))
-        sizes = []
-        rref_blocks = solver._rref_blocks
-
-        def counting(blocks, ncols, p, start=None):
-            def spy():
-                for block in blocks:
-                    sizes.append(len(block))
-                    yield block
-
-            return rref_blocks(spy(), ncols, p, start)
-
-        monkeypatch.setattr(solver, "_rref_blocks", counting)
+        sizes = spy_absorb(monkeypatch)
         _rref(np.zeros((1000, 20), dtype=np.int64), 97)
         assert sizes == [52, 512, 436]
         sizes.clear()
@@ -953,9 +970,8 @@ class TestOneStackedElimination:
         p = 2**31 - 1
         rng = np.random.default_rng(9)
         mat = rng.integers(0, p, (5, 9)) % p
-        pivot_cols, pivot_rows = _rref(mat, p)
-        reduced = np.array(pivot_rows, dtype=np.int64)
-        basis = solver._free_column_basis(pivot_cols, pivot_rows, 9, p)
+        _pivot_cols, reduced = _rref(mat, p)
+        basis = kernel_basis(mat, p)
         combo = sum(int(c) * v.astype(object) for c, v in zip(rng.integers(0, p, 4), basis))
         inside = np.array([int(v) % p for v in combo], dtype=np.int64)
         for vec, want in ((inside, True), ((inside + 1) % p, False), (basis[-1], True)):
