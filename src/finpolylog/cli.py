@@ -238,6 +238,8 @@ def cmd_solve(args, report: Report) -> None:
 
 
 def cmd_derive(args, report: Report) -> None:
+    if not _catalog.entry_info(args.eq)["classical"]:
+        raise BadParams(f"derive needs a classical catalog id, got {args.eq!r}")
     p = args.verify if args.verify else (parse_primes(args.p)[0] if args.p else 11)
     s = _catalog.build(args.eq, p)
     if args.derivation:

@@ -173,7 +173,7 @@ def coboundary_solve(p: int, table: np.ndarray | None = None) -> dict:
     """
     if p > EXHAUSTIVE_COCYCLE_LIMIT:
         raise BudgetExceeded(f"coboundary system capped at p <= {EXHAUSTIVE_COCYCLE_LIMIT}")
-    t = phi_table(p) if table is None else table
+    t = (phi_table(p) if table is None else table) % p
     pairs = [(x, y) for x in range(p) for y in range(p)]
     a = np.zeros((len(pairs), p), dtype=np.int64)
     rhs = np.zeros(len(pairs), dtype=np.int64)
@@ -183,7 +183,7 @@ def coboundary_solve(p: int, table: np.ndarray | None = None) -> dict:
         a[r, (x + y) % p] -= 1
         rhs[r] = t[x, y]
     rows, combos = solver._rref(a.T, p)
-    residual = (rhs - rhs[rows] @ combos) % p
+    residual = (rhs - solver._mul_mod(rhs[rows], combos, p)) % p
     bad = np.flatnonzero(residual)
     if bad.size:
         r = int(bad[0])
@@ -198,8 +198,7 @@ def coboundary_solve(p: int, table: np.ndarray | None = None) -> dict:
         }
     cols, reduced = solver._rref(np.column_stack([a[rows], rhs[rows]]), p)
     psi = np.zeros(p, dtype=np.int64)
-    for c, row in zip(cols, reduced):
-        psi[c] = row[p]
+    psi[cols] = reduced[:, p]
     return {"consistent": True, "psi": [int(v) for v in psi]}
 
 

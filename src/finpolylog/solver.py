@@ -87,8 +87,8 @@ class MatrixRows:
         k) basis of the kernel of some rows R with entries in [0, p), only
         the rows r with r @ kernel != 0 mod p go in: the others lie in the
         row space of R.  The products are taken in coordinate form; a row
-        has at most ncols terms, so each sum is below ncols * (p-1)^2 and
-        exact in int64 below the float64 bound of :func:`_rref`.
+        has at most ncols terms, so each sum is below ncols * (p-1)^2; past
+        2^63 each product is reduced first, as a wrapped sum may drop a row.
         """
         cols, bounds, p = self.cols, self.bounds, self.p
         terms = self.order[bounds[start] : bounds[stop]]
@@ -96,7 +96,10 @@ class MatrixRows:
         index, vals = cols.index[terms], cols.vals[terms] % p
         if kernel is not None:
             heads = bounds[start:stop] - bounds[start]
-            outside = (np.add.reduceat(vals[:, None] * kernel[index], heads) % p).any(axis=1)
+            prods = vals[:, None] * kernel[index]
+            if cols.count * (p - 1) ** 2 >= 2**63:
+                prods %= p
+            outside = (np.add.reduceat(prods, heads) % p).any(axis=1)
             keep = outside[rows]
             rows = (np.cumsum(outside) - 1)[rows[keep]]
             index, vals = index[keep], vals[keep]
@@ -113,13 +116,24 @@ class MatrixRows:
 
 def substitute_into_columns(mat: np.ndarray, vec, p: int) -> np.ndarray:
     """Residual of each row of a columns matrix for a concrete coefficient
-    vector: ``mat @ vec`` mod p, exact, in float64 while
-    ncols * (p-1)^2 < 2^53 and in Python ints past that."""
+    vector: ``mat @ vec`` mod p, exact (see :func:`_mul_mod`)."""
     mat = np.asarray(mat, dtype=np.int64) % p
     vec = np.array([int(q) % p for q in vec], dtype=np.int64)
-    if mat.shape[1] * (p - 1) ** 2 < 2**53:
-        return (mat.astype(np.float64) @ vec.astype(np.float64)).astype(np.int64) % p
-    return (mat.astype(object) @ vec.astype(object) % p).astype(np.int64)
+    return _mul_mod(mat, vec, p) % p
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """An int64 array congruent to ``a @ b`` mod p, for int64 arrays with
+    entries in [0, p), p < 2^31: the one GF(p) matrix product.  Below the
+    float64 bound inner * (p-1)^2 < 2^53, one float64 product, exact and
+    left unreduced; past it, two int64 products against the 16-bit halves
+    of ``b``, reduced, exact up to 65534 inner terms (BadParams past that)."""
+    inner = b.shape[0]
+    if inner * (p - 1) ** 2 < 2**53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    if inner > 65534:
+        raise BadParams(f"a GF({p}) product of {inner} > 65534 inner terms would wrap int64")
+    return (((a @ (b >> 16)) % p << 16) + a @ (b & 0xFFFF)) % p
 
 
 def h_two_term_matrix(p: int, deg: int) -> np.ndarray:
@@ -276,23 +290,20 @@ def _rref(mat, p: int, start=None):
     it, whose rows are not eliminated again.
 
     One loop takes the rows in cuts and hands each block to
-    :func:`_absorb`: a first cut of ``ncols + 32`` rows, which usually
-    holds the rank, then cuts of ``_RREF_BLOCK``; past the float64 bound
-    ncols * (p-1)^2 >= 2^53, one cut of every row, gathered with the rows
-    of ``start`` into one block, so no product is taken.  Once every
-    column is a pivot no further block is built.  A matrix is not
-    changed: each block is reduced mod p as it is taken, so the matrix
-    is not copied whole.
+    :func:`_absorb`, at every p: a first cut of ``ncols + 32`` rows,
+    which usually holds the rank, then cuts of ``_RREF_BLOCK``.  Once
+    every column is a pivot no further block is built.  A matrix is not
+    changed: each block is reduced mod p as it is taken.
 
-    Below the bound, the rows of a :class:`MatrixRows` are tested against
-    a kernel basis K (k columns) of the RREF so far once testing the rows
-    left costs no more than building them: once k times their terms is
-    at most their number times ncols.  A row lies in the row space of the
-    RREF exactly when its product with K is 0 mod p, and only the rows
-    that fail go into the block (see :meth:`MatrixRows.block`), so rows
-    past a rank that has stopped growing are never laid out densely.
-    Every reduction of the solver comes through here, where the
-    benchmark's tracer counts its rows.  Returns (pivot_cols, reduced):
+    The rows of a :class:`MatrixRows` are tested against a kernel basis
+    K (k columns) of the RREF so far once testing the rows left costs no
+    more than building them: once k times their terms is at most their
+    number times ncols.  A row lies in the row space of the RREF exactly
+    when its product with K is 0 mod p, and only the rows that fail go
+    into the block (see :meth:`MatrixRows.block`), so rows past a rank
+    that has stopped growing are never laid out densely.  Every
+    reduction of the solver comes through here, where the benchmark's
+    tracer counts its rows.  Returns (pivot_cols, reduced):
     the ascending pivot columns and an int64 (rank x ncols) array whose
     row i is the normalized row with leading column pivot_cols[i].
     """
@@ -305,8 +316,7 @@ def _rref(mat, p: int, start=None):
         pivot_cols, reduced = [], np.zeros((0, ncols), dtype=np.int64)
     else:
         pivot_cols, reduced = list(start[0]), start[1]
-    exact = ncols * (p - 1) ** 2 < 2**53
-    first = min(_RREF_BLOCK, ncols + 32) if exact else nrows
+    first = min(_RREF_BLOCK, ncols + 32)
     cuts = [0, *range(first, nrows, _RREF_BLOCK), nrows]
     for a, b in zip(cuts, cuts[1:]):
         k = ncols - len(pivot_cols)
@@ -314,12 +324,10 @@ def _rref(mat, p: int, start=None):
             break
         if not streamed:
             block = mat[a:b] % p
-        elif exact and k * (mat.bounds[-1] - mat.bounds[a]) <= (nrows - a) * ncols:
+        elif k * (mat.bounds[-1] - mat.bounds[a]) <= (nrows - a) * ncols:
             block = mat.block(a, b, _free_column_basis(pivot_cols, reduced, ncols, p).T)
         else:
             block = mat.block(a, b)
-        if not exact:
-            pivot_cols, block, reduced = [], np.concatenate([reduced, block]), reduced[:0]
         pivot_cols, reduced = _absorb(pivot_cols, reduced, block, p)
     return pivot_cols, reduced
 
@@ -334,21 +342,17 @@ def _absorb(pivot_cols: list, reduced: np.ndarray, block: np.ndarray, p: int):
     its nonzero residual rows go through a column-by-column Gauss-Jordan
     elimination, whose new pivots are then cleared from R with one more
     product ``R - R[:, new] @ N``; R and N are merged by pivot column.
-    The products run in float64, where they are exact while
-    ncols * (p-1)^2 < 2^53; past that bound R is empty, as
-    :func:`_rref` gathers every row into one block.
+    Both products are :func:`_mul_mod`'s.
     """
     if pivot_cols:
-        prod = block[:, pivot_cols].astype(np.float64) @ reduced.astype(np.float64)
-        block = (block - prod.astype(np.int64)) % p
+        block = (block - _mul_mod(block[:, pivot_cols], reduced, p)) % p
     block = block[block.any(axis=1)]
     if not block.shape[0]:
         return pivot_cols, reduced
     new_cols, rank = _gauss_jordan(block, p)
     new = block[:rank]
     if pivot_cols:
-        prod = reduced[:, new_cols].astype(np.float64) @ new.astype(np.float64)
-        reduced = (reduced - prod.astype(np.int64)) % p
+        reduced = (reduced - _mul_mod(reduced[:, new_cols], new, p)) % p
     pivot_cols = pivot_cols + new_cols
     order = np.argsort(pivot_cols, kind="stable")
     return [pivot_cols[i] for i in order], np.vstack([reduced, new])[order]
@@ -360,6 +364,7 @@ def kernel_basis(mat: np.ndarray, p: int):
     Each basis vector has a 1 in its own free column and 0 in every other
     free column, ordered by ascending free column index.
     """
+    mat = np.asarray(mat, dtype=np.int64)
     return list(_free_column_basis(*_rref(mat, p), mat.shape[1], p))
 
 
@@ -382,13 +387,11 @@ def in_span(basis, vec, p: int) -> bool:
     vec = np.asarray(vec, dtype=np.int64) % p
     if not basis:
         return not np.any(vec)
-    mat = np.stack(basis) % p
-    cols, rows = _rref(mat, p)
-    res = vec.copy()
+    cols, rows = _rref(np.stack(basis) % p, p)
     for c, row in zip(cols, rows):
-        if res[c]:
-            res = (res - int(res[c]) * row) % p
-    return not np.any(res)
+        if vec[c]:
+            vec = (vec - int(vec[c]) * row) % p
+    return not np.any(vec)
 
 
 def _coefficient_vector(poly: SparsePoly, p: int, deg: int) -> np.ndarray:
@@ -432,8 +435,7 @@ def tau_family_rank(p: int) -> int:
     _check_prime(p)
     bound = (p - 1) // 3
     mat = np.stack([_coefficient_vector(tau(i, p), p, p) for i in range(bound + 1)])
-    cols, _rows = _rref(mat, p)
-    return len(cols)
+    return len(_rref(mat, p)[0])
 
 
 @dataclass
@@ -489,8 +491,7 @@ def _matrix_rows(eq_id: str, params: dict, p: int, deg: int) -> MatrixRows:
 
 def _reduced_constraint(eq_id: str, params: dict, p: int, deg: int) -> Reduction:
     """The reduction of one constraint's columns matrix, whose rows go to
-    :func:`_rref` as :class:`MatrixRows`: below the float64 bound the
-    whole matrix is never held."""
+    :func:`_rref` as :class:`MatrixRows`: the whole matrix is never held."""
     rows = _matrix_rows(eq_id, params, p, deg)
     head_rows = rows.rows_within(deg) if deg == p else None
     return _frozen(*_rref(rows, p), rows.shape[0], head_rows)
@@ -587,7 +588,7 @@ def characterize(preset: str, p: int, reductions: dict | None = None) -> KernelR
     basis = list(_free_column_basis(pivots, reduced, deg + 1, p))
     target = polylog_vector(info["target"], p, deg)
     contains = not substitute_into_columns(reduced, target, p).any()
-    report = KernelReport(
+    return KernelReport(
         preset=preset,
         p=p,
         dimension=len(basis),
@@ -598,7 +599,6 @@ def characterize(preset: str, p: int, reductions: dict | None = None) -> KernelR
         proportional_to_target=(len(basis) == 1 and contains),
         zero_constant_term=all(int(b[0]) % p == 0 for b in basis),
     )
-    return report
 
 
 def basis_residuals(preset: str, p: int, basis) -> bool:

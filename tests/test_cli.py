@@ -180,6 +180,8 @@ class TestReports:
             ["padic", "--recursion", "5..2"],
             ["verify", "--eq", "three_term", "--p", "3"],
             ["derive", "--eq", "three_term_classical", "--verify", "3"],
+            ["derive", "--eq", "feit", "--verify", "7"],
+            ["derive", "--eq", "two_term", "--verify", "7"],
             ["derive", "--eq", "five_term_classical",
              "--derivation", "a:(a*b+a+2)**123456789", "--verify", "7"],
             ["verify", "--eq", "two_term", "--p", "2147483659", "--mode", "weak",

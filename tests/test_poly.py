@@ -616,6 +616,8 @@ class TestClosedFormKernels:
         # cap; the running count is the same for dense and SparseVector
         # vectors
         terms, deg, vectors = case
+        # each vector twice, so that most refusals can follow a built chunk
+        vectors = vectors[:-1] * 2 + vectors[-1:]
         one = SparsePoly.const(VARS3, DOM11, 1)
         terms = [(n, d, ()) for n, d, _fs in terms] or [(one, one, ())]
         totals = np.cumsum(
@@ -627,7 +629,13 @@ class TestClosedFormKernels:
                 for w in vectors
             ]
         ).tolist()
-        cap = data.draw(st.integers(1, totals[-1] + 1))
+        # the cap lies below the running total of a vector that adds parts
+        # and at or above the total before it, or at the last total; later
+        # vectors come first
+        lows = [max(1, low) for low in [1, *totals[:-1]]]
+        steps = [i for i in reversed(range(len(totals))) if totals[i] > lows[i]]
+        at = data.draw(st.sampled_from([*steps, None]))
+        cap = max(1, totals[-1]) if at is None else data.draw(st.integers(lows[at], totals[at] - 1))
         refused = next((i for i, total in enumerate(totals, 1) if total > cap), None)
 
         def lowered(vectors):

@@ -43,6 +43,11 @@ class TestLinearAlgebra:
         for v in kernel_basis(mat, 7):
             assert not np.any((mat @ np.array(v)) % 7)
 
+    def test_kernel_of_nested_lists(self):
+        # an array-like is converted once, as _rref converts it
+        for mat in ([[1, 2], [2, 4]], np.array([[1, 2], [2, 4]])):
+            assert [v.tolist() for v in kernel_basis(mat, 7)] == [[5, 1]]
+
     def test_in_span(self):
         basis = [np.array([1, 0, 2]), np.array([0, 1, 3])]
         assert in_span(basis, np.array([1, 1, 5]), 7)
@@ -62,6 +67,44 @@ class TestLinearAlgebra:
         for call in calls:
             with pytest.raises(BadParams, match=r"p < 2\^31"):
                 call()
+
+
+class TestMulMod:
+    """_mul_mod against the Python-int product, on both sides of the
+    float64 bound inner * (p-1)^2 < 2^53, up to the 65534 inner terms
+    whose int64 sums stay below 2^63."""
+
+    @pytest.mark.parametrize(
+        "p, inner",
+        [(97, n) for n in (1, 5, 300)]
+        + [(94906249, n) for n in (1, 2, 40)]
+        + [(2**31 - 1, n) for n in (1, 3, 65534)],
+    )
+    def test_matches_the_python_int_product(self, p, inner):
+        rng = np.random.default_rng(inner)
+        a, b = rng.integers(0, p, (3, inner)), rng.integers(0, p, (inner, 2))
+        a[0], b[:, 0] = p - 1, p - 1  # the largest sums
+        cols = b.T.tolist()
+        want = [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a.tolist()]
+        assert (solver._mul_mod(a, b, p) % p).tolist() == want
+        assert (solver._mul_mod(a, b[:, 1], p) % p).tolist() == [row[1] for row in want]
+        assert (solver._mul_mod(a[2], b, p) % p).tolist() == want[2]
+
+    def test_more_inner_terms_are_refused_past_the_float_bound(self):
+        p = 2**31 - 1
+        a, b = np.ones((1, 65535), dtype=np.int64), np.ones(65535, dtype=np.int64)
+        with pytest.raises(BadParams, match="65535 > 65534 inner terms"):
+            solver._mul_mod(a, b, p)
+        assert solver._mul_mod(a, b, 97).tolist() == [65535]
+
+    def test_the_float_path_ends_at_the_bound(self):
+        # (p-1)^2 < 2^53 <= 2 (p-1)^2: one inner term takes the float64
+        # product, left unreduced, and two take the reduced int64 products
+        p = 94906249
+        assert (p - 1) ** 2 < 2**53 <= 2 * (p - 1) ** 2
+        top = np.full((1, 2), p - 1, dtype=np.int64)
+        assert solver._mul_mod(top[:, :1], top.T[:1], p).tolist() == [[(p - 1) ** 2]]
+        assert solver._mul_mod(top, top.T, p).tolist() == [[2]]
 
 
 def rref_oracle(rows, ncols, p):
@@ -201,12 +244,13 @@ class TestStreamedRref:
             assert pivot_cols == want_cols
             assert np.array_equal(pivot_rows, dense[:want_rank])
 
-    def test_past_the_float_bound_the_blocks_are_gathered(self, monkeypatch):
-        # 3 (p-1)^2 >= 2^53: one elimination over all 50 rows, where blocks
-        # of 4 would take eight, as the first rows span one dimension only
+    def test_past_the_float_bound_rows_stream_in_cuts(self, monkeypatch):
+        # 3 (p-1)^2 >= 2^53: the 50 rows still come in blocks of 4, under a
+        # started row that is never eliminated again; the first block's
+        # residuals add one pivot, and only the last two rows add another
         p = 2**31 - 1
         rng = np.random.default_rng(3)
-        mat = np.outer(rng.integers(0, p, 50), [1, 2, 3]) % p
+        mat = np.outer(rng.integers(1, p, 50), [1, 2, 3]) % p
         mat[-2:] = [[0, 1, 5], [7, 0, 0]]
         eliminations = []
         gauss_jordan = solver._gauss_jordan
@@ -215,14 +259,14 @@ class TestStreamedRref:
             eliminations.append(m.shape[0])
             return gauss_jordan(m, q)
 
+        absorbed = spy_absorb(monkeypatch)
         monkeypatch.setattr(solver, "_gauss_jordan", counting)
         monkeypatch.setattr(solver, "_RREF_BLOCK", 4)
-        want_cols, want_rows = rref_oracle(mat.tolist(), 3, p)
-        # a matrix is taken as one block
-        pivot_cols, pivot_rows = _rref(mat, p)
+        want_cols, want_rows = rref_oracle([[0, 0, 1], *mat.tolist()], 3, p)
+        pivot_cols, pivot_rows = _rref(mat, p, start=([2], np.array([[0, 0, 1]])))
         assert pivot_cols == want_cols == [0, 1, 2]
         assert pivot_rows.tolist() == want_rows
-        assert eliminations == [int(mat.any(axis=1).sum())]
+        assert absorbed == [4] * 12 + [2] and eliminations == [4, 2]
 
     def test_no_block_is_built_once_every_column_is_a_pivot(self, monkeypatch):
         # five blocks of three rows, the first spanning every column
@@ -246,19 +290,21 @@ class TestStreamedRref:
         pivot_cols, _rows = _rref(rows, 7)
         assert pivot_cols == [0, 1, 2] and built == [(0, 3, np.eye(3, dtype=int).tolist())]
 
-    def test_rows_past_the_float_bound_are_one_block(self, monkeypatch):
+    def test_past_the_float_bound_row_blocks_are_built_in_cuts(self, monkeypatch):
         # 4 (p-1)^2 >= 2^53: the rows x^0..x^5 of columns x^j + 5x^(j+2)
-        # are placed in one block, not in blocks of 2 to be gathered
+        # are built in blocks of 2, the second tested against the kernel
+        # of the first, and x^4, x^5 are never built
         p = 2**31 - 1
         dom = PrimeDomain(p)
-        rows = solver.MatrixRows(
-            coordinates([SparsePoly(("x",), dom, {(j,): 1, (j + 2,): 5}) for j in range(4)]), p
-        )
-        built = spy_blocks(monkeypatch)
+        polys = [SparsePoly(("x",), dom, {(j,): 1, (j + 2,): 5}) for j in range(4)]
+        rows = solver.MatrixRows(coordinates(polys), p)
         monkeypatch.setattr(solver, "_RREF_BLOCK", 2)
-        pivot_cols, pivot_rows = _rref(rows, p)
-        assert [(a, b) for a, b, _block in built] == [(0, 6)] and pivot_cols == [0, 1, 2, 3]
-        assert np.array_equal(pivot_rows, np.eye(4, dtype=np.int64))
+        (pivot_cols, pivot_rows), calls = TestKernelTest.spied_rref(rows, p, monkeypatch)
+        # (rows asked for, kernel columns, rows built) of each block
+        assert calls == [(2, None, 2), (2, 2, 2)]
+        want_cols, want_rows = rref_oracle(columns_matrix_oracle(polys, p).tolist(), 4, p)
+        assert pivot_cols == want_cols == [0, 1, 2, 3]
+        assert pivot_rows.tolist() == want_rows == np.eye(4, dtype=int).tolist()
 
 
 @st.composite
@@ -366,8 +412,7 @@ class TestIncrementalRref:
             pivot_cols, pivot_rows = _rref(rest, p, start=start)
         assert pivot_cols == want_cols
         assert [[int(v) for v in row] for row in pivot_rows] == want_rows
-        if ncols * (p - 1) ** 2 < 2**53:
-            assert sum(eliminated) <= len(rest)
+        assert sum(eliminated) <= len(rest)
         basis = solver._free_column_basis(pivot_cols, pivot_rows, ncols, p)
         assert [v.tolist() for v in basis] == [v.tolist() for v in kernel_basis(np.vstack(parts), p)]
 
@@ -414,11 +459,11 @@ def matrix_rows(mat, p):
 
 
 class TestKernelTest:
-    """Below the float64 bound, _rref tests the rows of a MatrixRows
-    against a kernel basis of the RREF so far once that is cheaper than
-    building them, and builds only the rows outside its row space; the
-    RREF must be that of the dense matrix and of the oracle, and no row
-    outside the span may be skipped."""
+    """_rref tests the rows of a MatrixRows against a kernel basis of
+    the RREF so far once that is cheaper than building them, and builds
+    only the rows outside its row space; the RREF must be that of the
+    dense matrix and of the oracle, and no row outside the span may be
+    skipped."""
 
     @staticmethod
     def spied_rref(rows, p, monkeypatch):
@@ -436,7 +481,7 @@ class TestKernelTest:
         return _rref(rows, p), calls
 
     @pytest.mark.parametrize("block", (1, 7, solver._RREF_BLOCK))
-    @pytest.mark.parametrize("p", (2, 3, 97, 65521))
+    @pytest.mark.parametrize("p", (2, 3, 97, 65521, 2**31 - 1))
     def test_matches_the_dense_path_and_the_oracle(self, p, block, monkeypatch):
         monkeypatch.setattr(solver, "_RREF_BLOCK", block)
         rng = np.random.default_rng(p + block)
@@ -472,15 +517,30 @@ class TestKernelTest:
         assert calls[-1][1] is not None and calls[-1][2] == 1
         assert all(built == 0 for _n, k, built in calls[1:-1] if k is not None)
 
-    def test_past_the_float_bound_no_row_is_tested(self, monkeypatch):
+    def test_past_the_float_bound_rows_are_tested(self, monkeypatch):
+        # 12 (p-1)^2 >= 2^53: the blocks past the plateau are tested against
+        # the kernel and none of their rows is built
         p = 2**31 - 1
         rng = np.random.default_rng(8)
         mat = sparse_low_rank(rng, 300, 12, 9, p)
         (pivot_cols, pivot_rows), calls = self.spied_rref(matrix_rows(mat, p), p, monkeypatch)
-        assert calls == [] or all(k is None for _n, k, _built in calls)
         assert (pivot_cols, [[int(v) for v in r] for r in pivot_rows]) == tuple(
             rref_oracle(mat.tolist(), 12, p)
         )
+        tested = [built for _n, k, built in calls if k is not None]
+        assert tested and not any(tested)
+
+    def test_a_sum_past_2_63_keeps_its_row(self):
+        # the row (p-1, p-1, p-1) against the kernel column (p-1, p-1, p-2)
+        # sums to s = 4 mod p, past 2^63, where s - 2^64 = 0 mod p: an
+        # unreduced int64 sum would drop the row; (1, p-1, 0) does lie in
+        # the span and is dropped
+        p = 2**31 - 1
+        s = 2 * (p - 1) ** 2 + (p - 1) * (p - 2)
+        assert 2**63 <= s < 2**64 and s % p == 4 and (s - 2**64) % p == 0
+        rows = matrix_rows(np.array([[p - 1] * 3, [1, p - 1, 0]]), p)
+        kernel = np.array([[p - 1], [p - 1], [p - 2]])
+        assert rows.block(0, 2, kernel).tolist() == [[p - 1] * 3]
 
 
 class TestHTwoTermMatrix:
