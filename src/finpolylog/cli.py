@@ -10,6 +10,7 @@ when every record that carries an expectation passes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -438,6 +439,7 @@ def cmd_list(args, report: Report) -> None:
         report.add(rec, expected=None)
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finpolylog",

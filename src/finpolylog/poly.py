@@ -556,28 +556,40 @@ class _Kronecker:
 def _packed_merge(keys, vals, p: int):
     """Sum the values of equal keys mod p and drop the zero sums.
 
-    Inputs made of sorted runs (the rows of an outer sum, or packed
-    operands laid end to end) sort in near-linear time under the stable
-    sort.  The values of one key must sum inside int64.  Returns sorted
-    distinct keys.  The inputs are read once, into their sorted copies:
-    a caller that passes its only references lets each be freed then,
-    and the sums are reduced in place.
+    ``vals`` is an array, or the pair (u, w) whose outer product gives the
+    values of keys that are an outer sum, raveled; those are formed in
+    sorted order a block at a time.  Sorted runs sort in near-linear time
+    under the stable sort.  A key's values must sum inside int64: its sum
+    is a difference of one running sum, taken in place in uint64, whose
+    wrap-around leaves it exact.  Returns sorted distinct keys.  Inputs
+    are consumed: with the caller's only references, no more than three
+    arrays of their length are held.
     """
     if not len(keys):
         return keys, vals
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    vals = vals[order]
+    if isinstance(vals, tuple):
+        (u, w), vals = vals, np.empty_like(keys)
+        for a in range(0, len(order), 1 << 14):
+            i, j = np.divmod(order[a : a + (1 << 14)], len(w))
+            np.multiply(u[i], w[j], out=vals[a : a + (1 << 14)])
+        if len(u) * (p - 1) ** 2 >= 1 << 63:
+            vals %= p
+    else:
+        vals = vals[order]
     del order
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    keys = keys[starts]
-    vals = np.add.reduceat(vals, starts)
-    del starts
+    last = np.concatenate((keys[1:] != keys[:-1], (True,)))
+    if np.count_nonzero(last) < len(keys):
+        vals = np.add.accumulate(vals.view(np.uint64), out=vals.view(np.uint64))[last]
+        vals[1:] -= vals[:-1].copy()
+        vals, keys = vals.view(np.int64), keys[last]
     vals %= p
     if np.count_nonzero(vals) == len(vals):
         return keys, vals  # a late copy of a long sum leaves holes in the heap
     keep = vals != 0
-    return keys[keep], vals[keep]
+    keys = keys[keep]
+    return keys, vals[keep]
 
 
 def _packed_add(parts, p: int):
@@ -585,22 +597,23 @@ def _packed_add(parts, p: int):
     ``_INSERT_RATIO`` times the terms of the others, all are merged in one
     pass.  Otherwise the others are, and their sum is inserted into the
     longest at the places ``np.searchsorted`` finds, so the long sorted
-    part is copied once and never sorted again."""
+    part is copied once and never sorted again.  Like
+    :func:`_packed_merge` it consumes its input: it empties the list
+    ``parts``, so each part a caller holds no other reference to is freed
+    once copied."""
     if len(parts) == 1:
-        return parts[0]
+        return parts.pop()
     if not parts:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     big = max(range(len(parts)), key=lambda i: len(parts[i][0]))
     rest_terms = sum(len(k) for k, _ in parts) - len(parts[big][0])
     if _INSERT_RATIO * rest_terms > len(parts[big][0]):
-        return _packed_merge(
-            np.concatenate([k for k, _ in parts]),
-            np.concatenate([v for _, v in parts]),
-            p,
-        )
-    (kl, vl), rest = parts[big], parts[:big] + parts[big + 1 :]
-    ks, vs = _packed_add(rest, p)
-    del rest
+        keys, vals = zip(*parts)
+        parts.clear()
+        keys = np.concatenate(keys)  # frees the parts' keys
+        return _packed_merge(keys, np.concatenate(vals), p)
+    kl, vl = parts.pop(big)
+    ks, vs = _packed_add(parts, p)
     pos = np.searchsorted(kl, ks)
     hit = kl[np.minimum(pos, len(kl) - 1)] == ks
     fresh = ~hit
@@ -609,11 +622,13 @@ def _packed_add(parts, p: int):
     idx = pos[hit] + np.searchsorted(at, pos[hit], side="right")
     sums = (vl[pos[hit]] + vs[hit]) % p
     gone = idx[sums == 0]
-    # one array at a time, so at most one copy of the sum is unfinished
+    # one array at a time, each freed once copied: one copy is unfinished
     keys = np.insert(kl, at, ks[fresh])
+    del kl
     if len(gone):
         keys = np.delete(keys, gone)
     vals = np.insert(vl, at, vs[fresh])
+    del vl
     vals[idx] = sums
     if len(gone):
         vals = np.delete(vals, gone)
@@ -656,9 +671,9 @@ def _dense_mul(ka, va, kb, vb, p: int):
         if ka[-1] - ka[0] > kb[-1] - kb[0]:
             ka, va, kb, vb = kb, vb, ka, va
         half = len(kb) // 2
-        low = _packed_mul((ka, va), (kb[:half], vb[:half]), p)
-        high = _packed_mul((ka, va), (kb[half:], vb[half:]), p)
-        keys, vals = _packed_add([low, high], p)
+        halves = [_packed_mul((ka, va), (kb[:half], vb[:half]), p)]
+        halves.append(_packed_mul((ka, va), (kb[half:], vb[half:]), p))
+        keys, vals = _packed_add(halves, p)
         if len(keys) > DEFAULT_TERM_CAP:
             raise SizeExceeded("fast multiply result exceeds term cap")
         return keys, vals
@@ -713,26 +728,16 @@ def _packed_mul(a, b, p: int):
         if product is not None:
             return product
     chunk = max(1, _FAST_CHUNK_PAIRS // len(kb))
-    # a key of a chunk's outer sum gathers one pair per row at most, so
-    # below this many rows the unreduced products sum inside int64
-    lazy = min(chunk, len(ka)) * (p - 1) ** 2 < 1 << 63
-    keys = vals = None
+    sums = []  # the sum of the chunks before this one
     for start in range(0, len(ka), chunk):
         rows = slice(start, start + chunk)
-        # the merge holds the only references to the outer sums and
-        # products, so it frees each once it is sorted
-        part = _packed_merge(
-            np.add.outer(ka[rows], kb).ravel(),
-            np.multiply.outer(va[rows], vb).ravel()
-            if lazy
-            else np.multiply.outer(va[rows], vb).ravel() % p,
-            p,
-        )
-        keys, vals = part if keys is None else _packed_add([(keys, vals), part], p)
-        del part
-        if len(keys) > DEFAULT_TERM_CAP:
+        # the merge holds the only reference to the outer sum and the sum
+        # the only ones to its parts, so each is freed once copied
+        sums.append(_packed_merge(np.add.outer(ka[rows], kb).ravel(), (va[rows], vb), p))
+        sums.append(_packed_add(sums, p))
+        if len(sums[0][0]) > DEFAULT_TERM_CAP:
             raise SizeExceeded("fast multiply result exceeds term cap")
-    return keys, vals
+    return sums.pop()
 
 
 def _mul_prime_fast(f: SparsePoly, g: SparsePoly) -> SparsePoly:
@@ -761,9 +766,9 @@ def _grouped_sum(items, powers, p: int):
     summed recursively.  A one-term polynomial keeps its own products,
     which only shift keys (see :func:`_packed_mul`), and a one-term power
     is never picked, as multiplying it onto a sum costs what it costs on
-    the items.  Items left ungrouped multiply their one-term powers first,
-    so a key shift copies the item and never a larger product, and then
-    the others in their given order.
+    the items.  An item left ungrouped folds its one-term powers into its
+    first power of another term count (an empty power stays empty), so
+    the item meets one product per such power, in their given order.
     """
     counts = {}
     for acc, keys in items:
@@ -776,19 +781,27 @@ def _grouped_sum(items, powers, p: int):
     )
     if best is None or counts[best] < 2:
         parts = []
-        for acc, keys in items:
-            for key in sorted(keys, key=lambda key: len(powers[key][0]) > 1):
-                acc = _packed_mul(acc, powers[key], p)
+        while items:
+            acc, keys = items.pop(0)
+            # one-term powers shift the first other power, not the item
+            factors = sorted((powers[key] for key in keys), key=lambda f: len(f[0]) == 1)
+            while len(factors) > 1 and len(factors[-1][0]) == 1:
+                factors[0] = _packed_mul(factors.pop(), factors[0], p)
+            for factor in factors:
+                acc = _packed_mul(acc, factor, p)
             parts.append(acc)
+            del acc
         return _packed_add(parts, p)
     shared, rest = [], []
-    for acc, keys in items:
+    while items:
+        acc, keys = items.pop(0)
         if len(acc[0]) > 1 and best in keys:
             keys = list(keys)
             keys.remove(best)
             shared.append((acc, keys))
         else:
             rest.append((acc, keys))
+    del acc
     parts = [_packed_mul(_grouped_sum(shared, powers, p), powers[best], p)]
     if rest:
         parts.append(_grouped_sum(rest, powers, p))
@@ -1164,7 +1177,6 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
         raise SizeExceeded(
             f"a product over the {count} stacked vectors exceeds {DEFAULT_TERM_CAP} terms"
         ) from exc
-    del items
     if len(keys) > DEFAULT_TERM_CAP:
         raise SizeExceeded(
             f"the sums over the {count} vectors exceed {DEFAULT_TERM_CAP} terms"

@@ -66,17 +66,19 @@ class MatrixRows:
     order within a key does not change a row.  The entries are
     the values mod p.  :func:`_rref` takes the rows in blocks, so the
     whole matrix need not be held, and may leave out the rows that lie
-    in the span of the rows it has.  ``shape`` is the matrix's.
+    in the span of the rows it has.  ``shape`` is the matrix's.  The
+    keys are compared a chunk of ranks at a time and not kept, so no
+    copy of them is made and, once ranked, a caller's Coordinates can
+    free them.
     """
 
     def __init__(self, cols: Coordinates, p: int):
         order = np.argsort(cols.keys, kind="stable")
-        ranked = cols.keys[order]
-        new_row = np.empty(len(order), dtype=bool)
-        new_row[:1] = True
-        np.not_equal(ranked[1:], ranked[:-1], out=new_row[1:])
-        del ranked
-        self.cols, self.p, self.order = cols, p, order
+        new_row = np.ones(len(order), dtype=bool)
+        for a in range(1, len(order), 1 << 14):
+            ranked = cols.keys[order[a - 1 : a + (1 << 14)]]
+            np.not_equal(ranked[1:], ranked[:-1], out=new_row[a : a + (1 << 14)])
+        self.index, self.vals, self.p, self.order = cols.index, cols.vals, p, order
         # row r holds the terms order[bounds[r]:bounds[r + 1]]
         self.bounds = np.append(np.flatnonzero(new_row), len(order))
         self.shape = (len(self.bounds) - 1, cols.count)
@@ -90,27 +92,27 @@ class MatrixRows:
         has at most ncols terms, so each sum is below ncols * (p-1)^2; past
         2^63 each product is reduced first, as a wrapped sum may drop a row.
         """
-        cols, bounds, p = self.cols, self.bounds, self.p
+        bounds, p, ncols = self.bounds, self.p, self.shape[1]
         terms = self.order[bounds[start] : bounds[stop]]
         rows = np.repeat(np.arange(stop - start), np.diff(bounds[start : stop + 1]))
-        index, vals = cols.index[terms], cols.vals[terms] % p
+        index, vals = self.index[terms], self.vals[terms] % p
         if kernel is not None:
             heads = bounds[start:stop] - bounds[start]
             prods = vals[:, None] * kernel[index]
-            if cols.count * (p - 1) ** 2 >= 2**63:
+            if ncols * (p - 1) ** 2 >= 2**63:
                 prods %= p
             outside = (np.add.reduceat(prods, heads) % p).any(axis=1)
             keep = outside[rows]
             rows = (np.cumsum(outside) - 1)[rows[keep]]
             index, vals = index[keep], vals[keep]
             stop = start + int(outside.sum())
-        block = np.zeros((stop - start, cols.count), dtype=np.int64)
+        block = np.zeros((stop - start, ncols), dtype=np.int64)
         block[rows, index] = vals
         return block
 
     def rows_within(self, ncols: int) -> int:
         """The number of rows with a term among the first ``ncols`` columns."""
-        within = self.cols.index[self.order] < ncols
+        within = (self.index < ncols)[self.order]
         return int(np.logical_or.reduceat(within, self.bounds[:-1]).sum())
 
 

@@ -333,3 +333,21 @@ class TestConfigFile:
         )
         assert code == 0
         assert report["config"]["budget"] == 123
+
+
+def test_two_calls_in_one_process_write_what_separate_calls_write(tmp_path):
+    # the parser is built once per process; a second call with another
+    # subcommand parses its own arguments
+    calls = (
+        ["solve", "--preset", "FEIT", "--p", "5,7"],
+        ["cocycle", "--check", "all", "--p", "5"],
+    )
+    outputs = []
+    for i, argv in enumerate(calls):
+        path = tmp_path / f"r{i}.json"
+        assert main([*argv, "--seed", "1", "--output", str(path)]) == 0
+        outputs.append(json.loads(path.read_text())["records"])
+    for argv, records in zip(calls, outputs):
+        path = tmp_path / "again.json"
+        assert main([*argv, "--seed", "1", "--output", str(path)]) == 0
+        assert json.loads(path.read_text())["records"] == records

@@ -1105,25 +1105,21 @@ class TestPackedAdd:
 class TestMemoryPeaks:
     """Peaks under tracemalloc, which counts numpy's buffers."""
 
-    def test_two_term_product_holds_one_sorted_copy(self):
+    def test_two_term_product_holds_one_sorted_copy(self, peak_of):
         # 2 x 150,000 pairs on the sorted path: the outer sums and products
         # are freed once sorted, so the peak stays within 3x the output
         rng = np.random.default_rng(5)
         kb = np.unique(rng.integers(0, 10**12, 150_000))
         vb = rng.integers(1, 97, len(kb))
         ka, va = np.array([0, 7], dtype=np.int64), np.array([1, 5], dtype=np.int64)
-        tracemalloc.start()
-        try:
-            keys, vals = poly._packed_mul((ka, va), (kb, vb), 97)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (keys, vals), peak = peak_of(lambda: poly._packed_mul((ka, va), (kb, vb), 97))
         assert len(keys) > 2 * len(kb) - 100
         assert peak <= 3 * (keys.nbytes + vals.nbytes), peak
 
     def test_a_shift_comes_before_a_longer_product(self, monkeypatch):
         # the item times a two-term and a one-term power: the one-term
-        # power shifts the item's 1000 terms, not the 2000-term product
+        # power shifts the two-term power, and the item's 1000 terms meet
+        # one product
         mul = poly._packed_mul
         calls = []
 
@@ -1135,9 +1131,33 @@ class TestMemoryPeaks:
         item = (np.arange(1000, dtype=np.int64) * 4, np.ones(1000, dtype=np.int64))
         powers = {"two": (np.array([0, 1]), np.array([1, 2])), "one": (np.array([3]), np.array([5]))}
         keys, vals = poly._grouped_sum([(item, ["two", "one"])], powers, 11)
-        assert calls == [[1, 1000], [2, 1000]]
+        assert calls == [[1, 2], [2, 1000]]
         want = {}
         for k in range(1000):
             for shift, c in ((3, 5), (4, 10)):
                 want[4 * k + shift] = c
         assert dict(zip(keys.tolist(), vals.tolist())) == want
+
+    def test_sums_consume_their_lists(self):
+        # _packed_add and _grouped_sum empty the lists they are given, and
+        # an empty factor power keeps its item's product zero
+        rng = np.random.default_rng(3)
+        p = 11
+        parts = [(np.unique(rng.integers(0, 50, n)), None) for n in (40, 3, 7)]
+        parts = [(k, rng.integers(1, p, len(k))) for k, _ in parts]
+        want = {}
+        for keys, vals in parts:
+            for k, v in zip(keys.tolist(), vals.tolist()):
+                want[k] = (want.get(k, 0) + v) % p
+        want = {k: v for k, v in want.items() if v}
+        given_parts = list(parts)
+        keys, vals = poly._packed_add(given_parts, p)
+        assert given_parts == []
+        assert dict(zip(keys.tolist(), vals.tolist())) == want
+        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        powers = {"zero": empty, "one": (np.array([3]), np.array([5]))}
+        items = [(parts[0], ["one", "zero"]), (parts[1], ["one"])]
+        keys, vals = poly._grouped_sum(items, powers, p)
+        assert items == []
+        shifted = {k + 3: v * 5 % p for k, v in zip(*(a.tolist() for a in parts[1]))}
+        assert dict(zip(keys.tolist(), vals.tolist())) == shifted
