@@ -17,39 +17,37 @@ Large products over GF(p) with p < 2^31 run on a private packed kernel: a
 polynomial becomes a sorted int64 array of Kronecker-packed exponent keys
 (one radix per variable) and an int64 array of residues.  A one-term
 operand needs no merge: it shifts the other operand's keys, which stay
-sorted and distinct, and scales its residues, which stay nonzero.  A
-large product with no more cells in a dense line array over its keys than
-pairs of terms accumulates there, one scatter-add per term of the short
-operand; the others are outer sums of keys and products of residues, whose
-equal keys merge through a stable argsort and an int64 ``np.add.reduceat``.
-A sum of packed polynomials whose longest part holds most of its terms
-inserts the others into it at the places ``np.searchsorted`` finds, so
-that part is not sorted again, and each step frees its unsorted inputs
-once their sorted copies exist.  Below 2^31 a product of
-two residues is below 2^62, and sums are reduced mod p before they could
-leave int64, so the kernel is exact; larger primes use the schoolbook
-product, and so do single products whose packed keys would not fit in
-int64.  Besides single products, the
-kernel has one more entry point, :func:`homogenized_sums`, which builds the
-cleared numerators of the twisted evaluator and of the solver's columns,
-both read at degree p: its inputs are packed once, and powers, products
-and sums stay packed until they are returned.  The powers of a one- or
-two-term argument are written down in closed form, with binomials mod p,
-and many small products n^j d^(deg-j) share one pass of outer sums and
-one merge.  All coefficient vectors are stacked in one
-block, each vector under one more Kronecker digit, so one pass over the
-terms serves every vector; a block that would pass the term cap is
-refused, not split.  Terms that share a factor power are summed before it
-is multiplied on, so each shared power meets one product per group of
-terms, not one per term and vector.  A factor power f^(pq+r) is f^r
-times the Frobenius image f^q(x^p), whose keys are those of f^q times
-p, so a p-th power is a scaling of keys and has no more terms than its
-base; at degree p every cofactor is such an image.  The sums come back
-in coordinate form (:class:`Coordinates`: packed monomial keys with their
-radices, a polynomial index, values); the solver ranks its matrix rows by
-the keys directly, and exponent rows are unpacked only for a caller that
-asks for them.  Storage stays dict-based: most products in the package are
-small, and pointwise evaluation walks the terms.
+sorted and distinct, and scales its residues, which stay nonzero.  A large
+product with no more cells in a dense line array over its keys than pairs
+of terms accumulates there, one scatter-add per term of the short operand;
+the others are outer sums of keys and products of residues, whose equal
+keys merge through a stable argsort and one running sum.  A sum of packed
+polynomials whose longest part holds most of its terms inserts the others
+into it at the places ``np.searchsorted`` finds, so that part is not
+sorted again, and each step frees its inputs once copied.  Below 2^31 a
+product of two residues is below 2^62, and sums are reduced mod p before
+they could leave int64, so the kernel is exact; larger primes use the
+schoolbook product, and so do single products whose packed keys would not
+fit in int64.  Besides single products, the kernel has one more entry
+point, :func:`homogenized_sums`, which builds the cleared numerators of
+the twisted evaluator and of the solver's columns, both read at degree p:
+its inputs are packed once, and powers, products and sums stay packed
+until they are returned.  The powers of a one- or two-term argument are
+written down in closed form, with binomials mod p, and many small products
+n^j d^(deg-j) share one pass of outer sums and one merge.  All coefficient
+vectors are stacked in one block, each vector under one more Kronecker
+digit, so one pass over the terms serves every vector; a block that would
+pass the term cap is refused, not split.  Terms that share a factor power
+are summed before it is multiplied on, so each shared power meets one
+product per group of terms, not one per term and vector.  A factor power
+f^(pq+r) is f^r times the Frobenius image f^q(x^p), whose keys are those
+of f^q times p, so a p-th power is a scaling of keys and has no more terms
+than its base; at degree p every cofactor is such an image.  The sums come
+back in coordinate form (:class:`Coordinates`: packed monomial keys with
+their radices, a polynomial index, values); the solver ranks its matrix
+rows by the keys directly, and exponent rows are unpacked only for a
+caller that asks for them.  Storage stays dict-based: most products in the
+package are small, and pointwise evaluation walks the terms.
 """
 
 from fractions import Fraction
@@ -554,17 +552,13 @@ class _Kronecker:
 
 
 def _packed_merge(keys, vals, p: int):
-    """Sum the values of equal keys mod p and drop the zero sums.
-
-    ``vals`` is an array, or the pair (u, w) whose outer product gives the
-    values of keys that are an outer sum, raveled; those are formed in
-    sorted order a block at a time.  Sorted runs sort in near-linear time
-    under the stable sort.  A key's values must sum inside int64: its sum
-    is a difference of one running sum, taken in place in uint64, whose
-    wrap-around leaves it exact.  Returns sorted distinct keys.  Inputs
-    are consumed: with the caller's only references, no more than three
-    arrays of their length are held.
-    """
+    """Sum the values of equal keys mod p and drop zero sums; keys made of
+    sorted runs sort in near-linear time.  ``vals`` is an array or, for
+    keys that are a raveled outer sum, the pair (u, w) whose outer product
+    gives the values, formed in sorted order a block at a time.  Each key's
+    sum, inside int64, is a difference of a running uint64 sum, exact under
+    wrap-around.  Inputs are consumed: with no other reference, at most
+    three arrays of their length are held.  Returns sorted distinct keys."""
     if not len(keys):
         return keys, vals
     order = np.argsort(keys, kind="stable")
@@ -597,10 +591,9 @@ def _packed_add(parts, p: int):
     ``_INSERT_RATIO`` times the terms of the others, all are merged in one
     pass.  Otherwise the others are, and their sum is inserted into the
     longest at the places ``np.searchsorted`` finds, so the long sorted
-    part is copied once and never sorted again.  Like
-    :func:`_packed_merge` it consumes its input: it empties the list
-    ``parts``, so each part a caller holds no other reference to is freed
-    once copied."""
+    part is copied once and never sorted again.  It empties the list
+    ``parts``: a part the caller holds no other reference to is freed once
+    copied."""
     if len(parts) == 1:
         return parts.pop()
     if not parts:
@@ -731,8 +724,7 @@ def _packed_mul(a, b, p: int):
     sums = []  # the sum of the chunks before this one
     for start in range(0, len(ka), chunk):
         rows = slice(start, start + chunk)
-        # the merge holds the only reference to the outer sum and the sum
-        # the only ones to its parts, so each is freed once copied
+        # each array is held only by the merge or sum it goes to
         sums.append(_packed_merge(np.add.outer(ka[rows], kb).ravel(), (va[rows], vb), p))
         sums.append(_packed_add(sums, p))
         if len(sums[0][0]) > DEFAULT_TERM_CAP:
@@ -847,11 +839,12 @@ class SparseVector(NamedTuple):
 
 def _stack(parts):
     """Packed polynomials whose keys lie in increasing disjoint ranges,
-    laid end to end: the keys stay sorted and distinct."""
+    laid end to end: the keys stay sorted and distinct.  Empties ``parts``."""
     if len(parts) == 1:
-        return parts[0]
+        return parts.pop()
     empty = np.zeros(0, dtype=np.int64)
     keys, vals = zip((empty, empty), *parts)
+    parts.clear()
     return np.concatenate(keys), np.concatenate(vals)
 
 
@@ -1166,10 +1159,7 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
             chunk, chunk_bound = [], 0
     if chunk:
         build(chunk)
-    items = []
-    for parts, (*_pows, fkeys) in zip(stacked, built):
-        items.append((_stack(parts), fkeys))
-        parts.clear()  # the stacked copy replaces them
+    items = [(_stack(parts), fkeys) for parts, (*_pows, fkeys) in zip(stacked, built)]
     del built, lists  # the power lists are done
     try:
         keys, vals = _grouped_sum(items, powers, p)
@@ -1178,9 +1168,7 @@ def homogenized_sums(terms, deg: int, vectors, variables, domain) -> Coordinates
             f"a product over the {count} stacked vectors exceeds {DEFAULT_TERM_CAP} terms"
         ) from exc
     if len(keys) > DEFAULT_TERM_CAP:
-        raise SizeExceeded(
-            f"the sums over the {count} vectors exceed {DEFAULT_TERM_CAP} terms"
-        )
+        raise SizeExceeded(f"the sums over the {count} vectors exceed {DEFAULT_TERM_CAP} terms")
     # every array here was made by this call, so the keys can drop their
     # z digit in place
     index = keys // kron.span

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -103,16 +102,11 @@ class TestCoboundary:
         assert not res["consistent"]
         assert verify_certificate(p, res["certificate"])
 
-    def test_no_square_identity_matrix(self):
+    def test_no_square_identity_matrix(self, peak_of):
         # a p^2 x p^2 int64 matrix of row combinations takes (p^2)^2 * 8 bytes
         p = 31
         table = phi_table(p)
-        tracemalloc.start()
-        try:
-            res = coboundary_solve(p, table=table)
-            _size, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        res, peak = peak_of(lambda: coboundary_solve(p, table=table))
         assert peak < (p * p) ** 2 * 8 // 4
         assert not res["consistent"]
         assert verify_certificate(p, res["certificate"], table)

@@ -1,6 +1,5 @@
 from fractions import Fraction
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,7 +247,9 @@ def homogenized_cases(draw):
     exponents = st.integers(1, 3)
     factor = st.tuples(st.one_of(small, st.sampled_from(pool)), exponents)
     factors = st.lists(factor, max_size=3)
-    deg = draw(st.integers(0, 3))
+    # degree 0, no terms and zero coefficients are drawn less often: their
+    # cases add no parts, and under derandomize they repeat
+    deg = draw(st.sampled_from((3, 2, 1, 0)))
     terms = draw(
         st.lists(
             st.tuples(
@@ -256,12 +257,14 @@ def homogenized_cases(draw):
                 st.one_of(st.just(one), small),
                 factors.map(tuple),
             ),
+            min_size=draw(st.sampled_from((1, 2, 0))),
             max_size=4,
         )
     )
     if draw(st.booleans()):
         terms = [(n, d, (*fs, (pool[0], draw(exponents)))) for n, d, fs in terms]
-    vector = st.tuples(*(st.integers(-12, 24) for _ in range(deg + 1)))
+    coefficient = st.integers(1, 10) | st.integers(-12, 24)
+    vector = st.tuples(*(coefficient for _ in range(deg + 1)))
     vectors = draw(st.lists(vector, min_size=1, max_size=3))
     return terms, deg, vectors + [(0,) * (deg + 1)]
 
@@ -657,22 +660,35 @@ class TestClosedFormKernels:
             assert message == f"the parts of the first {refused} vectors exceed {cap} terms"
 
     @pytest.mark.parametrize("sparse", (False, True), ids=("dense", "sparse"))
-    def test_two_chunks_are_counted_before_the_refusal(self, sparse):
+    def test_each_cap_refuses_the_vector_its_count_names(self, sparse):
         # the parts (x+y)^j x^(2-j) of one vector merge to 3 terms under a
-        # bound of 6, so at a cap of 8 the first two vectors are built as
-        # two chunks, and the third passes the cap
+        # bound of 6, so the parts of c // 3 vectors fit a cap of c, and at
+        # a cap of 8 the first two vectors are built as two chunks before
+        # the third is refused; over every cap, a running count off by one
+        # in any chunk moves some refusal to a neighbouring vector
         n = SparsePoly(VARS3, DOM11, {(1, 0, 0): 1, (0, 1, 0): 1})
         d = SparsePoly(VARS3, DOM11, {(1, 0, 0): 1})
+        got, want = [], []
+        for cap in range(1, 17):
 
-        def lowered():
-            for _ in range(4):
-                poly.DEFAULT_TERM_CAP = 8
-                yield SparseVector(3, ((0, 1), (1, 1), (2, 1))) if sparse else (1, 1, 1)
+            def lowered():
+                for _ in range(5):
+                    poly.DEFAULT_TERM_CAP = cap
+                    yield SparseVector(3, ((0, 1), (1, 1), (2, 1))) if sparse else (1, 1, 1)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(poly, "DEFAULT_TERM_CAP", poly.DEFAULT_TERM_CAP)
-            with pytest.raises(SizeExceeded, match="the parts of the first 3 vectors exceed 8"):
-                homogenized_sums([(n, d, ())], 2, lowered(), VARS3, DOM11)
+            message = None
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(poly, "DEFAULT_TERM_CAP", poly.DEFAULT_TERM_CAP)
+                try:
+                    homogenized_sums([(n, d, ())], 2, lowered(), VARS3, DOM11)
+                except SizeExceeded as exc:
+                    message = str(exc)
+            got.append(message)
+            refused = cap // 3 + 1
+            want.append(
+                f"the parts of the first {refused} vectors exceed {cap} terms" if refused <= 5 else None
+            )
+        assert got == want
 
 
 DENSE_PRIMES = (2, 3, 11, (1 << 31) - 1)
@@ -804,7 +820,7 @@ class TestDensePath:
         assert taken == [True]
         assert product == {(0,): 1, (3 * n + 3,): p - 1}
 
-    def test_cells_past_the_cap_are_never_allocated(self, monkeypatch):
+    def test_cells_past_the_cap_are_never_allocated(self, monkeypatch, peak_of):
         # f = 1 + x + ... + x^(m-1) and g = (1 - x)(1 + x^m + ... + x^((k-1)m))
         # have the product 1 - x^(km), through a line array of about
         # (k+1)m cells; under a lower cap the array is split, and no
@@ -817,12 +833,7 @@ class TestDensePath:
         cells = k * m + m
         for cap, fits in ((10**7, True), (cells // 10, False)):
             monkeypatch.setattr(poly, "DEFAULT_TERM_CAP", cap)
-            tracemalloc.start()
-            try:
-                keys, vals = poly._packed_mul((ka, va), (kb, vb), p)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            (keys, vals), peak = peak_of(lambda: poly._packed_mul((ka, va), (kb, vb), p))
             assert keys.tolist() == [0, k * m] and vals.tolist() == [1, p - 1]
             assert (peak >= 8 * cells) == fits, peak
             if not fits:
@@ -1075,11 +1086,13 @@ class TestPackedAdd:
         before = [(k.copy(), v.copy()) for k, v in parts]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(poly, "_INSERT_RATIO", ratio)
-            keys, vals = poly._packed_add(parts, p)
+            given = list(parts)
+            keys, vals = poly._packed_add(given, p)
+        assert given == []  # the sum consumes its list, not the arrays in it
         assert keys.dtype == vals.dtype == np.int64
         assert dict(zip(keys.tolist(), vals.tolist())) == want
         assert keys.tolist() == list(want)
-        for (k, v), (k0, v0) in zip(parts, before):
+        for (k, v), (k0, v0) in zip(parts, before, strict=True):
             assert np.array_equal(k, k0) and np.array_equal(v, v0)
 
     def test_the_longest_part_is_not_sorted_again(self, monkeypatch):

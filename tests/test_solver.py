@@ -796,17 +796,11 @@ class TestReducedConstraint:
             assert not narrow.reduced.flags.writeable
 
     def test_feit_at_97_peak(self, peak_of):
-        # the coordinates (322,818 terms, 7.7 MB) are ranked once and their
-        # rows reduced in blocks; no 9,504 x 97 matrix or copy of it is held
-        reduction, peak = peak_of(lambda: solver._reduced_constraint("feit", {}, 97, 96))
-        assert reduction.rows == 9504 and len(reduction.pivots) == 96
-        assert peak <= 17 * 10**6, peak
-
-    def test_feit_at_97_column_build_peak(self, peak_of):
-        # one copy of each large packed polynomial at a time: the stacked
-        # item times its two-term power is merged with no spare copy of
-        # the item or of the product (16.1 MB before), and the ranked keys
-        # are compared in chunks
+        # the column build holds one copy of each large packed polynomial
+        # at a time: the stacked item times its two-term power is merged
+        # with no spare copy of either; the coordinates (322,822 terms,
+        # 7.7 MB) are ranked in chunks and their rows reduced in blocks, so
+        # no 9,507 x 97 matrix or copy of it is held
         reduction, peak = peak_of(lambda: solver._reduced_constraint("feit", {}, 97, 97))
         assert reduction.rows == 9507 and len(reduction.pivots) == 97
         assert peak <= 11.5 * 10**6, peak
